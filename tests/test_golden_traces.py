@@ -1,0 +1,103 @@
+"""Golden traces: solver runs pinned against a recorded fixture.
+
+Each run must repeat its status, iteration and evaluation counts and the
+per-row (evaluations, step kind) columns exactly, and its final value and
+gradient norm to 1e-12 relative.  The fixture stores the columns as runs of
+identical (evaluation delta, step) pairs.  A deliberate change of solver
+behaviour re-records it with
+
+    PYTHONPATH=src python tests/test_golden_traces.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cagopt import ProblemSpec, RunConfig, run
+from cagopt.cag import CagConfig, cag_minimize
+from cagopt.oracle import ObjectiveProblem
+
+FIXTURE = Path(__file__).with_name("golden_traces.json")
+RTOL = 1e-12
+
+
+def _harness_run(family, n, solver, conjugate_z=False, max_evals=None, seed=None):
+    extra = {} if max_evals is None else {"max_evals": max_evals}
+    spec = ProblemSpec(family, n, seed=seed)
+    return lambda: run(RunConfig(spec, solver, conjugate_z=conjugate_z, **extra))
+
+
+def _explosive_run():
+    # the diverging objective of test_divergence_status_on_overflow
+    def explosive(x):
+        with np.errstate(over="ignore"):
+            v = float(np.exp(x[0]) + x[0] ** 4)
+            g = np.array([np.exp(x[0]) + 4.0 * x[0] ** 3])
+        return v, g
+
+    prob = ObjectiveProblem(name="explosive", n=1, evaluate=explosive, default_L=0.01)
+    return cag_minimize(prob, np.array([2.0]),
+                        CagConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
+
+
+RUNS = {
+    "quad-100-cag": _harness_run("quad", 100, "cag"),
+    "quad-100-cag+z": _harness_run("quad", 100, "cag", conjugate_z=True),
+    "quad-100-ncg": _harness_run("quad", 100, "ncg"),
+    "quad-100-ag": _harness_run("quad", 100, "ag"),
+    "quad-100-lcg": _harness_run("quad", 100, "lcg"),
+    "huber-700-cag": _harness_run("huber", 700, "cag"),
+    "huber-700-cag+z": _harness_run("huber", 700, "cag", conjugate_z=True),
+    "huber-700-ncg": _harness_run("huber", 700, "ncg"),
+    "huber-700-ag": _harness_run("huber", 700, "ag"),
+    "logistic-100-seed0-cag": _harness_run("logistic", 100, "cag", seed=0),
+    "logistic-100-seed0-ncg": _harness_run("logistic", 100, "ncg", seed=0),
+    "abpdn-400-cag": _harness_run("abpdn", 400, "cag"),
+    "quad-100-cag-budget20": _harness_run("quad", 100, "cag", max_evals=20),
+    "quad-100-ncg-budget20": _harness_run("quad", 100, "ncg", max_evals=20),
+    "quad-100-ag-budget20": _harness_run("quad", 100, "ag", max_evals=20),
+    "explosive-cag": _explosive_run,
+}
+
+
+def summarize(result) -> dict:
+    columns: list[list] = []
+    previous = 0
+    for rec in result.trace:
+        pair = [rec.evals - previous, rec.step.value]
+        previous = rec.evals
+        if columns and columns[-1][:2] == pair:
+            columns[-1][2] += 1
+        else:
+            columns.append(pair + [1])
+    return {
+        "status": result.status.value,
+        "iterations": result.iterations,
+        "evaluations": result.evaluations,
+        "f_final": result.f_final,
+        "gnorm_final": result.gnorm_final,
+        "columns": columns,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_run_matches_golden_trace(name, golden):
+    expected = golden[name]
+    got = summarize(RUNS[name]())
+    for key in ("status", "iterations", "evaluations", "columns"):
+        assert got[key] == expected[key], key
+    for key in ("f_final", "gnorm_final"):
+        assert got[key] == pytest.approx(expected[key], rel=RTOL, abs=0.0), key
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(
+        json.dumps({name: summarize(fn()) for name, fn in RUNS.items()}, indent=1) + "\n"
+    )

@@ -6,38 +6,14 @@ accelerated gradient steps when the test fails, giving CG behaviour on
 quadratics and the accelerated worst-case rate in general.  Baselines
 (linear CG, plain Hager-Zhang NCG, accelerated gradient), four benchmark
 problem families and a reproducible run harness round out the package.
+
+The package namespace holds the solver, problem and harness API; single
+steps, the estimate sequence and other internals live in their submodules.
 """
 
 from .baselines import QuadraticProblem, ag_minimize, lcg_minimize, ncg_minimize
-from .cag import (
-    CagConfig,
-    CagIterationState,
-    ag_block_exit_test,
-    ag_step,
-    bar_augment,
-    cag_minimize,
-    cg_attempt,
-    hz_beta,
-    return_to_cg,
-    secant_alpha,
-    z_conjugate_update,
-)
-from .errors import (
-    CurvatureFailure,
-    DegenerateDirection,
-    InvalidSpec,
-    InvalidState,
-    NotPositiveDefinite,
-    NumericalFailure,
-    SolverError,
-)
-from .estimate_sequence import (
-    EstimateState,
-    advance_estimate,
-    compute_theta_gamma,
-    init_estimate,
-    nesterov_bound,
-)
+from .cag import CagConfig, cag_minimize
+from .errors import InvalidSpec, NotPositiveDefinite, NumericalFailure, SolverError
 from .harness import (
     RunConfig,
     SuiteRow,
@@ -48,17 +24,9 @@ from .harness import (
     write_suite_csv,
     write_trace_csv,
 )
-from .oracle import (
-    EvalCounter,
-    ObjectiveProblem,
-    evaluate_counted,
-    finite_diff_gradient,
-)
+from .oracle import EvalCounter, ObjectiveProblem, evaluate_counted
 from .problems import (
     ProblemSpec,
-    dct_rows,
-    estimate_spectral_norm,
-    first_primes,
     make_abpdn,
     make_huber,
     make_logistic,
@@ -71,13 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CagConfig",
-    "CagIterationState",
-    "CurvatureFailure",
-    "DegenerateDirection",
-    "EstimateState",
     "EvalCounter",
     "InvalidSpec",
-    "InvalidState",
     "NotPositiveDefinite",
     "NumericalFailure",
     "ObjectiveProblem",
@@ -90,36 +53,20 @@ __all__ = [
     "StepKind",
     "SuiteRow",
     "TraceRecord",
-    "advance_estimate",
-    "ag_block_exit_test",
     "ag_minimize",
-    "ag_step",
-    "bar_augment",
     "cag_minimize",
-    "cg_attempt",
-    "compute_theta_gamma",
-    "dct_rows",
-    "estimate_spectral_norm",
     "evaluate_counted",
-    "finite_diff_gradient",
-    "first_primes",
     "format_suite_table",
-    "hz_beta",
-    "init_estimate",
     "lcg_minimize",
     "make_abpdn",
     "make_huber",
     "make_logistic",
     "make_quad_diag",
     "ncg_minimize",
-    "nesterov_bound",
     "parse_suite_config",
     "quad_diag_system",
-    "return_to_cg",
     "run",
     "run_suite",
-    "secant_alpha",
     "write_suite_csv",
     "write_trace_csv",
-    "z_conjugate_update",
 ]

@@ -15,17 +15,16 @@ from typing import Callable
 
 import numpy as np
 
-from .cag import hz_beta, secant_alpha
+from .cag import _ConvergedAt, _evaluate_or_stop, hz_beta, secant_alpha
 from .errors import (
     CurvatureFailure,
     DegenerateDirection,
-    InvalidSpec,
     NotPositiveDefinite,
     NumericalFailure,
 )
 from .estimate_sequence import advance_estimate, compute_theta_gamma, init_estimate
 from .oracle import EvalCounter, ObjectiveProblem, Vector, evaluate_counted
-from .results import SolverResult, Status, StepKind, TraceRecord
+from .results import RunLog, SolverResult, Status, StepKind, TraceRecord
 
 ApplyFn = Callable[[Vector], Vector]
 
@@ -142,78 +141,41 @@ def ncg_minimize(
     x = np.asarray(x0, dtype=float)
     L = problem.default_L
     counter = EvalCounter()
-    trace: list[TraceRecord] = []
-    iterates: list[np.ndarray] | None = [x] if record_iterates else None
-
-    def finish(status, xf, ff, gn, k):
-        return SolverResult(status, xf, ff, gn, k, counter.count, trace, iterates)
-
-    try:
-        f, g = evaluate_counted(problem, x, counter)
-    except NumericalFailure:
-        raise InvalidSpec("starting point evaluation failed")
-    gnorm = float(np.linalg.norm(g))
-    g0_norm = gnorm
-    trace.append(TraceRecord(0, counter.count, f, gnorm, math.nan, StepKind.INIT))
-    if gnorm <= gtol:
-        return finish(Status.CONVERGED, x, f, gnorm, 0)
+    f, g = evaluate_counted(problem, x, counter)
+    g0_norm = float(np.linalg.norm(g))
+    log = RunLog(counter, x, f, g0_norm, math.nan, record_iterates)
+    if g0_norm <= gtol:
+        return log.finish(Status.CONVERGED)
 
     p = -g
     i_cg = 0
     restart_at = 10 * problem.n + 1
-    best = (x, f, gnorm)
-    k = 0
     try:
         while counter.count < max_evals:
             if i_cg >= restart_at or float(g @ p) >= 0.0:
                 p = -g
                 i_cg = 0
             try:
-                alpha, _, _, g_tilde, f_tilde = secant_alpha(problem, counter, x, f, g, p, L)
-                if np.linalg.norm(g_tilde) <= gtol:
-                    k += 1
-                    gn = float(np.linalg.norm(g_tilde))
-                    trace.append(TraceRecord(k, counter.count, f_tilde, gn, math.nan, StepKind.CG))
-                    return finish(Status.CONVERGED, x + p / L, f_tilde, gn, k)
-            except CurvatureFailure as exc:
-                if exc.tilde_g is not None and np.linalg.norm(exc.tilde_g) <= gtol:
-                    k += 1
-                    gn = float(np.linalg.norm(exc.tilde_g))
-                    trace.append(
-                        TraceRecord(k, counter.count, exc.tilde_f, gn, math.nan, StepKind.CG)
-                    )
-                    return finish(Status.CONVERGED, exc.tilde_x, exc.tilde_f, gn, k)
+                alpha, _, _ = secant_alpha(problem, counter, x, g, p, L, gtol, StepKind.CG)
+            except CurvatureFailure:
                 # Flat or concave along p: fall back to the step that the
                 # smoothness bound alone guarantees to decrease f.
                 alpha = -float(g @ p) / (L * float(p @ p))
 
-            x_next = x + alpha * p
-            f_next, g_next = evaluate_counted(problem, x_next, counter)
             # Near the minimum the true decrease falls below what doubles can
             # represent, so demand decrease only up to a rounding-level slack.
             f_accept = f + 1e-12 * (1.0 + abs(f))
-            backtracks = 0
-            while f_next > f_accept and backtracks < 30:
-                if np.linalg.norm(g_next) <= gtol:
+            for _ in range(31):  # the secant step, then up to 30 halvings
+                x_next = x + alpha * p
+                f_next, g_next, gnorm_next = _evaluate_or_stop(
+                    problem, x_next, counter, gtol, StepKind.CG
+                )
+                if f_next <= f_accept:
                     break
                 alpha *= 0.5
-                x_next = x + alpha * p
-                f_next, g_next = evaluate_counted(problem, x_next, counter)
-                backtracks += 1
-            gnorm_next = float(np.linalg.norm(g_next))
-            if f_next > f_accept and gnorm_next > gtol:
-                return finish(Status.LINE_SEARCH_FAILURE, *best, k)
-
-            k += 1
-            trace.append(
-                TraceRecord(k, counter.count, f_next, gnorm_next, math.nan, StepKind.CG)
-            )
-            if iterates is not None:
-                iterates.append(x_next)
-            if f_next < best[1]:
-                best = (x_next, f_next, gnorm_next)
-            if gnorm_next <= gtol:
-                return finish(Status.CONVERGED, x_next, f_next, gnorm_next, k)
+            else:
+                return log.finish(Status.LINE_SEARCH_FAILURE)
+            log.record(x_next, f_next, gnorm_next, math.nan, StepKind.CG)
 
             try:
                 beta = hz_beta(g, g_next, p, g0_norm)
@@ -222,10 +184,11 @@ def ncg_minimize(
             p = -g_next + beta * p
             i_cg = 0 if beta == 0.0 else i_cg + 1
             x, f, g = x_next, f_next, g_next
+    except _ConvergedAt as c:
+        return log.converged(c.x, c.f, c.gnorm, math.nan, c.kind)
     except NumericalFailure:
-        return finish(Status.DIVERGED, *best, k)
-
-    return finish(Status.BUDGET_EXHAUSTED, *best, k)
+        return log.finish(Status.DIVERGED)
+    return log.finish(Status.BUDGET_EXHAUSTED)
 
 
 def ag_minimize(
@@ -247,47 +210,27 @@ def ag_minimize(
     """
     x = np.asarray(x0, dtype=float)
     counter = EvalCounter()
-    trace: list[TraceRecord] = []
-    iterates: list[np.ndarray] | None = [x] if record_iterates else None
-
     f0, g0 = evaluate_counted(problem, x, counter)
-    gnorm = float(np.linalg.norm(g0))
-    trace.append(TraceRecord(0, counter.count, f0, gnorm, f0, StepKind.INIT))
-    if gnorm <= gtol:
-        return SolverResult(Status.CONVERGED, x, f0, gnorm, 0, counter.count, trace, iterates)
+    g0_norm = float(np.linalg.norm(g0))
+    log = RunLog(counter, x, f0, g0_norm, f0, record_iterates)
+    if g0_norm <= gtol:
+        return log.finish(Status.CONVERGED)
 
     est = init_estimate(f0, x, L, ell)
-    best = (x, f0, gnorm)
-    k = 0
     try:
         while counter.count < max_evals:
             theta, gamma_next = compute_theta_gamma(L, ell, est.gamma)
             bar_x = (theta * est.gamma * est.v + gamma_next * x) / (
                 est.gamma + theta * ell
             )
-            bar_f, bar_g = evaluate_counted(problem, bar_x, counter)
-            bar_gnorm = float(np.linalg.norm(bar_g))
-            if bar_gnorm <= gtol:
-                k += 1
-                trace.append(
-                    TraceRecord(k, counter.count, bar_f, bar_gnorm, est.phi_star, StepKind.AG)
-                )
-                if iterates is not None:
-                    iterates.append(bar_x)
-                return SolverResult(
-                    Status.CONVERGED, bar_x, bar_f, bar_gnorm, k, counter.count, trace, iterates
-                )
+            bar_f, bar_g, bar_gnorm = _evaluate_or_stop(
+                problem, bar_x, counter, gtol, StepKind.AG
+            )
             x = bar_x - bar_g / L
             est = advance_estimate(est, theta, gamma_next, bar_x, bar_f, bar_g)
-            k += 1
-            trace.append(
-                TraceRecord(k, counter.count, bar_f, bar_gnorm, est.phi_star, StepKind.AG)
-            )
-            if iterates is not None:
-                iterates.append(x)
-            if bar_f < best[1]:
-                best = (bar_x, bar_f, bar_gnorm)
+            log.record(bar_x, bar_f, bar_gnorm, est.phi_star, StepKind.AG, x)
+    except _ConvergedAt as c:
+        return log.converged(c.x, c.f, c.gnorm, est.phi_star, c.kind)
     except NumericalFailure:
-        return SolverResult(Status.DIVERGED, *best, k, counter.count, trace, iterates)
-
-    return SolverResult(Status.BUDGET_EXHAUSTED, *best, k, counter.count, trace, iterates)
+        return log.finish(Status.DIVERGED)
+    return log.finish(Status.BUDGET_EXHAUSTED)

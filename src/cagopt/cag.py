@@ -14,7 +14,8 @@ On a quadratic with correct curvature bounds the progress test never fails,
 so a run is plain conjugate gradient at two evaluations per iteration (one
 line-search probe, one at the new point).  The fallback ladder costs at
 most five evaluations in an iteration: probe + step for the CG attempt, the
-same for the retry, and one more for the AG step.
+same for the retry, and one more for the AG step.  In conjugate-z mode each
+attempt also evaluates its bar point, so the bound is seven.
 
 After an AG block the model centre v no longer coincides with the iterate,
 which invalidates the pure-CG quadratic argument for the plain progress
@@ -40,7 +41,7 @@ from .estimate_sequence import (
     init_estimate,
 )
 from .oracle import EvalCounter, ObjectiveProblem, Vector, evaluate_counted
-from .results import SolverResult, Status, StepKind, TraceRecord
+from .results import RunLog, SolverResult, Status, StepKind
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,6 @@ class CagIterationState:
     estimate: EstimateState
     i_cg: int
     only_ag: bool
-    k_ag: int
     ag_ref_gnorm: float   # ||bar_g|| at AG-block entry, reference for the exit test
     bar_x: Vector
     bar_f: float
@@ -106,46 +106,57 @@ class CagIterationState:
 class _ConvergedAt(Exception):
     """Internal control flow: a termination test passed at a just-evaluated point."""
 
-    def __init__(self, x, f, g, kind):
+    def __init__(self, x, f, gnorm, kind):
         super().__init__("converged")
         self.x = x
         self.f = f
-        self.g = g
+        self.gnorm = gnorm
         self.kind = kind
+
+
+def _evaluate_or_stop(
+    problem: ObjectiveProblem, x: Vector, counter: EvalCounter, gtol: float, kind: StepKind
+) -> tuple[float, Vector, float]:
+    """Counted evaluation at x that ends the run when ||grad f(x)|| <= gtol.
+
+    Returns (f, g, ||g||); raises ``_ConvergedAt`` carrying the point and
+    the step kind of the row that reports it when the test passes.
+    """
+    f, g = evaluate_counted(problem, x, counter)
+    gnorm = float(np.linalg.norm(g))
+    if gnorm <= gtol:
+        raise _ConvergedAt(x, f, gnorm, kind)
+    return f, g, gnorm
 
 
 def secant_alpha(
     problem: ObjectiveProblem,
     counter: EvalCounter,
     x: Vector,
-    f_x: float,
     g: Vector,
     p: Vector,
     L: float,
-) -> tuple[float, Vector, float, Vector, float]:
+    gtol: float,
+    kind: StepKind,
+) -> tuple[float, Vector, float]:
     """Secant step length from a single probe at x + p/L.
 
     The gradient difference gives a generalized curvature product
     Ap = L (grad f(x + p/L) - g); on a quadratic it equals the exact A p, so
     alpha = -<g, p> / <p, Ap> is the exact line minimiser there.
 
-    Returns (alpha, Ap, pAp, tilde_g, tilde_f).  Costs one counted
-    evaluation.  Raises ``CurvatureFailure`` (carrying the probe values)
-    when pAp <= 0, which the caller treats as a failed attempt.
+    Returns (alpha, Ap, pAp).  Costs one counted evaluation, and ends the
+    run at the probe (as a ``kind`` row) when its gradient passes ``gtol``.
+    Raises ``CurvatureFailure`` when pAp <= 0, which the caller treats as a
+    failed attempt.
     """
-    x_tilde = x + p / L
-    f_tilde, g_tilde = evaluate_counted(problem, x_tilde, counter)
+    _, g_tilde, _ = _evaluate_or_stop(problem, x + p / L, counter, gtol, kind)
     Ap = L * (g_tilde - g)
     pAp = float(p @ Ap)
     if pAp <= 0.0:
-        raise CurvatureFailure(
-            f"nonpositive directional curvature pAp={pAp!r}",
-            tilde_x=x_tilde,
-            tilde_f=f_tilde,
-            tilde_g=g_tilde,
-        )
+        raise CurvatureFailure(f"nonpositive directional curvature pAp={pAp!r}")
     alpha = -float(g @ p) / pAp
-    return alpha, Ap, pAp, g_tilde, f_tilde
+    return alpha, Ap, pAp
 
 
 def hz_beta(g: Vector, g_next: Vector, p: Vector, g0_norm: float) -> float:
@@ -193,17 +204,19 @@ def bar_augment(
     zAz: float,
     problem: ObjectiveProblem,
     counter: EvalCounter,
+    gtol: float,
 ) -> tuple[Vector, float, Vector]:
     """Line minimiser along z through the new iterate, evaluated.
 
     alpha_t = -<g_next, z> / zAz; returns (bar_x, bar_f, bar_g) at
-    bar_x = x_next + alpha_t z.  Costs one counted evaluation.
+    bar_x = x_next + alpha_t z.  Costs one counted evaluation, and ends the
+    run there (as a ``bar`` row) when the gradient passes ``gtol``.
     """
     if zAz <= 0.0:
         raise CurvatureFailure(f"nonpositive quadratic form zAz={zAz!r}")
     alpha_t = -float(g_next @ z_tilde) / zAz
     bar_x = x_next + alpha_t * z_tilde
-    bar_f, bar_g = evaluate_counted(problem, bar_x, counter)
+    bar_f, bar_g, _ = _evaluate_or_stop(problem, bar_x, counter, gtol, StepKind.BAR)
     return bar_x, bar_f, bar_g
 
 
@@ -232,20 +245,14 @@ def cg_attempt(
     kind = StepKind.SD if use_steepest else StepKind.CG
 
     try:
-        alpha, Ap, pAp, g_tilde, f_tilde = secant_alpha(
-            problem, counter, state.x, state.f, state.g, p, config.L
+        alpha, Ap, pAp = secant_alpha(
+            problem, counter, state.x, state.g, p, config.L, config.gtol, kind
         )
-    except CurvatureFailure as exc:
-        if exc.tilde_g is not None and np.linalg.norm(exc.tilde_g) <= config.gtol:
-            raise _ConvergedAt(exc.tilde_x, exc.tilde_f, exc.tilde_g, kind) from None
+    except CurvatureFailure:
         return False, state
-    if np.linalg.norm(g_tilde) <= config.gtol:
-        raise _ConvergedAt(state.x + p / config.L, f_tilde, g_tilde, kind)
 
     x_next = state.x + alpha * p
-    f_next, g_next = evaluate_counted(problem, x_next, counter)
-    if np.linalg.norm(g_next) <= config.gtol:
-        raise _ConvergedAt(x_next, f_next, g_next, kind)
+    f_next, g_next, _ = _evaluate_or_stop(problem, x_next, counter, config.gtol, kind)
 
     zflag = state.zflag
     z_tilde = state.z_tilde
@@ -261,10 +268,8 @@ def cg_attempt(
             bar_x, bar_f, bar_g = x_next, f_next, g_next
         else:
             bar_x, bar_f, bar_g = bar_augment(
-                x_next, g_next, z_tilde, zAz, problem, counter
+                x_next, g_next, z_tilde, zAz, problem, counter, config.gtol
             )
-            if np.linalg.norm(bar_g) <= config.gtol:
-                raise _ConvergedAt(bar_x, bar_f, bar_g, StepKind.BAR)
     else:
         bar_x, bar_f, bar_g = x_next, f_next, g_next
 
@@ -321,9 +326,7 @@ def ag_step(
     bar_x = (theta * est.gamma * est.v + gamma_next * state.x) / (
         est.gamma + theta * config.ell
     )
-    bar_f, bar_g = evaluate_counted(problem, bar_x, counter)
-    if np.linalg.norm(bar_g) <= config.gtol:
-        raise _ConvergedAt(bar_x, bar_f, bar_g, StepKind.AG)
+    bar_f, bar_g, _ = _evaluate_or_stop(problem, bar_x, counter, config.gtol, StepKind.AG)
     x_next = bar_x - bar_g / config.L
     est_next = advance_estimate(est, theta, gamma_next, bar_x, bar_f, bar_g)
     return replace(
@@ -385,7 +388,6 @@ def _initial_state(
         estimate=est,
         i_cg=0,
         only_ag=False,
-        k_ag=-1,
         ag_ref_gnorm=math.inf,
         bar_x=x0,
         bar_f=f0,
@@ -413,32 +415,22 @@ def cag_minimize(
     ``ag_exit_factor``.
 
     The evaluation budget is checked at iteration boundaries, so the final
-    count may exceed ``max_evals`` by at most one iteration's cost (<= 6).
-    Returns the full per-iteration trace; the row for the starting point is
-    tagged ``init``.
+    count may exceed ``max_evals`` by one iteration's cost less one: at
+    most 4, or 6 in conjugate-z mode.  Returns the full per-iteration
+    trace; the row for the starting point is tagged ``init``.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n,):
         raise InvalidSpec(f"x0 must have shape ({problem.n},), got {x0.shape}")
     counter = EvalCounter()
-    trace: list[TraceRecord] = []
-    iterates: list[np.ndarray] | None = [x0] if record_iterates else None
-
     f0, g0 = evaluate_counted(problem, x0, counter)
     g0_norm = float(np.linalg.norm(g0))
-    trace.append(TraceRecord(0, counter.count, f0, g0_norm, f0, StepKind.INIT))
-    best_x, best_f, best_gnorm = x0, f0, g0_norm
+    log = RunLog(counter, x0, f0, g0_norm, f0, record_iterates)
     if g0_norm <= config.gtol:
-        return SolverResult(
-            Status.CONVERGED, x0, f0, g0_norm, 0, counter.count, trace, iterates
-        )
+        return log.finish(Status.CONVERGED)
 
     state = _initial_state(x0, f0, g0, config)
     restart_at = config.restart_interval_factor * problem.n + 1
-    k = 0
-    status = Status.BUDGET_EXHAUSTED
-    final_kind = StepKind.INIT
-
     try:
         while counter.count < config.max_evals:
             if state.i_cg >= restart_at:
@@ -460,46 +452,21 @@ def cag_minimize(
 
             if kind is None:
                 entering = not state.only_ag
-                if entering:
-                    state = replace(state, only_ag=True, k_ag=k)
                 state = ag_step(state, config, problem, counter)
-                if entering:
-                    state = replace(
-                        state, ag_ref_gnorm=float(np.linalg.norm(state.bar_g))
-                    )
                 kind = StepKind.AG
                 row_x, row_f = state.bar_x, state.bar_f
                 row_gnorm = float(np.linalg.norm(state.bar_g))
+                if entering:
+                    state = replace(state, only_ag=True, ag_ref_gnorm=row_gnorm)
                 if ag_block_exit_test(state, config):
                     state = return_to_cg(state, config, problem, counter)
             else:
                 row_x, row_f = state.x, state.f
                 row_gnorm = float(np.linalg.norm(state.g))
 
-            k += 1
-            trace.append(
-                TraceRecord(
-                    k, counter.count, row_f, row_gnorm, state.estimate.phi_star, kind
-                )
-            )
-            if iterates is not None:
-                iterates.append(state.x)
-            if row_f < best_f:
-                best_x, best_f, best_gnorm = row_x, row_f, row_gnorm
+            log.record(row_x, row_f, row_gnorm, state.estimate.phi_star, kind, state.x)
     except _ConvergedAt as c:
-        k += 1
-        gnorm = float(np.linalg.norm(c.g))
-        trace.append(
-            TraceRecord(k, counter.count, c.f, gnorm, state.estimate.phi_star, c.kind)
-        )
-        if iterates is not None:
-            iterates.append(c.x)
-        return SolverResult(
-            Status.CONVERGED, c.x, c.f, gnorm, k, counter.count, trace, iterates
-        )
+        return log.converged(c.x, c.f, c.gnorm, state.estimate.phi_star, c.kind)
     except NumericalFailure:
-        status = Status.DIVERGED
-
-    return SolverResult(
-        status, best_x, best_f, best_gnorm, k, counter.count, trace, iterates
-    )
+        return log.finish(Status.DIVERGED)
+    return log.finish(Status.BUDGET_EXHAUSTED)

@@ -9,6 +9,7 @@ import click
 from .harness import (
     DEFAULT_GTOL,
     DEFAULT_MAX_EVALS,
+    SOLVERS,
     RunConfig,
     format_suite_table,
     parse_suite_config,
@@ -16,7 +17,7 @@ from .harness import (
     run_suite,
     write_suite_csv,
 )
-from .problems import ProblemSpec
+from .problems import FAMILIES, ProblemSpec
 from .results import Status
 
 
@@ -26,7 +27,7 @@ def main():
 
 
 @main.command("run")
-@click.option("--family", type=click.Choice(["quad", "abpdn", "logistic", "huber"]), required=True)
+@click.option("--family", type=click.Choice(FAMILIES), required=True)
 @click.option("--n", type=int, required=True, help="problem dimension")
 @click.option("--m", type=int, default=None, help="rows for the logistic family (default 2n)")
 @click.option("--lambda", "lam", type=float, default=None, help="regularisation weight")
@@ -34,7 +35,7 @@ def main():
 @click.option("--sigma", type=float, default=None, help="logistic noise level")
 @click.option("--tau", type=float, default=None, help="huber cutoff")
 @click.option("--seed", type=int, default=None, help="logistic design seed")
-@click.option("--solver", type=click.Choice(["cag", "ag", "ncg", "lcg"]), required=True)
+@click.option("--solver", type=click.Choice(SOLVERS), required=True)
 @click.option("--gtol", type=float, default=DEFAULT_GTOL, show_default=True)
 @click.option("--max-evals", type=int, default=DEFAULT_MAX_EVALS, show_default=True)
 @click.option("--L", "l_override", type=float, default=None, help="override the smoothness bound")

@@ -14,17 +14,7 @@ class InvalidState(SolverError):
 
 
 class CurvatureFailure(SolverError):
-    """A directional curvature estimate came out nonpositive.
-
-    Carries the probe evaluation, when one was made, so the caller can still
-    honour a termination test at the probe point.
-    """
-
-    def __init__(self, message, tilde_x=None, tilde_f=None, tilde_g=None):
-        super().__init__(message)
-        self.tilde_x = tilde_x
-        self.tilde_f = tilde_f
-        self.tilde_g = tilde_g
+    """A directional curvature estimate came out nonpositive."""
 
 
 class DegenerateDirection(SolverError):

@@ -45,7 +45,6 @@ class EstimateState:
     gamma: float
     v: np.ndarray
     phi_star: float
-    L: float
     ell: float
 
     def __post_init__(self):
@@ -63,7 +62,6 @@ def init_estimate(f0: float, x0: np.ndarray, L: float, ell: float = 0.0) -> Esti
         gamma=float(L),
         v=np.array(x0, dtype=float, copy=True),
         phi_star=float(f0),
-        L=float(L),
         ell=float(ell),
     )
 
@@ -133,9 +131,7 @@ def advance_estimate(
         - (theta * theta / (2.0 * gamma_next)) * float(bar_g @ bar_g)
         + (theta * (1.0 - theta) * gamma / gamma_next) * cross
     )
-    return EstimateState(
-        gamma=gamma_next, v=v_next, phi_star=phi_next, L=state.L, ell=state.ell
-    )
+    return EstimateState(gamma=gamma_next, v=v_next, phi_star=phi_next, ell=state.ell)
 
 
 def nesterov_bound(L: float, ell: float, k: int, dist0_sq: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from .baselines import ag_minimize, lcg_minimize, ncg_minimize
 from .cag import CagConfig, cag_minimize
 from .errors import InvalidSpec
-from .problems import ProblemSpec, quad_diag_system
+from .problems import PROBLEM_KEYS, ProblemSpec, quad_diag_system
 from .results import SolverResult, Status, TraceRecord
 
 SOLVERS = ("cag", "ag", "ncg", "lcg")
@@ -149,7 +149,7 @@ def run_suite(configs: list[RunConfig], parallelism: int = 1) -> list[SuiteRow]:
         result = run(config)
         elapsed = time.perf_counter() - start
         return SuiteRow(
-            problem=_problem_label(config.problem),
+            problem=config.problem.label(),
             solver=config.solver,
             status=result.status,
             iterations=result.iterations,
@@ -173,21 +173,6 @@ def run_suite(configs: list[RunConfig], parallelism: int = 1) -> list[SuiteRow]:
         if converged:
             min(converged, key=lambda r: r.evaluations).best = True
     return rows
-
-
-def _problem_label(spec: ProblemSpec) -> str:
-    parts = [f"{spec.family}(n={spec.n}"]
-    for key, value in (
-        ("m", spec.m),
-        ("lambda", spec.lam),
-        ("delta", spec.delta),
-        ("sigma", spec.sigma),
-        ("tau", spec.tau),
-        ("seed", spec.seed),
-    ):
-        if value is not None:
-            parts.append(f",{key}={value:g}" if isinstance(value, float) else f",{key}={value}")
-    return "".join(parts) + ")"
 
 
 def format_suite_table(rows: list[SuiteRow]) -> str:
@@ -257,17 +242,16 @@ def parse_suite_config(path: str | Path) -> list[RunConfig]:
     return configs
 
 
-_PROBLEM_KEYS = {"family", "n", "m", "lambda", "delta", "sigma", "tau", "seed"}
 _RUN_KEYS = {"solver", "gtol", "max_evals", "L", "ell", "conjugate_z", "trace", "json"}
 
 
 def run_config_from_kv(pairs: dict[str, str], where: str = "") -> RunConfig:
-    unknown = set(pairs) - _PROBLEM_KEYS - _RUN_KEYS
+    unknown = set(pairs) - PROBLEM_KEYS - _RUN_KEYS
     if unknown:
         raise InvalidSpec(f"{where}: unknown keys {sorted(unknown)}")
     if "solver" not in pairs:
         raise InvalidSpec(f"{where}: missing solver=...")
-    spec = ProblemSpec.from_kv({k: v for k, v in pairs.items() if k in _PROBLEM_KEYS})
+    spec = ProblemSpec.from_kv({k: v for k, v in pairs.items() if k in PROBLEM_KEYS})
     return RunConfig(
         problem=spec,
         solver=pairs["solver"],

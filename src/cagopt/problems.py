@@ -27,6 +27,17 @@ from .oracle import ObjectiveProblem, Vector
 
 FAMILIES = ("quad", "abpdn", "logistic", "huber")
 
+# key=value name, ProblemSpec field and parser of each optional parameter.
+_PARAMS = (
+    ("m", "m", int),
+    ("lambda", "lam", float),
+    ("delta", "delta", float),
+    ("sigma", "sigma", float),
+    ("tau", "tau", float),
+    ("seed", "seed", int),
+)
+PROBLEM_KEYS = frozenset(["family", "n", *(key for key, _, _ in _PARAMS)])
+
 
 def first_primes(m: int) -> list[int]:
     """The first m primes, by incremental trial division (m stays small here)."""
@@ -82,31 +93,11 @@ def make_quad_diag(n: int) -> ObjectiveProblem:
     Condition number n^2 with eigenvalues 1, 4, ..., n^2, so L = n^2 and
     ell = 1.  The minimiser is known in closed form: x*_i = sin(i) / i^2.
     """
-    if n < 1:
-        raise InvalidSpec(f"need n >= 1, got {n}")
-    idx = np.arange(1, n + 1, dtype=float)
-    d = idx**2
-    b = np.sin(idx)
-    xstar = b / d
-    fstar = -0.5 * float(np.sum(b * b / d))
-
-    def evaluate(x):
-        dx = d * x
-        return 0.5 * float(x @ dx) - float(b @ x), dx - b
-
-    return ObjectiveProblem(
-        name=f"quad(n={n})",
-        n=n,
-        evaluate=evaluate,
-        default_L=float(n) ** 2,
-        default_ell=1.0,
-        known_xstar=xstar,
-        known_fstar=fstar,
-    )
+    return quad_diag_system(n).objective(L=float(n) ** 2, ell=1.0)
 
 
 def quad_diag_system(n: int) -> QuadraticProblem:
-    """The same diagonal quadratic as an SPD operator, for the linear CG solver."""
+    """The diagonal quadratic of ``make_quad_diag`` as an SPD operator."""
     if n < 1:
         raise InvalidSpec(f"need n >= 1, got {n}")
     idx = np.arange(1, n + 1, dtype=float)
@@ -325,39 +316,27 @@ class ProblemSpec:
             )
         return make_huber(self.n, tau=self.tau if self.tau is not None else self.n / 10.0)
 
+    def _pairs(self) -> list[str]:
+        """key=value for n and every set parameter, floats in %g form."""
+        values = [("n", self.n)] + [(key, getattr(self, field)) for key, field, _ in _PARAMS]
+        return [
+            f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+            for key, value in values
+            if value is not None
+        ]
+
     def to_kv(self) -> str:
         """Serialise as space-separated key=value pairs."""
-        parts = [f"family={self.family}", f"n={self.n}"]
-        for key, value in (
-            ("m", self.m),
-            ("lambda", self.lam),
-            ("delta", self.delta),
-            ("sigma", self.sigma),
-            ("tau", self.tau),
-            ("seed", self.seed),
-        ):
-            if value is not None:
-                parts.append(f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}")
-        return " ".join(parts)
+        return " ".join([f"family={self.family}", *self._pairs()])
+
+    def label(self) -> str:
+        """Name in the suite table, e.g. ``huber(n=60,tau=6)``."""
+        return f"{self.family}({','.join(self._pairs())})"
 
     @classmethod
     def from_kv(cls, pairs: dict[str, str]) -> "ProblemSpec":
         """Build from parsed key=value pairs; unknown keys are the caller's concern."""
-        def get_float(key):
-            return float(pairs[key]) if key in pairs else None
-
-        def get_int(key):
-            return int(pairs[key]) if key in pairs else None
-
         if "family" not in pairs or "n" not in pairs:
             raise InvalidSpec("problem spec needs at least family=... and n=...")
-        return cls(
-            family=pairs["family"],
-            n=int(pairs["n"]),
-            m=get_int("m"),
-            lam=get_float("lambda"),
-            delta=get_float("delta"),
-            sigma=get_float("sigma"),
-            tau=get_float("tau"),
-            seed=get_int("seed"),
-        )
+        params = {field: parse(pairs[key]) for key, field, parse in _PARAMS if key in pairs}
+        return cls(family=pairs["family"], n=int(pairs["n"]), **params)

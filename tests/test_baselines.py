@@ -4,6 +4,8 @@ import pytest
 from cagopt import (
     CagConfig,
     NotPositiveDefinite,
+    NumericalFailure,
+    ObjectiveProblem,
     QuadraticProblem,
     Status,
     ag_minimize,
@@ -12,11 +14,11 @@ from cagopt import (
     make_huber,
     make_quad_diag,
     ncg_minimize,
-    nesterov_bound,
     quad_diag_system,
 )
+from cagopt.estimate_sequence import nesterov_bound
 
-from conftest import random_spd_quadratic
+from conftest import minimize, random_spd_quadratic
 
 
 class TestQuadraticProblem:
@@ -199,3 +201,11 @@ def test_all_solvers_agree_on_strongly_convex_minimiser():
     for a in xs:
         for b in xs:
             assert np.linalg.norm(a - b) <= 10.0 * gtol / ell
+
+
+@pytest.mark.parametrize("solver", ["cag", "ncg", "ag"])
+def test_nonfinite_start_raises_numerical_failure(solver):
+    prob = ObjectiveProblem(name="nan", n=2, evaluate=lambda x: (np.nan, x.copy()),
+                            default_L=1.0)
+    with pytest.raises(NumericalFailure):
+        minimize(solver, prob, np.ones(2))

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from cagopt import (
-    CagConfig,
-    CurvatureFailure,
-    EvalCounter,
-    ObjectiveProblem,
+from cagopt import CagConfig, EvalCounter, ObjectiveProblem, StepKind, evaluate_counted
+from cagopt.cag import (
+    _ConvergedAt,
+    _initial_state,
     bar_augment,
     cg_attempt,
-    evaluate_counted,
     hz_beta,
-    init_estimate,
     secant_alpha,
     z_conjugate_update,
 )
-from cagopt.cag import CagIterationState, _initial_state
+from cagopt.errors import CurvatureFailure
 
 from conftest import random_spd_quadratic
 
@@ -37,9 +34,9 @@ class TestSecantAlpha:
         prob = explicit_quadratic(A, np.zeros(2), 2.0, 1.0)
         counter = EvalCounter()
         x = np.array([1.0, 1.0])
-        f, g = prob.evaluate(x)
+        _, g = prob.evaluate(x)
         p = np.array([-1.0, -2.0])
-        alpha, Ap, pAp, g_t, f_t = secant_alpha(prob, counter, x, f, g, p, L=2.0)
+        alpha, Ap, pAp = secant_alpha(prob, counter, x, g, p, 2.0, 1e-12, StepKind.CG)
         assert counter.count == 1
         assert pAp == 9.0
         assert abs(alpha - 5.0 / 9.0) <= 1e-15
@@ -52,8 +49,9 @@ class TestSecantAlpha:
         prob = explicit_quadratic(np.eye(2), np.zeros(2), 1.0, 1.0)
         counter = EvalCounter()
         x = np.array([1.0, 0.0])
-        f, g = prob.evaluate(x)
-        alpha, _, _, _, _ = secant_alpha(prob, counter, x, f, g, -g, L=1.0)
+        _, g = prob.evaluate(x)
+        # probe scale 2 keeps the probe off the minimiser, where the run would end
+        alpha, _, _ = secant_alpha(prob, counter, x, g, -g, 2.0, 1e-12, StepKind.CG)
         assert abs(alpha - 1.0) <= 1e-15
         assert np.allclose(x - alpha * g, np.zeros(2), atol=1e-15)
 
@@ -62,9 +60,9 @@ class TestSecantAlpha:
         prob = explicit_quadratic(A, b, L, ell)
         counter = EvalCounter()
         x = rng.standard_normal(6)
-        f, g = prob.evaluate(x)
+        _, g = prob.evaluate(x)
         p = rng.standard_normal(6)
-        _, Ap, _, _, _ = secant_alpha(prob, counter, x, f, g, p, L=L)
+        _, Ap, _ = secant_alpha(prob, counter, x, g, p, L, 1e-12, StepKind.CG)
         assert np.allclose(Ap, A @ p, rtol=1e-9, atol=1e-9 * np.linalg.norm(A @ p))
 
     def test_nonpositive_curvature_raises_with_probe(self):
@@ -75,11 +73,17 @@ class TestSecantAlpha:
         )
         counter = EvalCounter()
         x = np.array([1.0])
-        f, g = prob.evaluate(x)
-        with pytest.raises(CurvatureFailure) as exc_info:
-            secant_alpha(prob, counter, x, f, g, np.array([1.0]), L=1.0)
-        assert exc_info.value.tilde_g is not None
+        _, g = prob.evaluate(x)
+        with pytest.raises(CurvatureFailure):
+            secant_alpha(prob, counter, x, g, np.array([1.0]), 1.0, 1e-12, StepKind.CG)
         assert counter.count == 1
+        # the probe x + p/L = 0 has a zero gradient: the run ends there
+        # although pAp <= 0 along p = -1
+        with pytest.raises(_ConvergedAt) as info:
+            secant_alpha(prob, counter, x, g, np.array([-1.0]), 1.0, 1e-12, StepKind.SD)
+        assert info.value.x[0] == 0.0
+        assert info.value.kind is StepKind.SD
+        assert counter.count == 2
 
 
 class TestHzBeta:
@@ -175,7 +179,7 @@ class TestBarAugment:
         counter = EvalCounter()
         x = np.array([2.0, 0.0])
         z = np.array([0.0, 1.0])  # g = x is orthogonal to z
-        bar_x, bar_f, bar_g = bar_augment(x, x.copy(), z, 1.0, prob, counter)
+        bar_x, bar_f, bar_g = bar_augment(x, x.copy(), z, 1.0, prob, counter, 1e-12)
         assert np.array_equal(bar_x, x)
         assert counter.count == 1
 
@@ -188,7 +192,7 @@ class TestBarAugment:
             f, g = prob.evaluate(x)
             z = rng.standard_normal(6)
             zAz = float(z @ (A @ z))
-            _, bar_f, _ = bar_augment(x, g, z, zAz, prob, counter)
+            _, bar_f, _ = bar_augment(x, g, z, zAz, prob, counter, 1e-12)
             assert bar_f <= f + 1e-12 * (1.0 + abs(f))
 
     def test_matches_subspace_minimiser(self, rng):
@@ -209,7 +213,7 @@ class TestBarAugment:
         # conjugate z against p1, then take the augmented point
         Ap1 = A @ p1
         z1, zAz1 = z_conjugate_update(z0, float(z0 @ (A @ z0)), p1, Ap1, float(p1 @ Ap1))
-        bar_x, _, _ = bar_augment(x1, g1, z1, zAz1, prob, counter)
+        bar_x, _, _ = bar_augment(x1, g1, z1, zAz1, prob, counter, 1e-12)
         # brute force: min over coefficients c of f(x_m + B c), B = [p1, z0]
         B = np.stack([p1, z0], axis=1)
         c = np.linalg.solve(B.T @ A @ B, -B.T @ g_m)
@@ -242,8 +246,6 @@ class TestCgAttempt:
         state = self._state_for(prob, counter, np.array([1.0]), config)
         # steepest first step with alpha = 1 lands exactly at the minimum,
         # so the termination test fires at the new point
-        from cagopt.cag import _ConvergedAt
-
         with pytest.raises(_ConvergedAt) as info:
             cg_attempt(state, config, prob, counter, use_steepest=False)
         assert abs(info.value.x[0]) <= 1e-12

@@ -10,20 +10,24 @@ from cagopt import (
     ObjectiveProblem,
     Status,
     StepKind,
-    ag_block_exit_test,
-    ag_step,
     cag_minimize,
     evaluate_counted,
     make_huber,
     make_quad_diag,
-    nesterov_bound,
-    return_to_cg,
 )
 from dataclasses import replace
 
-from cagopt.cag import CagIterationState, _initial_state
+from cagopt.cag import (
+    CagIterationState,
+    _ConvergedAt,
+    _initial_state,
+    ag_block_exit_test,
+    ag_step,
+    return_to_cg,
+)
+from cagopt.estimate_sequence import init_estimate, nesterov_bound
 
-from conftest import random_spd_quadratic
+from conftest import minimize, random_spd_quadratic
 
 
 def step_counts(result):
@@ -72,10 +76,8 @@ class TestAgStep:
         x0 = np.array([1.0, 1.0])
         f0, g0 = evaluate_counted(prob, x0, counter)
         state = _initial_state(x0, f0, g0, config)
-        state = replace(state, only_ag=True, k_ag=0)
+        state = replace(state, only_ag=True)
         dist0 = float(x0 @ x0)
-        from cagopt.cag import _ConvergedAt
-
         for k in range(1, 300):
             try:
                 state = ag_step(state, config, prob, counter)
@@ -87,12 +89,10 @@ class TestAgStep:
 
 class TestAgBlockExit:
     def _dummy_state(self, bar_g, ref):
-        from cagopt import init_estimate
-
         return CagIterationState(
             x=np.zeros(2), f=0.0, g=np.zeros(2), p=np.zeros(2),
             estimate=init_estimate(0.0, np.zeros(2), 1.0),
-            i_cg=0, only_ag=True, k_ag=0, ag_ref_gnorm=ref,
+            i_cg=0, only_ag=True, ag_ref_gnorm=ref,
             bar_x=np.zeros(2), bar_f=0.0, bar_g=bar_g,
             zflag=False, z_tilde=None, zAz=0.0, g0_norm=1.0,
         )
@@ -115,7 +115,7 @@ class TestReturnToCg:
         x0 = rng.standard_normal(4)
         f0, g0 = evaluate_counted(prob, x0, counter)
         state = _initial_state(x0, f0, g0, config)
-        state = replace(state, only_ag=True, k_ag=0)
+        state = replace(state, only_ag=True)
         state = ag_step(state, config, prob, counter)
         before = counter.count
         state = return_to_cg(state, config, prob, counter)
@@ -135,7 +135,7 @@ class TestReturnToCg:
         x0 = rng.standard_normal(5)
         f0, g0 = evaluate_counted(prob, x0, counter)
         state = _initial_state(x0, f0, g0, config)
-        state = replace(state, only_ag=True, k_ag=0)
+        state = replace(state, only_ag=True)
         state = ag_step(state, config, prob, counter)
         before = counter.count
         state = return_to_cg(state, config, prob, counter)
@@ -273,14 +273,33 @@ class TestCagMinimize:
         assert res.trace[-1].evals == res.evaluations
         assert max(deltas) <= 7
 
-    def test_record_iterates_aligns_with_trace(self):
-        prob = make_quad_diag(10)
-        res = cag_minimize(prob, np.zeros(10),
-                           CagConfig(L=100.0, ell=1.0, gtol=1e-8, max_evals=1000),
-                           record_iterates=True)
+    @pytest.mark.parametrize("solver,n", [("cag", 10), ("ncg", 10), ("ag", 10), ("ncg", 1000)])
+    def test_record_iterates_aligns_with_trace(self, solver, n):
+        # ncg on quad n=1000 ends at a line-search probe, whose point is the
+        # last iterate
+        res = minimize(solver, make_quad_diag(n), np.zeros(n), record_iterates=True)
         assert res.converged
-        assert len(res.iterates) == len(res.trace)
-        assert np.array_equal(res.iterates[0], np.zeros(10))
+        assert len(res.iterates) == len(res.trace) == res.iterations + 1
+        assert np.array_equal(res.iterates[0], np.zeros(n))
+        assert np.array_equal(res.iterates[-1], res.x_final)
+
+    @pytest.mark.parametrize("z_mode,cost", [(False, 5), (True, 7)])
+    def test_budget_overshoot_is_one_iteration_cost_less_one(self, z_mode, cost):
+        # rerun with a budget that runs out just after the costliest
+        # iteration starts: that iteration runs to its end
+        def solve(max_evals):
+            return cag_minimize(make_huber(1000, tau=100.0), np.zeros(1000),
+                                CagConfig(L=8.0, ell=0.0, gtol=1e-8, max_evals=max_evals,
+                                          conjugate_z_mode=z_mode))
+
+        full = solve(10**6)
+        assert full.converged
+        deltas = [b.evals - a.evals for a, b in zip(full.trace, full.trace[1:])]
+        assert max(deltas) == cost
+        start = full.trace[deltas.index(cost)].evals
+        capped = solve(start + 1)
+        assert capped.status is Status.BUDGET_EXHAUSTED
+        assert capped.evaluations - (start + 1) == cost - 1
 
     def test_rejects_bad_shape(self):
         prob = make_quad_diag(4)

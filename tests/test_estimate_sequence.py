@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cagopt import (
-    InvalidState,
+from cagopt.errors import InvalidState
+from cagopt.estimate_sequence import (
     advance_estimate,
     compute_theta_gamma,
     init_estimate,

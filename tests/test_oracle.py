@@ -7,10 +7,10 @@ from cagopt import (
     NumericalFailure,
     ObjectiveProblem,
     evaluate_counted,
-    finite_diff_gradient,
     make_huber,
     make_quad_diag,
 )
+from cagopt.oracle import finite_diff_gradient
 
 
 def norm_sq_problem(n):

@@ -6,16 +6,19 @@ import pytest
 from cagopt import (
     InvalidSpec,
     ProblemSpec,
-    dct_rows,
-    estimate_spectral_norm,
-    finite_diff_gradient,
-    first_primes,
     make_abpdn,
     make_huber,
     make_logistic,
     make_quad_diag,
 )
-from cagopt.problems import _logistic_loss, _logistic_loss_prime
+from cagopt.oracle import finite_diff_gradient
+from cagopt.problems import (
+    _logistic_loss,
+    _logistic_loss_prime,
+    dct_rows,
+    estimate_spectral_norm,
+    first_primes,
+)
 
 
 def sieve_of_eratosthenes(limit):
@@ -286,6 +289,8 @@ class TestProblemSpec:
             dict(tok.split("=") for tok in spec.to_kv().split())
         )
         assert parsed == spec
+        assert spec.to_kv() == "family=logistic n=300 m=600 lambda=0.0001 sigma=0.4 seed=7"
+        assert spec.label() == "logistic(n=300,m=600,lambda=0.0001,sigma=0.4,seed=7)"
 
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):

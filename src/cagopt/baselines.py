@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cag import _ConvergedAt, _evaluate_or_stop, hz_beta, secant_alpha
+from .cag import _ConvergedAt, _evaluate_or_stop, _gradient_norm, hz_beta, secant_alpha
 from .errors import (
     CurvatureFailure,
     DegenerateDirection,
@@ -123,6 +123,7 @@ def lcg_minimize(
     )
 
 
+@np.errstate(over="ignore")
 def ncg_minimize(
     problem: ObjectiveProblem,
     x0: Vector,
@@ -142,7 +143,7 @@ def ncg_minimize(
     L = problem.default_L
     counter = EvalCounter()
     f, g = evaluate_counted(problem, x, counter)
-    g0_norm = float(np.linalg.norm(g))
+    g0_norm = _gradient_norm(g)
     log = RunLog(counter, x, f, g0_norm, math.nan, record_iterates)
     if g0_norm <= gtol:
         return log.finish(Status.CONVERGED)
@@ -191,6 +192,7 @@ def ncg_minimize(
     return log.finish(Status.BUDGET_EXHAUSTED)
 
 
+@np.errstate(over="ignore")
 def ag_minimize(
     problem: ObjectiveProblem,
     x0: Vector,
@@ -211,7 +213,7 @@ def ag_minimize(
     x = np.asarray(x0, dtype=float)
     counter = EvalCounter()
     f0, g0 = evaluate_counted(problem, x, counter)
-    g0_norm = float(np.linalg.norm(g0))
+    g0_norm = _gradient_norm(g0)
     log = RunLog(counter, x, f0, g0_norm, f0, record_iterates)
     if g0_norm <= gtol:
         return log.finish(Status.CONVERGED)

@@ -114,16 +114,30 @@ class _ConvergedAt(Exception):
         self.kind = kind
 
 
+def _gradient_norm(g: Vector) -> float:
+    """||g||, raising ``NumericalFailure`` when it overflows.
+
+    The solvers run under ``np.errstate(over="ignore")``, so the overflow
+    ends the run as ``DIVERGED`` instead of leaking a warning, and the
+    estimate sequence never sees the gradient.
+    """
+    gnorm = float(np.linalg.norm(g))
+    if not math.isfinite(gnorm):
+        raise NumericalFailure("gradient norm overflowed")
+    return gnorm
+
+
 def _evaluate_or_stop(
     problem: ObjectiveProblem, x: Vector, counter: EvalCounter, gtol: float, kind: StepKind
 ) -> tuple[float, Vector, float]:
     """Counted evaluation at x that ends the run when ||grad f(x)|| <= gtol.
 
     Returns (f, g, ||g||); raises ``_ConvergedAt`` carrying the point and
-    the step kind of the row that reports it when the test passes.
+    the step kind of the row that reports it when the test passes, and
+    ``NumericalFailure`` when ||g|| overflows.
     """
     f, g = evaluate_counted(problem, x, counter)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _gradient_norm(g)
     if gnorm <= gtol:
         raise _ConvergedAt(x, f, gnorm, kind)
     return f, g, gnorm
@@ -399,6 +413,7 @@ def _initial_state(
     )
 
 
+@np.errstate(over="ignore")
 def cag_minimize(
     problem: ObjectiveProblem,
     x0: Vector,
@@ -424,7 +439,7 @@ def cag_minimize(
         raise InvalidSpec(f"x0 must have shape ({problem.n},), got {x0.shape}")
     counter = EvalCounter()
     f0, g0 = evaluate_counted(problem, x0, counter)
-    g0_norm = float(np.linalg.norm(g0))
+    g0_norm = _gradient_norm(g0)
     log = RunLog(counter, x0, f0, g0_norm, f0, record_iterates)
     if g0_norm <= config.gtol:
         return log.finish(Status.CONVERGED)

@@ -46,6 +46,8 @@ class RunConfig:
             raise InvalidSpec(f"gtol must be positive, got {self.gtol}")
         if self.max_evals < 1:
             raise InvalidSpec(f"max_evals must be positive, got {self.max_evals}")
+        if self.solver == "lcg" and self.problem.family != "quad":
+            raise InvalidSpec("the lcg solver applies only to the quad family")
 
 
 def _format_float(v: float) -> str:
@@ -95,8 +97,6 @@ def run(config: RunConfig) -> SolverResult:
         problem = replace(problem, default_L=L, default_ell=ell)
         result = ncg_minimize(problem, x0, config.gtol, config.max_evals)
     else:
-        if config.problem.family != "quad":
-            raise InvalidSpec("the lcg solver applies only to the quad family")
         qp = quad_diag_system(config.problem.n)
         result = lcg_minimize(qp, x0, config.gtol, config.max_evals)
 

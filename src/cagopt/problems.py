@@ -112,20 +112,61 @@ def quad_diag_system(n: int) -> QuadraticProblem:
     )
 
 
-def dct_rows(row_indices: list[int], n: int) -> np.ndarray:
-    """Selected 1-based rows of the n x n orthonormal DCT-II matrix.
+def dct_row_operator(
+    row_indices: list[int], n: int
+) -> tuple[Callable[[Vector], Vector], Callable[[Vector], Vector]]:
+    """Selected 1-based rows of the n x n orthonormal DCT-II matrix, matrix-free.
 
     Entry (k, j) of the full matrix is c_k cos(pi (2j+1)(k-1) / (2n)) with
     c_1 = sqrt(1/n) and c_k = sqrt(2/n) otherwise (k 1-based, j 0-based).
+    Returns ``(apply, apply_t)`` computing A x and A^T r for the rows A.
+
+    Makhoul's length-n algorithm: with v = (x_0, x_2, x_4, ..., x_5, x_3, x_1)
+    (even entries ascending, then odd entries descending) and V = rfft(v),
+    row k of A x is Re(c_k e^{-i pi (k-1) / (2n)} V[k-1]).  The adjoint
+    scatters the conjugate weights into a half-spectrum and inverts it with
+    irfft, which doubles every bin but the zero and Nyquist ones.  Both
+    cost one length-n real FFT, O(n log n) time and O(n) memory.  rfft only
+    returns frequencies 0..n//2, so the rows must be distinct and lie in
+    1..n//2 + 1.
     """
-    j = np.arange(n, dtype=float)
-    rows = np.empty((len(row_indices), n))
-    for out, k in enumerate(row_indices):
-        if not 1 <= k <= n:
-            raise InvalidSpec(f"row index {k} out of range 1..{n}")
-        c = math.sqrt(1.0 / n) if k == 1 else math.sqrt(2.0 / n)
-        rows[out] = c * np.cos(math.pi * (2.0 * j + 1.0) * (k - 1) / (2.0 * n))
-    return rows
+    k = np.asarray(row_indices, dtype=np.int64) - 1
+    if k.size == 0 or k.min() < 0 or k.max() > n // 2:
+        raise InvalidSpec(f"DCT rows must lie in 1..{n // 2 + 1}, got {row_indices}")
+    c = np.where(k == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+    a = c * np.exp(-0.5j * math.pi / n * k)
+    # irfft weighs bin k by 2/n, the zero and Nyquist bins by 1/n
+    a_t = np.conj(a) * np.where((k == 0) | (2 * k == n), float(n), 0.5 * n)
+    h = (n + 1) // 2
+
+    def apply(x: Vector) -> Vector:
+        v = np.empty(n)
+        v[:h] = x[::2]
+        v[h:] = x[1::2][::-1]
+        return (a * np.fft.rfft(v)[k]).real
+
+    def apply_t(r: Vector) -> Vector:
+        spectrum = np.zeros(n // 2 + 1, dtype=complex)
+        spectrum[k] = r * a_t
+        v = np.fft.irfft(spectrum, n)
+        x = np.empty(n)
+        x[::2] = v[:h]
+        x[1::2] = v[::-1][: n // 2]
+        return x
+
+    return apply, apply_t
+
+
+def _abpdn_m(n: int) -> int:
+    """Row count m = sqrt(n) of abpdn; n must be a perfect square >= 4.
+
+    n = 1 would need DCT row 2 of a 1 x 1 matrix; from n = 4 on, the first
+    m primes stay within the rows ``dct_row_operator`` supports.
+    """
+    m = math.isqrt(n)
+    if n < 4 or m * m != n:
+        raise InvalidSpec(f"abpdn needs a perfect-square n >= 4, got {n}")
+    return m
 
 
 def make_abpdn(n: int, lam: float = 1e-3, delta: float = 1e-4) -> ObjectiveProblem:
@@ -135,6 +176,9 @@ def make_abpdn(n: int, lam: float = 1e-3, delta: float = 1e-4) -> ObjectiveProbl
 
     where A consists of the m = sqrt(n) rows of the orthonormal DCT-II
     matrix indexed (1-based) by the first m primes, and b_i = sin(i^2).
+    A is never formed: ``dct_row_operator`` applies A and A^T by one
+    length-n real FFT each, so an evaluation costs O(n log n) time and
+    O(n) memory (the dense rows would take 8 GB at n = 10^6).
     The rows are orthonormal, so the least-squares part has unit curvature;
     the penalty curvature is at most lam/sqrt(delta), giving
     L = 1 + lam/sqrt(delta).  The penalty curvature decays at large |x_i|,
@@ -142,18 +186,16 @@ def make_abpdn(n: int, lam: float = 1e-3, delta: float = 1e-4) -> ObjectiveProbl
     """
     if lam <= 0 or delta <= 0:
         raise InvalidSpec(f"need lam, delta > 0, got lam={lam}, delta={delta}")
-    m = math.isqrt(n)
-    if m * m != n:
-        raise InvalidSpec(f"abpdn needs a perfect-square n, got {n}")
-    A = dct_rows(first_primes(m), n)
+    m = _abpdn_m(n)
+    apply, apply_t = dct_row_operator(first_primes(m), n)
     i = np.arange(1, m + 1, dtype=float)
     b = np.sin(i**2)
 
     def evaluate(x):
-        r = A @ x - b
+        r = apply(x) - b
         root = np.sqrt(x * x + delta)
         f = 0.5 * float(r @ r) + lam * float(np.sum(root))
-        g = A.T @ r + lam * (x / root)
+        g = apply_t(r) + lam * (x / root)
         return f, g
 
     return ObjectiveProblem(
@@ -279,7 +321,8 @@ class ProblemSpec:
 
     Unset parameters fall back to per-family defaults when the problem is
     built: abpdn uses lam=1e-3, delta=1e-4; logistic uses m=2n, lam=1e-4,
-    sigma=0.4, seed=0; huber uses tau=n/10.
+    sigma=0.4, seed=0; huber uses tau=n/10.  An abpdn n that is not a
+    perfect square >= 4 is rejected here, before anything is built.
     """
 
     family: str
@@ -296,6 +339,8 @@ class ProblemSpec:
             raise InvalidSpec(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1:
             raise InvalidSpec(f"need n >= 1, got {self.n}")
+        if self.family == "abpdn":
+            _abpdn_m(self.n)
 
     def build(self) -> ObjectiveProblem:
         if self.family == "quad":

@@ -209,3 +209,25 @@ def test_nonfinite_start_raises_numerical_failure(solver):
                             default_L=1.0)
     with pytest.raises(NumericalFailure):
         minimize(solver, prob, np.ones(2))
+
+
+@pytest.mark.parametrize("solver", ["cag", "ncg", "ag"])
+def test_overflowing_gradient_norm_at_start_raises_numerical_failure(solver):
+    # finite entries whose sum of squares overflows
+    prob = ObjectiveProblem(name="huge", n=2, evaluate=lambda x: (0.0, np.full(2, 1e200)),
+                            default_L=1.0)
+    with pytest.raises(NumericalFailure):
+        minimize(solver, prob, np.ones(2))
+
+
+@pytest.mark.parametrize("solver", ["cag", "ncg", "ag"])
+def test_overflowing_gradient_norm_ends_run_diverged(solver):
+    # the first evaluation away from x0 returns a gradient whose norm
+    # overflows; the run must end with a status, not a RuntimeWarning
+    def evaluate(x):
+        if np.array_equal(x, np.ones(2)):
+            return 1.0, np.ones(2)
+        return 0.0, np.full(2, 1e200)
+
+    prob = ObjectiveProblem(name="huge-away", n=2, evaluate=evaluate, default_L=1.0)
+    assert minimize(solver, prob, np.ones(2)).status is Status.DIVERGED

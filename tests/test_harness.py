@@ -173,3 +173,21 @@ class TestSuiteConfigFile:
         cfg.write_text("family=quad n=10 cag\n")
         with pytest.raises(InvalidSpec):
             parse_suite_config(cfg)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "family=abpdn n=10 solver=cag",  # not a perfect square
+            "family=abpdn n=1 solver=cag",  # no DCT row 2 in a 1 x 1 matrix
+            "family=huber n=10 solver=lcg",  # lcg needs the quadratic family
+            "family=abpdn n=16 solver=lcg",
+            "family=logistic n=10 solver=lcg",
+        ],
+    )
+    def test_invalid_row_fails_before_any_run(self, tmp_path, row):
+        # the suite file is rejected whole at parse time, so run_suite never
+        # meets a row that would raise midway
+        cfg = tmp_path / "suite.txt"
+        cfg.write_text("family=quad n=10 solver=cag\n" + row + "\n")
+        with pytest.raises(InvalidSpec):
+            parse_suite_config(cfg)

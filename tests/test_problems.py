@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,27 @@ from cagopt.oracle import finite_diff_gradient
 from cagopt.problems import (
     _logistic_loss,
     _logistic_loss_prime,
-    dct_rows,
+    dct_row_operator,
     estimate_spectral_norm,
     first_primes,
 )
+
+
+def dct_rows(row_indices, n):
+    """Dense oracle: selected 1-based rows of the n x n orthonormal DCT-II matrix.
+
+    Entry (k, j) is c_k cos(pi (2j+1)(k-1) / (2n)), c_1 = sqrt(1/n) and
+    c_k = sqrt(2/n) otherwise.  The integer phase (2j+1)(k-1) is reduced
+    mod 4n before it is scaled by pi/(2n), so every cosine argument lies in
+    [0, 2 pi) and each entry is exact to round-off.
+    """
+    j = np.arange(n, dtype=np.int64)
+    rows = np.empty((len(row_indices), n))
+    for out, k in enumerate(row_indices):
+        c = math.sqrt(1.0 / n) if k == 1 else math.sqrt(2.0 / n)
+        phase = (2 * j + 1) * (k - 1) % (4 * n)
+        rows[out] = c * np.cos(math.pi / (2.0 * n) * phase)
+    return rows
 
 
 def sieve_of_eratosthenes(limit):
@@ -104,6 +122,64 @@ class TestAbpdn:
     def test_requires_perfect_square(self):
         with pytest.raises(InvalidSpec):
             make_abpdn(60)
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_spec_rejects_invalid_n_at_construction(self, n):
+        with pytest.raises(InvalidSpec):
+            ProblemSpec(family="abpdn", n=n)
+
+    def test_builds_and_evaluates_at_one_million(self):
+        # the dense rows would take 1000 x 10^6 doubles = 8 GB
+        n = 10**6
+        tracemalloc.start()
+        try:
+            prob = make_abpdn(n)
+            f, g = prob.evaluate(np.full(n, 1e-3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(f)
+        assert g.shape == (n,) and np.all(np.isfinite(g))
+        assert peak < 100 * 2**20
+
+
+class TestDctRowOperator:
+    @pytest.mark.parametrize("n", [4, 9, 16, 25, 256, 400, 10**4])
+    def test_matches_dense_rows(self, n, rng):
+        # the abpdn rows, plus the DC and the highest supported row; at n = 4
+        # the latter and prime 3 are the Nyquist row
+        rows = sorted({1, n // 2 + 1, *first_primes(math.isqrt(n))})
+        apply, apply_t = dct_row_operator(rows, n)
+        A = dct_rows(rows, n)
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            r = rng.standard_normal(len(rows))
+            assert np.max(np.abs(apply(x) - A @ x)) <= 1e-12
+            assert np.max(np.abs(apply_t(r) - A.T @ r)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 25, 400, 10**4])
+    def test_adjoint_identity(self, n, rng):
+        rows = list(range(1, n // 2 + 2))
+        apply, apply_t = dct_row_operator(rows, n)
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            r = rng.standard_normal(len(rows))
+            lhs = float(apply(x) @ r)
+            rhs = float(x @ apply_t(r))
+            scale = np.linalg.norm(x) * np.linalg.norm(r)
+            assert abs(lhs - rhs) <= 1e-13 * scale
+
+    def test_abpdn_rows_stay_in_supported_range(self):
+        # first_primes(m)[-1] - 1 <= m^2 // 2 for every m in 2..1000; the
+        # primes grow with m, so one list serves every prefix
+        primes = first_primes(1000)
+        for m in range(2, 1001):
+            assert primes[m - 1] <= (m * m) // 2 + 1, m
+
+    @pytest.mark.parametrize("rows,n", [([0], 16), ([10], 16), ([], 16), ([2], 1)])
+    def test_rejects_unsupported_rows(self, rows, n):
+        with pytest.raises(InvalidSpec):
+            dct_row_operator(rows, n)
 
 
 class TestLogistic:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cag import _ConvergedAt, _evaluate_or_stop, _gradient_norm, hz_beta, secant_alpha
+from .cag import _ConvergedAt, _evaluate_or_stop, hz_beta, secant_alpha
 from .errors import (
     CurvatureFailure,
     DegenerateDirection,
@@ -127,37 +127,37 @@ def lcg_minimize(
 def ncg_minimize(
     problem: ObjectiveProblem,
     x0: Vector,
+    L: float,
     gtol: float,
     max_evals: int,
     record_iterates: bool = False,
 ) -> SolverResult:
     """Plain Hager-Zhang NCG with the secant line search and a backtracking safeguard.
 
-    No progress test and no fallback: the secant step (probe scale taken
-    from the problem's smoothness bound) is halved until the function value
+    No progress test and no fallback: the secant step (probe scale 1/L,
+    with L the smoothness bound) is halved until the function value
     decreases, up to 30 times, after which the run stops with
     ``LINE_SEARCH_FAILURE``.  Restarts to steepest descent every 10n + 1
     steps and whenever the direction stops being a descent direction.
     """
-    x = np.asarray(x0, dtype=float)
-    L = problem.default_L
     counter = EvalCounter()
-    f, g = evaluate_counted(problem, x, counter)
-    g0_norm = _gradient_norm(g)
-    log = RunLog(counter, x, f, g0_norm, math.nan, record_iterates)
-    if g0_norm <= gtol:
+    point = evaluate_counted(problem, np.asarray(x0, dtype=float), counter)
+    log = RunLog(counter, point, math.nan, record_iterates)
+    if point.gnorm <= gtol:
         return log.finish(Status.CONVERGED)
 
-    p = -g
+    g0_norm = point.gnorm
+    p = -point.g
     i_cg = 0
     restart_at = 10 * problem.n + 1
     try:
         while counter.count < max_evals:
+            g = point.g
             if i_cg >= restart_at or float(g @ p) >= 0.0:
                 p = -g
                 i_cg = 0
             try:
-                alpha, _, _ = secant_alpha(problem, counter, x, g, p, L, gtol, StepKind.CG)
+                alpha, _, _ = secant_alpha(problem, counter, point, p, L, gtol, StepKind.CG)
             except CurvatureFailure:
                 # Flat or concave along p: fall back to the step that the
                 # smoothness bound alone guarantees to decrease f.
@@ -165,28 +165,27 @@ def ncg_minimize(
 
             # Near the minimum the true decrease falls below what doubles can
             # represent, so demand decrease only up to a rounding-level slack.
-            f_accept = f + 1e-12 * (1.0 + abs(f))
+            f_accept = point.f + 1e-12 * (1.0 + abs(point.f))
             for _ in range(31):  # the secant step, then up to 30 halvings
-                x_next = x + alpha * p
-                f_next, g_next, gnorm_next = _evaluate_or_stop(
-                    problem, x_next, counter, gtol, StepKind.CG
+                new = _evaluate_or_stop(
+                    problem, point.x + alpha * p, counter, gtol, StepKind.CG
                 )
-                if f_next <= f_accept:
+                if new.f <= f_accept:
                     break
                 alpha *= 0.5
             else:
                 return log.finish(Status.LINE_SEARCH_FAILURE)
-            log.record(x_next, f_next, gnorm_next, math.nan, StepKind.CG)
+            log.record(new, math.nan, StepKind.CG)
 
             try:
-                beta = hz_beta(g, g_next, p, g0_norm)
+                beta = hz_beta(g, new, p, g0_norm)
             except DegenerateDirection:
                 beta = 0.0
-            p = -g_next + beta * p
+            p = -new.g + beta * p
             i_cg = 0 if beta == 0.0 else i_cg + 1
-            x, f, g = x_next, f_next, g_next
+            point = new
     except _ConvergedAt as c:
-        return log.converged(c.x, c.f, c.gnorm, math.nan, c.kind)
+        return log.converged(c.point, math.nan, c.kind)
     except NumericalFailure:
         return log.finish(Status.DIVERGED)
     return log.finish(Status.BUDGET_EXHAUSTED)
@@ -212,27 +211,24 @@ def ag_minimize(
     """
     x = np.asarray(x0, dtype=float)
     counter = EvalCounter()
-    f0, g0 = evaluate_counted(problem, x, counter)
-    g0_norm = _gradient_norm(g0)
-    log = RunLog(counter, x, f0, g0_norm, f0, record_iterates)
-    if g0_norm <= gtol:
+    start = evaluate_counted(problem, x, counter)
+    log = RunLog(counter, start, start.f, record_iterates)
+    if start.gnorm <= gtol:
         return log.finish(Status.CONVERGED)
 
-    est = init_estimate(f0, x, L, ell)
+    est = init_estimate(start.f, x, L, ell)
     try:
         while counter.count < max_evals:
             theta, gamma_next = compute_theta_gamma(L, ell, est.gamma)
             bar_x = (theta * est.gamma * est.v + gamma_next * x) / (
                 est.gamma + theta * ell
             )
-            bar_f, bar_g, bar_gnorm = _evaluate_or_stop(
-                problem, bar_x, counter, gtol, StepKind.AG
-            )
-            x = bar_x - bar_g / L
-            est = advance_estimate(est, theta, gamma_next, bar_x, bar_f, bar_g)
-            log.record(bar_x, bar_f, bar_gnorm, est.phi_star, StepKind.AG, x)
+            bar = _evaluate_or_stop(problem, bar_x, counter, gtol, StepKind.AG)
+            x = bar_x - bar.g / L
+            est = advance_estimate(est, theta, gamma_next, bar_x, bar.f, bar.g)
+            log.record(bar, est.phi_star, StepKind.AG, x)
     except _ConvergedAt as c:
-        return log.converged(c.x, c.f, c.gnorm, est.phi_star, c.kind)
+        return log.converged(c.point, est.phi_star, c.kind)
     except NumericalFailure:
         return log.finish(Status.DIVERGED)
     return log.finish(Status.BUDGET_EXHAUSTED)

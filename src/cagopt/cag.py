@@ -40,7 +40,7 @@ from .estimate_sequence import (
     compute_theta_gamma,
     init_estimate,
 )
-from .oracle import EvalCounter, ObjectiveProblem, Vector, evaluate_counted
+from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector, evaluate_counted
 from .results import RunLog, SolverResult, Status, StepKind
 
 
@@ -80,80 +80,61 @@ class CagConfig:
 class CagIterationState:
     """Full per-iteration state of the solver.
 
-    During an AG block ``f`` and ``g`` are stale (the iterate produced by an
-    AG step is not evaluated until the block exits); the bar triple carries
-    the current information there.  ``bar_x/bar_f/bar_g`` always hold the
-    anchor used by the *next* estimate-sequence update.
+    ``point`` is the last evaluated iterate and ``x`` the current one; they
+    differ only during an AG block, whose iterates are not evaluated until
+    the block exits.  ``bar`` is the evaluated anchor of the *next*
+    estimate-sequence update: the z-augmented point in conjugate-z mode, the
+    combination point within an AG block, else ``point``.  The run is in an
+    AG block exactly when ``ag_ref_gnorm`` is set, and the z augmentation is
+    active exactly when ``z_tilde`` is.
     """
 
     x: Vector
-    f: float
-    g: Vector
+    point: Evaluation
     p: Vector
     estimate: EstimateState
     i_cg: int
-    only_ag: bool
-    ag_ref_gnorm: float   # ||bar_g|| at AG-block entry, reference for the exit test
-    bar_x: Vector
-    bar_f: float
-    bar_g: Vector
-    zflag: bool
+    ag_ref_gnorm: float | None  # ||bar g|| at AG-block entry, reference for the exit test
+    bar: Evaluation
     z_tilde: Vector | None
     zAz: float
-    g0_norm: float        # gradient norm at the starting point, for the beta safeguard
+    g0_norm: float  # gradient norm at the starting point, for the beta safeguard
 
 
 class _ConvergedAt(Exception):
     """Internal control flow: a termination test passed at a just-evaluated point."""
 
-    def __init__(self, x, f, gnorm, kind):
+    def __init__(self, point: Evaluation, kind: StepKind):
         super().__init__("converged")
-        self.x = x
-        self.f = f
-        self.gnorm = gnorm
+        self.point = point
         self.kind = kind
-
-
-def _gradient_norm(g: Vector) -> float:
-    """||g||, raising ``NumericalFailure`` when it overflows.
-
-    The solvers run under ``np.errstate(over="ignore")``, so the overflow
-    ends the run as ``DIVERGED`` instead of leaking a warning, and the
-    estimate sequence never sees the gradient.
-    """
-    gnorm = float(np.linalg.norm(g))
-    if not math.isfinite(gnorm):
-        raise NumericalFailure("gradient norm overflowed")
-    return gnorm
 
 
 def _evaluate_or_stop(
     problem: ObjectiveProblem, x: Vector, counter: EvalCounter, gtol: float, kind: StepKind
-) -> tuple[float, Vector, float]:
+) -> Evaluation:
     """Counted evaluation at x that ends the run when ||grad f(x)|| <= gtol.
 
-    Returns (f, g, ||g||); raises ``_ConvergedAt`` carrying the point and
-    the step kind of the row that reports it when the test passes, and
-    ``NumericalFailure`` when ||g|| overflows.
+    Raises ``_ConvergedAt`` carrying the evaluation and the step kind of the
+    row that reports it when the test passes, and ``NumericalFailure`` (from
+    ``evaluate_counted``) when the value or the gradient norm is non-finite.
     """
-    f, g = evaluate_counted(problem, x, counter)
-    gnorm = _gradient_norm(g)
-    if gnorm <= gtol:
-        raise _ConvergedAt(x, f, gnorm, kind)
-    return f, g, gnorm
+    point = evaluate_counted(problem, x, counter)
+    if point.gnorm <= gtol:
+        raise _ConvergedAt(point, kind)
+    return point
 
 
 def secant_alpha(
     problem: ObjectiveProblem,
     counter: EvalCounter,
-    x: Vector,
-    g: Vector,
+    point: Evaluation,
     p: Vector,
     L: float,
     gtol: float,
     kind: StepKind,
 ) -> tuple[float, Vector, float]:
-    """Secant step length from a single probe at x + p/L.
+    """Secant step length from a single probe at x + p/L, x = ``point.x``.
 
     The gradient difference gives a generalized curvature product
     Ap = L (grad f(x + p/L) - g); on a quadratic it equals the exact A p, so
@@ -164,32 +145,32 @@ def secant_alpha(
     Raises ``CurvatureFailure`` when pAp <= 0, which the caller treats as a
     failed attempt.
     """
-    _, g_tilde, _ = _evaluate_or_stop(problem, x + p / L, counter, gtol, kind)
-    Ap = L * (g_tilde - g)
+    probe = _evaluate_or_stop(problem, point.x + p / L, counter, gtol, kind)
+    Ap = L * (probe.g - point.g)
     pAp = float(p @ Ap)
     if pAp <= 0.0:
         raise CurvatureFailure(f"nonpositive directional curvature pAp={pAp!r}")
-    alpha = -float(g @ p) / pAp
+    alpha = -float(point.g @ p) / pAp
     return alpha, Ap, pAp
 
 
-def hz_beta(g: Vector, g_next: Vector, p: Vector, g0_norm: float) -> float:
+def hz_beta(g: Vector, new: Evaluation, p: Vector, g0_norm: float) -> float:
     """Hager-Zhang conjugacy coefficient with the negative lower safeguard.
 
-    beta1 = <y - p * 2||y||^2 / <y,p>, g_next> / <y,p>   with y = g_next - g
+    With g_next = ``new.g`` and y = g_next - g:
+    beta1 = <y - p * 2||y||^2 / <y,p>, g_next> / <y,p>
     beta2 = -1 / (||p|| * min(0.01 * g0_norm, ||g_next||))
     returns max(beta1, beta2).
 
     Raises ``DegenerateDirection`` when <y, p> = 0.
     """
+    g_next = new.g
     y = g_next - g
     yp = float(y @ p)
     if yp == 0.0:
         raise DegenerateDirection("y^T p vanished in the direction update")
     beta1 = float((y - p * (2.0 * float(y @ y) / yp)) @ g_next) / yp
-    beta2 = -1.0 / (
-        float(np.linalg.norm(p)) * min(0.01 * g0_norm, float(np.linalg.norm(g_next)))
-    )
+    beta2 = -1.0 / (float(np.linalg.norm(p)) * min(0.01 * g0_norm, new.gnorm))
     return max(beta1, beta2)
 
 
@@ -212,26 +193,26 @@ def z_conjugate_update(
 
 
 def bar_augment(
-    x_next: Vector,
-    g_next: Vector,
+    new: Evaluation,
     z_tilde: Vector,
     zAz: float,
     problem: ObjectiveProblem,
     counter: EvalCounter,
     gtol: float,
-) -> tuple[Vector, float, Vector]:
+) -> Evaluation:
     """Line minimiser along z through the new iterate, evaluated.
 
-    alpha_t = -<g_next, z> / zAz; returns (bar_x, bar_f, bar_g) at
-    bar_x = x_next + alpha_t z.  Costs one counted evaluation, and ends the
-    run there (as a ``bar`` row) when the gradient passes ``gtol``.
+    alpha_t = -<g_next, z> / zAz with g_next = ``new.g``; returns the
+    evaluation at bar_x = x_next + alpha_t z.  Costs one counted evaluation,
+    and ends the run there (as a ``bar`` row) when the gradient passes
+    ``gtol``.
     """
     if zAz <= 0.0:
         raise CurvatureFailure(f"nonpositive quadratic form zAz={zAz!r}")
-    alpha_t = -float(g_next @ z_tilde) / zAz
-    bar_x = x_next + alpha_t * z_tilde
-    bar_f, bar_g, _ = _evaluate_or_stop(problem, bar_x, counter, gtol, StepKind.BAR)
-    return bar_x, bar_f, bar_g
+    alpha_t = -float(new.g @ z_tilde) / zAz
+    return _evaluate_or_stop(
+        problem, new.x + alpha_t * z_tilde, counter, gtol, StepKind.BAR
+    )
 
 
 def cg_attempt(
@@ -244,78 +225,65 @@ def cg_attempt(
     """One conjugate gradient (or steepest-descent retry) attempt.
 
     Evaluates the secant probe and the candidate iterate, forms the bar
-    point (identity copy, or the z-augmented minimiser when zflag is set),
-    advances the estimate sequence anchored at the *previous* bar triple,
-    and accepts iff f_next <= phi*_next or bar_f_next <= phi*_next.
+    point (the iterate itself, or the z-augmented minimiser in conjugate-z
+    mode), advances the estimate sequence anchored at the *previous* bar
+    point, and accepts iff f_next <= phi*_next or bar_f_next <= phi*_next.
 
     On acceptance the returned state carries the new iterate, the new bar
-    triple, the advanced model and the next direction.  On a failed progress
+    point, the advanced model and the next direction.  On a failed progress
     test the returned state is unchanged except for the z recurrences, which
     advance unconditionally.  ``CurvatureFailure``/``DegenerateDirection``
     reject the attempt without touching the state at all.
     """
-    p = -state.g if use_steepest else state.p
+    point = state.point
+    p = -point.g if use_steepest else state.p
     i_cg = 0 if use_steepest else state.i_cg
     kind = StepKind.SD if use_steepest else StepKind.CG
 
     try:
         alpha, Ap, pAp = secant_alpha(
-            problem, counter, state.x, state.g, p, config.L, config.gtol, kind
+            problem, counter, point, p, config.L, config.gtol, kind
         )
     except CurvatureFailure:
         return False, state
 
-    x_next = state.x + alpha * p
-    f_next, g_next, _ = _evaluate_or_stop(problem, x_next, counter, config.gtol, kind)
+    new = _evaluate_or_stop(problem, point.x + alpha * p, counter, config.gtol, kind)
 
-    zflag = state.zflag
-    z_tilde = state.z_tilde
-    zAz = state.zAz
-    if zflag:
+    bar = new
+    z_tilde, zAz = state.z_tilde, state.zAz
+    if z_tilde is not None:
         z_tilde, zAz = z_conjugate_update(z_tilde, zAz, p, Ap, pAp)
         if zAz <= 0.0 or not math.isfinite(zAz):
             # z fell into the span of the block's directions; drop the
             # augmentation and continue with the plain test.
-            zflag = False
-            z_tilde = None
-            zAz = 0.0
-            bar_x, bar_f, bar_g = x_next, f_next, g_next
+            z_tilde, zAz = None, 0.0
         else:
-            bar_x, bar_f, bar_g = bar_augment(
-                x_next, g_next, z_tilde, zAz, problem, counter, config.gtol
-            )
-    else:
-        bar_x, bar_f, bar_g = x_next, f_next, g_next
+            bar = bar_augment(new, z_tilde, zAz, problem, counter, config.gtol)
 
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, state.estimate.gamma)
     # The model update is anchored at the previous bar point; the fresh bar
     # point only enters the acceptance test (and becomes next iteration's anchor).
+    anchor = state.bar
     est_next = advance_estimate(
-        state.estimate, theta, gamma_next, state.bar_x, state.bar_f, state.bar_g
+        state.estimate, theta, gamma_next, anchor.x, anchor.f, anchor.g
     )
 
-    if not (f_next <= est_next.phi_star or bar_f <= est_next.phi_star):
-        return False, replace(state, zflag=zflag, z_tilde=z_tilde, zAz=zAz)
+    if not (new.f <= est_next.phi_star or bar.f <= est_next.phi_star):
+        return False, replace(state, z_tilde=z_tilde, zAz=zAz)
 
     try:
-        beta = hz_beta(state.g, g_next, p, state.g0_norm)
+        beta = hz_beta(point.g, new, p, state.g0_norm)
     except DegenerateDirection:
         return False, state
-    p_next = -g_next + beta * p
-    i_cg_next = 0 if beta == 0.0 else i_cg + 1
 
     return True, replace(
         state,
-        x=x_next,
-        f=f_next,
-        g=g_next,
-        p=p_next,
+        x=new.x,
+        point=new,
+        p=-new.g + beta * p,
         estimate=est_next,
-        i_cg=i_cg_next,
-        bar_x=bar_x,
-        bar_f=bar_f,
-        bar_g=bar_g,
-        zflag=zflag,
+        i_cg=0 if beta == 0.0 else i_cg + 1,
+        bar=bar,
         z_tilde=z_tilde,
         zAz=zAz,
     )
@@ -332,25 +300,22 @@ def ag_step(
     Forms the combination point bar_x = (theta gamma v + gamma_next x) /
     (gamma + theta ell), evaluates there (one counted evaluation), takes the
     gradient step x_next = bar_x - bar_g / L and advances the model anchored
-    at bar_x.  The new iterate is deliberately left unevaluated; f and g in
-    the returned state are stale until the block exits.
+    at bar_x.  The new iterate is deliberately left unevaluated: ``point``
+    in the returned state is stale until the block exits.
     """
     est = state.estimate
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, est.gamma)
     bar_x = (theta * est.gamma * est.v + gamma_next * state.x) / (
         est.gamma + theta * config.ell
     )
-    bar_f, bar_g, _ = _evaluate_or_stop(problem, bar_x, counter, config.gtol, StepKind.AG)
-    x_next = bar_x - bar_g / config.L
-    est_next = advance_estimate(est, theta, gamma_next, bar_x, bar_f, bar_g)
-    return replace(
-        state, x=x_next, estimate=est_next, bar_x=bar_x, bar_f=bar_f, bar_g=bar_g
-    )
+    bar = _evaluate_or_stop(problem, bar_x, counter, config.gtol, StepKind.AG)
+    est_next = advance_estimate(est, theta, gamma_next, bar.x, bar.f, bar.g)
+    return replace(state, x=bar.x - bar.g / config.L, estimate=est_next, bar=bar)
 
 
 def ag_block_exit_test(state: CagIterationState, config: CagConfig) -> bool:
     """True once the in-block gradient norm fell below the entry norm / exit factor."""
-    return float(np.linalg.norm(state.bar_g)) <= state.ag_ref_gnorm / config.ag_exit_factor
+    return state.bar.gnorm <= state.ag_ref_gnorm / config.ag_exit_factor
 
 
 def return_to_cg(
@@ -366,50 +331,38 @@ def return_to_cg(
     with zAz = <grad f(v) - grad f(x), z> (exact z^T A z on a quadratic).
     A nonpositive or vanishing zAz disables the augmentation for this block.
     """
-    f_next, g_next = evaluate_counted(problem, state.x, counter)
+    point = evaluate_counted(problem, state.x, counter)
     new = replace(
         state,
-        f=f_next,
-        g=g_next,
-        bar_x=state.x,
-        bar_f=f_next,
-        bar_g=g_next,
-        p=-g_next,
-        only_ag=False,
+        point=point,
+        p=-point.g,
         i_cg=0,
-        zflag=False,
+        ag_ref_gnorm=None,
+        bar=point,
         z_tilde=None,
         zAz=0.0,
     )
     if config.conjugate_z_mode:
         z = state.estimate.v - state.x
-        _, g_v = evaluate_counted(problem, state.estimate.v, counter)
-        zAz = float(z @ (g_v - g_next))
+        g_v = evaluate_counted(problem, state.estimate.v, counter).g
+        zAz = float(z @ (g_v - point.g))
         if zAz > 0.0 and float(z @ z) > 0.0:
-            new = replace(new, zflag=True, z_tilde=z, zAz=zAz)
+            new = replace(new, z_tilde=z, zAz=zAz)
     return new
 
 
-def _initial_state(
-    x0: Vector, f0: float, g0: Vector, config: CagConfig
-) -> CagIterationState:
-    est = init_estimate(f0, x0, config.L, config.ell)
+def _initial_state(start: Evaluation, config: CagConfig) -> CagIterationState:
     return CagIterationState(
-        x=x0,
-        f=f0,
-        g=g0,
-        p=-g0,
-        estimate=est,
+        x=start.x,
+        point=start,
+        p=-start.g,
+        estimate=init_estimate(start.f, start.x, config.L, config.ell),
         i_cg=0,
-        only_ag=False,
-        ag_ref_gnorm=math.inf,
-        bar_x=x0,
-        bar_f=f0,
-        bar_g=g0,
-        zflag=False,
+        ag_ref_gnorm=None,
+        bar=start,
         z_tilde=None,
         zAz=0.0,
-        g0_norm=float(np.linalg.norm(g0)),
+        g0_norm=start.gnorm,
     )
 
 
@@ -438,26 +391,25 @@ def cag_minimize(
     if x0.shape != (problem.n,):
         raise InvalidSpec(f"x0 must have shape ({problem.n},), got {x0.shape}")
     counter = EvalCounter()
-    f0, g0 = evaluate_counted(problem, x0, counter)
-    g0_norm = _gradient_norm(g0)
-    log = RunLog(counter, x0, f0, g0_norm, f0, record_iterates)
-    if g0_norm <= config.gtol:
+    start = evaluate_counted(problem, x0, counter)
+    log = RunLog(counter, start, start.f, record_iterates)
+    if start.gnorm <= config.gtol:
         return log.finish(Status.CONVERGED)
 
-    state = _initial_state(x0, f0, g0, config)
+    state = _initial_state(start, config)
     restart_at = config.restart_interval_factor * problem.n + 1
     try:
         while counter.count < config.max_evals:
             if state.i_cg >= restart_at:
-                state = replace(state, p=-state.g, i_cg=0)
+                state = replace(state, p=-state.point.g, i_cg=0)
 
             kind: StepKind | None = None
-            if not state.only_ag:
+            if state.ag_ref_gnorm is None:
                 accepted, state = cg_attempt(
                     state, config, problem, counter, use_steepest=False
                 )
                 if accepted:
-                    kind = StepKind.BAR if state.zflag else StepKind.CG
+                    kind = StepKind.CG if state.z_tilde is None else StepKind.BAR
                 else:
                     accepted, state = cg_attempt(
                         state, config, problem, counter, use_steepest=True
@@ -466,22 +418,20 @@ def cag_minimize(
                         kind = StepKind.SD
 
             if kind is None:
-                entering = not state.only_ag
+                entering = state.ag_ref_gnorm is None
                 state = ag_step(state, config, problem, counter)
                 kind = StepKind.AG
-                row_x, row_f = state.bar_x, state.bar_f
-                row_gnorm = float(np.linalg.norm(state.bar_g))
+                row = state.bar
                 if entering:
-                    state = replace(state, only_ag=True, ag_ref_gnorm=row_gnorm)
+                    state = replace(state, ag_ref_gnorm=row.gnorm)
                 if ag_block_exit_test(state, config):
                     state = return_to_cg(state, config, problem, counter)
             else:
-                row_x, row_f = state.x, state.f
-                row_gnorm = float(np.linalg.norm(state.g))
+                row = state.point
 
-            log.record(row_x, row_f, row_gnorm, state.estimate.phi_star, kind, state.x)
+            log.record(row, state.estimate.phi_star, kind, state.x)
     except _ConvergedAt as c:
-        return log.converged(c.x, c.f, c.gnorm, state.estimate.phi_star, c.kind)
+        return log.converged(c.point, state.estimate.phi_star, c.kind)
     except NumericalFailure:
         return log.finish(Status.DIVERGED)
     return log.finish(Status.BUDGET_EXHAUSTED)

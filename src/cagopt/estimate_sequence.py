@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState
+from .errors import InvalidState, NumericalFailure
 
 # Tolerance for the theta/gamma identity self-check.  It is exact algebra,
 # so anything beyond a few ulps indicates corrupted state.
@@ -116,6 +116,9 @@ def advance_estimate(
               - theta^2 / (2 gamma_next) ||bar_g||^2
               + theta (1-theta) gamma / gamma_next
                   * ( ell ||bar_x - v||^2 / 2 + <bar_g, v - bar_x> )
+
+    Raises ``NumericalFailure`` when phi*_next is not finite (a non-finite
+    v_next makes phi* non-finite at the next update).
     """
     if not 0.0 < theta <= 1.0:
         raise InvalidState(f"theta must lie in (0, 1], got {theta}")
@@ -131,6 +134,8 @@ def advance_estimate(
         - (theta * theta / (2.0 * gamma_next)) * float(bar_g @ bar_g)
         + (theta * (1.0 - theta) * gamma / gamma_next) * cross
     )
+    if not math.isfinite(phi_next):
+        raise NumericalFailure(f"estimate-sequence minimum became {phi_next!r}")
     return EstimateState(gamma=gamma_next, v=v_next, phi_star=phi_next, ell=state.ell)
 
 

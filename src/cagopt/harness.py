@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,10 @@ class RunConfig:
             raise InvalidSpec(f"max_evals must be positive, got {self.max_evals}")
         if self.solver == "lcg" and self.problem.family != "quad":
             raise InvalidSpec("the lcg solver applies only to the quad family")
+        if self.L is not None and not 0.0 < self.L < math.inf:
+            raise InvalidSpec(f"L must be positive and finite, got {self.L}")
+        if self.ell is not None and not 0.0 <= self.ell <= (self.L or math.inf):
+            raise InvalidSpec(f"need 0 <= ell <= L, got ell={self.ell}, L={self.L}")
 
 
 def _format_float(v: float) -> str:
@@ -94,8 +99,7 @@ def run(config: RunConfig) -> SolverResult:
     elif config.solver == "ag":
         result = ag_minimize(problem, x0, L, ell, config.gtol, config.max_evals)
     elif config.solver == "ncg":
-        problem = replace(problem, default_L=L, default_ell=ell)
-        result = ncg_minimize(problem, x0, config.gtol, config.max_evals)
+        result = ncg_minimize(problem, x0, L, config.gtol, config.max_evals)
     else:
         qp = quad_diag_system(config.problem.n)
         result = lcg_minimize(qp, x0, config.gtol, config.max_evals)
@@ -140,7 +144,10 @@ def run_suite(configs: list[RunConfig], parallelism: int = 1) -> list[SuiteRow]:
     """Execute all runs (optionally concurrently) and flag the per-problem best.
 
     Rows come back in input order regardless of completion order.  A failed
-    run becomes a row with its terminal status; it never aborts the suite.
+    run becomes a row with its terminal status.  Bad rows are rejected when
+    their ``RunConfig`` is built, except an ``ell`` override above the
+    family's default L (``quad n=10 ell=200``, L = 100): ``run`` raises
+    ``InvalidSpec`` for it, which aborts the suite at that row.
     The ``best`` flag marks, within each problem, the converged run with the
     fewest evaluations.
     """

@@ -8,8 +8,9 @@ is unambiguous.  All solvers route their evaluations through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,20 +57,36 @@ class EvalCounter:
     count: int = 0
 
 
+class Evaluation(NamedTuple):
+    """One counted evaluation: the point x, f(x), grad f(x) and its norm."""
+
+    x: Vector
+    f: float
+    g: Vector
+    gnorm: float
+
+
 def evaluate_counted(
     problem: ObjectiveProblem, x: Vector, counter: EvalCounter
-) -> tuple[float, Vector]:
+) -> Evaluation:
     """Evaluate ``problem`` at ``x``, incrementing ``counter`` by exactly one.
 
-    Raises ``NumericalFailure`` if the value or any gradient entry is
-    non-finite, so an overflowing evaluation aborts the run with a distinct
-    status instead of silently poisoning it.
+    Returns the point with its value, gradient and gradient norm, the norm
+    computed here once as sqrt(<g, g>) for every consumer of the point.
+    Raises ``NumericalFailure`` if the value or the norm is non-finite: a
+    NaN or infinite gradient entry, or a sum of squares that overflows,
+    makes the norm non-finite.  An overflowing evaluation thus aborts the
+    run with a distinct status instead of silently poisoning it.  The
+    solvers run under ``np.errstate(over="ignore")``; elsewhere an
+    overflowing sum of squares also emits numpy's overflow warning.
     """
     f, g = problem.evaluate(x)
     counter.count += 1
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+    f = float(f)
+    gnorm = math.sqrt(float(g @ g))
+    if not (math.isfinite(f) and math.isfinite(gnorm)):
         raise NumericalFailure(f"non-finite evaluation in problem {problem.name!r}")
-    return float(f), g
+    return Evaluation(x, f, g, gnorm)
 
 
 def finite_diff_gradient(problem: ObjectiveProblem, x: Vector, h: float) -> Vector:

@@ -107,7 +107,7 @@ def quad_diag_system(n: int) -> QuadraticProblem:
         apply_A=lambda x: d * x,
         b=b,
         known_xstar=b / d,
-        known_fstar=-0.5 * float(np.sum(b * b / d)),
+        known_fstar=-0.5 * float(b @ (b / d)),
         name=f"quad(n={n})",
     )
 
@@ -157,12 +157,15 @@ def dct_row_operator(
     return apply, apply_t
 
 
-def _abpdn_m(n: int) -> int:
-    """Row count m = sqrt(n) of abpdn; n must be a perfect square >= 4.
+def _check_abpdn(n: int, lam: float, delta: float) -> int:
+    """Check abpdn's parameters and return its row count m = sqrt(n).
 
-    n = 1 would need DCT row 2 of a 1 x 1 matrix; from n = 4 on, the first
-    m primes stay within the rows ``dct_row_operator`` supports.
+    n must be a perfect square >= 4: n = 1 would need DCT row 2 of a 1 x 1
+    matrix, and from n = 4 on the first m primes stay within the rows
+    ``dct_row_operator`` supports.  lam and delta must be positive and finite.
     """
+    if not (0.0 < lam < math.inf and 0.0 < delta < math.inf):
+        raise InvalidSpec(f"need finite lam, delta > 0, got lam={lam}, delta={delta}")
     m = math.isqrt(n)
     if n < 4 or m * m != n:
         raise InvalidSpec(f"abpdn needs a perfect-square n >= 4, got {n}")
@@ -184,9 +187,7 @@ def make_abpdn(n: int, lam: float = 1e-3, delta: float = 1e-4) -> ObjectiveProbl
     L = 1 + lam/sqrt(delta).  The penalty curvature decays at large |x_i|,
     so ell = 0 is the sound global choice.
     """
-    if lam <= 0 or delta <= 0:
-        raise InvalidSpec(f"need lam, delta > 0, got lam={lam}, delta={delta}")
-    m = _abpdn_m(n)
+    m = _check_abpdn(n, lam, delta)
     apply, apply_t = dct_row_operator(first_primes(m), n)
     i = np.arange(1, m + 1, dtype=float)
     b = np.sin(i**2)
@@ -235,6 +236,13 @@ def _standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     return z[:total].reshape(shape)
 
 
+def _check_logistic(m: int, n: int, lam: float, sigma: float, seed: int) -> None:
+    """Check logistic's parameters: m, n >= 1, finite lam >= 0 and sigma > 0, seed >= 0."""
+    if not (m >= 1 and n >= 1 and seed >= 0 and 0.0 <= lam < math.inf
+            and 0.0 < sigma < math.inf):
+        raise InvalidSpec(f"bad logistic m={m}, n={n}, lam={lam}, sigma={sigma}, seed={seed}")
+
+
 def make_logistic(
     m: int, n: int, lam: float = 1e-4, sigma: float = 0.4, seed: int = 0
 ) -> ObjectiveProblem:
@@ -247,10 +255,7 @@ def make_logistic(
     per row, so L = sigma_max(A)^2 / 4 + lam with sigma_max estimated by
     power iteration (30 rounds, inflated by 1%); the ridge gives ell = lam.
     """
-    if m < 1 or n < 1:
-        raise InvalidSpec(f"need m, n >= 1, got m={m}, n={n}")
-    if lam < 0 or sigma <= 0:
-        raise InvalidSpec(f"need lam >= 0 and sigma > 0, got lam={lam}, sigma={sigma}")
+    _check_logistic(m, n, lam, sigma, seed)
     rng = np.random.Generator(np.random.Philox(seed))
     A = 1.0 / math.sqrt(n) + sigma * _standard_normal(rng, (m, n))
     sig_max = 1.01 * estimate_spectral_norm(lambda x: A @ x, lambda y: A.T @ y, n)
@@ -270,6 +275,12 @@ def make_logistic(
     )
 
 
+def _check_huber(n: int, tau: float) -> None:
+    """Check huber's parameters: n >= 1 and a finite tau > 0."""
+    if not (n >= 1 and 0.0 < tau < math.inf):
+        raise InvalidSpec(f"bad huber n={n}, tau={tau}")
+
+
 def make_huber(n: int, tau: float) -> ObjectiveProblem:
     """Huber regression on the first-difference stencil.
 
@@ -284,10 +295,7 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
     zeta'' <= 2 and sigma_max(A) <= 2 for the stencil, so L = 8 is a cheap
     certified bound; the linear tails make ell = 0.
     """
-    if n < 1:
-        raise InvalidSpec(f"need n >= 1, got {n}")
-    if tau <= 0:
-        raise InvalidSpec(f"need tau > 0, got {tau}")
+    _check_huber(n, tau)
     b = np.arange(1, n + 2, dtype=float)
 
     def apply_A(x):
@@ -315,14 +323,19 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
     )
 
 
+# The parameter check that each family's constructor runs first; ProblemSpec
+# runs it on the same arguments.
+_CHECKS = {"abpdn": _check_abpdn, "logistic": _check_logistic, "huber": _check_huber}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Declarative description of a benchmark instance.
 
-    Unset parameters fall back to per-family defaults when the problem is
-    built: abpdn uses lam=1e-3, delta=1e-4; logistic uses m=2n, lam=1e-4,
-    sigma=0.4, seed=0; huber uses tau=n/10.  An abpdn n that is not a
-    perfect square >= 4 is rejected here, before anything is built.
+    Unset parameters fall back to per-family defaults: abpdn uses
+    lam=1e-3, delta=1e-4; logistic uses m=2n, lam=1e-4, sigma=0.4, seed=0;
+    huber uses tau=n/10.  The family's constructor check runs here on the
+    resolved parameters, so an out-of-range one fails before any build.
     """
 
     family: str
@@ -339,27 +352,33 @@ class ProblemSpec:
             raise InvalidSpec(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1:
             raise InvalidSpec(f"need n >= 1, got {self.n}")
+        if self.family in _CHECKS:
+            _CHECKS[self.family](**self._constructor()[1])
+
+    def _constructor(self) -> tuple[Callable[..., ObjectiveProblem], dict]:
+        """The family's constructor and its arguments, defaults filled in."""
+        def pick(value, default):
+            return default if value is None else value
+
+        if self.family == "quad":
+            return make_quad_diag, {"n": self.n}
         if self.family == "abpdn":
-            _abpdn_m(self.n)
+            return make_abpdn, {
+                "n": self.n, "lam": pick(self.lam, 1e-3), "delta": pick(self.delta, 1e-4)
+            }
+        if self.family == "logistic":
+            return make_logistic, {
+                "m": pick(self.m, 2 * self.n),
+                "n": self.n,
+                "lam": pick(self.lam, 1e-4),
+                "sigma": pick(self.sigma, 0.4),
+                "seed": pick(self.seed, 0),
+            }
+        return make_huber, {"n": self.n, "tau": pick(self.tau, self.n / 10.0)}
 
     def build(self) -> ObjectiveProblem:
-        if self.family == "quad":
-            return make_quad_diag(self.n)
-        if self.family == "abpdn":
-            return make_abpdn(
-                self.n,
-                lam=self.lam if self.lam is not None else 1e-3,
-                delta=self.delta if self.delta is not None else 1e-4,
-            )
-        if self.family == "logistic":
-            return make_logistic(
-                self.m if self.m is not None else 2 * self.n,
-                self.n,
-                lam=self.lam if self.lam is not None else 1e-4,
-                sigma=self.sigma if self.sigma is not None else 0.4,
-                seed=self.seed if self.seed is not None else 0,
-            )
-        return make_huber(self.n, tau=self.tau if self.tau is not None else self.n / 10.0)
+        make, args = self._constructor()
+        return make(**args)
 
     def _pairs(self) -> list[str]:
         """key=value for n and every set parameter, floats in %g form."""

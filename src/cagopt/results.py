@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import EvalCounter
+from .oracle import EvalCounter, Evaluation
 
 
 class Status(str, Enum):
@@ -69,58 +69,56 @@ class SolverResult:
 
 
 class RunLog:
-    """Trace, optional iterates and lowest-f row of one run, and its result.
+    """Trace, optional iterates and lowest-f point of one run, and its result.
 
     Opens with the ``init`` row for the starting point.  Each ``record``
-    appends one iteration's row, with the evaluation count read from the
-    run's counter, and keeps the lowest-f row seen; ``iterate`` is the point
-    stored in ``iterates`` when it differs from the row's point.  A run ends
-    through ``converged`` (one last row at the point that passed the
-    gradient test, which the result reports) or ``finish`` (any status,
-    reporting the lowest-f row: the starting point when no iteration ran).
+    appends one iteration's row for an evaluated point, with the evaluation
+    count read from the run's counter, and keeps the lowest-f point seen as
+    ``best``; ``iterate`` is the point stored in ``iterates`` when it
+    differs from the row's point.  A run ends through ``converged`` (one
+    last row at the point that passed the gradient test, which the result
+    reports) or ``finish`` (any status, reporting ``best``: the starting
+    point when no iteration ran).
     """
 
     def __init__(
         self,
         counter: EvalCounter,
-        x0: np.ndarray,
-        f0: float,
-        gnorm0: float,
+        start: Evaluation,
         phi_star0: float,
         record_iterates: bool,
     ):
         self.counter = counter
-        self.trace = [TraceRecord(0, counter.count, f0, gnorm0, phi_star0, StepKind.INIT)]
-        self.iterates: list[np.ndarray] | None = [x0] if record_iterates else None
-        self.best = (x0, f0, gnorm0)
+        self.trace = [
+            TraceRecord(0, counter.count, start.f, start.gnorm, phi_star0, StepKind.INIT)
+        ]
+        self.iterates: list[np.ndarray] | None = [start.x] if record_iterates else None
+        self.best = start
         self.iterations = 0
 
     def record(
         self,
-        x: np.ndarray,
-        f: float,
-        gnorm: float,
+        point: Evaluation,
         phi_star: float,
         step: StepKind,
         iterate: np.ndarray | None = None,
     ) -> None:
         self.iterations += 1
         self.trace.append(
-            TraceRecord(self.iterations, self.counter.count, f, gnorm, phi_star, step)
+            TraceRecord(self.iterations, self.counter.count, point.f, point.gnorm, phi_star, step)
         )
         if self.iterates is not None:
-            self.iterates.append(x if iterate is None else iterate)
-        if f < self.best[1]:
-            self.best = (x, f, gnorm)
+            self.iterates.append(point.x if iterate is None else iterate)
+        if point.f < self.best.f:
+            self.best = point
 
-    def converged(
-        self, x: np.ndarray, f: float, gnorm: float, phi_star: float, step: StepKind
-    ) -> SolverResult:
-        self.record(x, f, gnorm, phi_star, step)
-        self.best = (x, f, gnorm)
+    def converged(self, point: Evaluation, phi_star: float, step: StepKind) -> SolverResult:
+        self.record(point, phi_star, step)
+        self.best = point
         return self.finish(Status.CONVERGED)
 
     def finish(self, status: Status) -> SolverResult:
+        x, f, _, gnorm = self.best
         return SolverResult(
-            status, *self.best, self.iterations, self.counter.count, self.trace, self.iterates
+            status, x, f, gnorm, self.iterations, self.counter.count, self.trace, self.iterates
         )

@@ -30,7 +30,7 @@ def minimize(solver, prob, x0, gtol=1e-8, max_evals=10**6, record_iterates=False
         config = CagConfig(L=L, ell=ell, gtol=gtol, max_evals=max_evals)
         return cag_minimize(prob, x0, config, record_iterates=record_iterates)
     if solver == "ncg":
-        return ncg_minimize(prob, x0, gtol, max_evals, record_iterates=record_iterates)
+        return ncg_minimize(prob, x0, L, gtol, max_evals, record_iterates=record_iterates)
     return ag_minimize(prob, x0, L, ell, gtol, max_evals, record_iterates=record_iterates)
 
 

@@ -104,14 +104,14 @@ class TestLcg:
 class TestNcg:
     def test_norm_squared_one_iteration(self, rng):
         prob = quad_diag_system(1).objective(L=1.0, ell=1.0)
-        res = ncg_minimize(prob, np.array([2.0]), gtol=1e-10, max_evals=100)
+        res = ncg_minimize(prob, np.array([2.0]), L=1.0, gtol=1e-10, max_evals=100)
         assert res.converged
         assert res.iterations == 1
 
     def test_huber_run_is_deterministic(self):
         prob = make_huber(400, tau=10.0)
-        first = ncg_minimize(prob, np.zeros(400), gtol=1e-6, max_evals=10**6)
-        second = ncg_minimize(prob, np.zeros(400), gtol=1e-6, max_evals=10**6)
+        first = ncg_minimize(prob, np.zeros(400), L=8.0, gtol=1e-6, max_evals=10**6)
+        second = ncg_minimize(prob, np.zeros(400), L=8.0, gtol=1e-6, max_evals=10**6)
         assert first.converged and second.converged
         assert first.evaluations == second.evaluations
         assert first.f_final == second.f_final
@@ -120,7 +120,7 @@ class TestNcg:
         # with no progress test to fail, NCG and the guarded solver walk the
         # same path on a quadratic and spend the same evaluations
         prob = make_quad_diag(80)
-        res_ncg = ncg_minimize(prob, np.zeros(80), gtol=1e-8, max_evals=10**5)
+        res_ncg = ncg_minimize(prob, np.zeros(80), L=6400.0, gtol=1e-8, max_evals=10**5)
         res_cag = cag_minimize(prob, np.zeros(80),
                                CagConfig(L=6400.0, ell=1.0, gtol=1e-8, max_evals=10**5))
         assert res_ncg.converged and res_cag.converged
@@ -128,7 +128,7 @@ class TestNcg:
 
     def test_budget_status(self):
         prob = make_quad_diag(200)
-        res = ncg_minimize(prob, np.zeros(200), gtol=1e-14, max_evals=30)
+        res = ncg_minimize(prob, np.zeros(200), L=40000.0, gtol=1e-14, max_evals=30)
         assert res.status is Status.BUDGET_EXHAUSTED
 
 
@@ -195,7 +195,7 @@ def test_all_solvers_agree_on_strongly_convex_minimiser():
                      CagConfig(L=900.0, ell=1.0, gtol=gtol, max_evals=10**5)).x_final,
         ag_minimize(prob, np.zeros(30), L=900.0, ell=1.0, gtol=gtol,
                     max_evals=10**5).x_final,
-        ncg_minimize(prob, np.zeros(30), gtol=gtol, max_evals=10**5).x_final,
+        ncg_minimize(prob, np.zeros(30), L=900.0, gtol=gtol, max_evals=10**5).x_final,
         lcg_minimize(qp, np.zeros(30), gtol=gtol, max_iters=10**5).x_final,
     ]
     for a in xs:

@@ -12,6 +12,7 @@ from cagopt.cag import (
     z_conjugate_update,
 )
 from cagopt.errors import CurvatureFailure
+from cagopt.oracle import Evaluation
 
 from conftest import random_spd_quadratic
 
@@ -25,6 +26,16 @@ def explicit_quadratic(A, b, L, ell, name="explicit"):
                             default_L=L, default_ell=ell)
 
 
+def evaluated(prob, x):
+    """The record of an evaluation at x, counted outside the counter under test."""
+    return evaluate_counted(prob, x, EvalCounter())
+
+
+def gradient_record(g):
+    """A record that carries only a gradient and its norm, for hz_beta."""
+    return Evaluation(np.zeros_like(g), 0.0, g, float(np.linalg.norm(g)))
+
+
 class TestSecantAlpha:
     def test_hand_case_diag_1_2(self):
         # oracle: f = (x1^2 + 2 x2^2)/2, x=(1,1), p=(-1,-2):
@@ -34,9 +45,8 @@ class TestSecantAlpha:
         prob = explicit_quadratic(A, np.zeros(2), 2.0, 1.0)
         counter = EvalCounter()
         x = np.array([1.0, 1.0])
-        _, g = prob.evaluate(x)
         p = np.array([-1.0, -2.0])
-        alpha, Ap, pAp = secant_alpha(prob, counter, x, g, p, 2.0, 1e-12, StepKind.CG)
+        alpha, Ap, pAp = secant_alpha(prob, counter, evaluated(prob, x), p, 2.0, 1e-12, StepKind.CG)
         assert counter.count == 1
         assert pAp == 9.0
         assert abs(alpha - 5.0 / 9.0) <= 1e-15
@@ -48,21 +58,19 @@ class TestSecantAlpha:
     def test_identity_hessian_steepest_descent(self):
         prob = explicit_quadratic(np.eye(2), np.zeros(2), 1.0, 1.0)
         counter = EvalCounter()
-        x = np.array([1.0, 0.0])
-        _, g = prob.evaluate(x)
+        point = evaluated(prob, np.array([1.0, 0.0]))
         # probe scale 2 keeps the probe off the minimiser, where the run would end
-        alpha, _, _ = secant_alpha(prob, counter, x, g, -g, 2.0, 1e-12, StepKind.CG)
+        alpha, _, _ = secant_alpha(prob, counter, point, -point.g, 2.0, 1e-12, StepKind.CG)
         assert abs(alpha - 1.0) <= 1e-15
-        assert np.allclose(x - alpha * g, np.zeros(2), atol=1e-15)
+        assert np.allclose(point.x - alpha * point.g, np.zeros(2), atol=1e-15)
 
     def test_gradient_difference_reproduces_matrix_product(self, rng):
         A, b, L, ell, _ = random_spd_quadratic(rng, 6, 0.0, 2.0)
         prob = explicit_quadratic(A, b, L, ell)
         counter = EvalCounter()
-        x = rng.standard_normal(6)
-        _, g = prob.evaluate(x)
+        point = evaluated(prob, rng.standard_normal(6))
         p = rng.standard_normal(6)
-        _, Ap, _ = secant_alpha(prob, counter, x, g, p, L, 1e-12, StepKind.CG)
+        _, Ap, _ = secant_alpha(prob, counter, point, p, L, 1e-12, StepKind.CG)
         assert np.allclose(Ap, A @ p, rtol=1e-9, atol=1e-9 * np.linalg.norm(A @ p))
 
     def test_nonpositive_curvature_raises_with_probe(self):
@@ -72,16 +80,15 @@ class TestSecantAlpha:
             default_L=1.0,
         )
         counter = EvalCounter()
-        x = np.array([1.0])
-        _, g = prob.evaluate(x)
+        point = evaluated(prob, np.array([1.0]))
         with pytest.raises(CurvatureFailure):
-            secant_alpha(prob, counter, x, g, np.array([1.0]), 1.0, 1e-12, StepKind.CG)
+            secant_alpha(prob, counter, point, np.array([1.0]), 1.0, 1e-12, StepKind.CG)
         assert counter.count == 1
         # the probe x + p/L = 0 has a zero gradient: the run ends there
         # although pAp <= 0 along p = -1
         with pytest.raises(_ConvergedAt) as info:
-            secant_alpha(prob, counter, x, g, np.array([-1.0]), 1.0, 1e-12, StepKind.SD)
-        assert info.value.x[0] == 0.0
+            secant_alpha(prob, counter, point, np.array([-1.0]), 1.0, 1e-12, StepKind.SD)
+        assert info.value.point.x[0] == 0.0
         assert info.value.kind is StepKind.SD
         assert counter.count == 2
 
@@ -92,7 +99,7 @@ class TestHzBeta:
         # beta2 = -1/(1 * min(0.01, 1)) = -100, max = 1
         beta = hz_beta(
             g=np.array([1.0, 0.0]),
-            g_next=np.array([0.0, 1.0]),
+            new=gradient_record(np.array([0.0, 1.0])),
             p=np.array([-1.0, 0.0]),
             g0_norm=1.0,
         )
@@ -105,7 +112,7 @@ class TestHzBeta:
         p = np.array([0.0, 2.0, 0.0])
         g_next = np.array([0.0, 0.0, 3.0])
         g = g_next - y
-        beta = hz_beta(g, g_next, p, g0_norm=10.0)
+        beta = hz_beta(g, gradient_record(g_next), p, g0_norm=10.0)
         assert beta == 0.0
 
     def test_reproduces_conjugate_direction_on_quadratic(self, rng):
@@ -118,7 +125,7 @@ class TestHzBeta:
         alpha = -float(g0 @ p1) / float(p1 @ (A @ p1))
         x1 = x0 + alpha * p1
         g1 = A @ x1 - b
-        beta = hz_beta(g0, g1, p1, g0_norm=float(np.linalg.norm(g0)))
+        beta = hz_beta(g0, gradient_record(g1), p1, g0_norm=float(np.linalg.norm(g0)))
         p2 = -g1 + beta * p1
         rel = abs(float(p2 @ (A @ p1))) / (
             np.sqrt(float(p2 @ (A @ p2))) * np.sqrt(float(p1 @ (A @ p1)))
@@ -179,8 +186,8 @@ class TestBarAugment:
         counter = EvalCounter()
         x = np.array([2.0, 0.0])
         z = np.array([0.0, 1.0])  # g = x is orthogonal to z
-        bar_x, bar_f, bar_g = bar_augment(x, x.copy(), z, 1.0, prob, counter, 1e-12)
-        assert np.array_equal(bar_x, x)
+        bar = bar_augment(evaluated(prob, x), z, 1.0, prob, counter, 1e-12)
+        assert np.array_equal(bar.x, x)
         assert counter.count == 1
 
     def test_never_increases_quadratic_value(self, rng):
@@ -188,12 +195,11 @@ class TestBarAugment:
         prob = explicit_quadratic(A, b, L, ell)
         for _ in range(20):
             counter = EvalCounter()
-            x = rng.standard_normal(6)
-            f, g = prob.evaluate(x)
+            point = evaluated(prob, rng.standard_normal(6))
             z = rng.standard_normal(6)
             zAz = float(z @ (A @ z))
-            _, bar_f, _ = bar_augment(x, g, z, zAz, prob, counter, 1e-12)
-            assert bar_f <= f + 1e-12 * (1.0 + abs(f))
+            bar = bar_augment(point, z, zAz, prob, counter, 1e-12)
+            assert bar.f <= point.f + 1e-12 * (1.0 + abs(point.f))
 
     def test_matches_subspace_minimiser(self, rng):
         # oracle: solve the 2x2 normal equations for the minimiser of f over
@@ -209,11 +215,10 @@ class TestBarAugment:
         # one exact CG step
         alpha = -float(g_m @ p1) / float(p1 @ (A @ p1))
         x1 = x_m + alpha * p1
-        g1 = A @ x1 - b
         # conjugate z against p1, then take the augmented point
         Ap1 = A @ p1
         z1, zAz1 = z_conjugate_update(z0, float(z0 @ (A @ z0)), p1, Ap1, float(p1 @ Ap1))
-        bar_x, _, _ = bar_augment(x1, g1, z1, zAz1, prob, counter, 1e-12)
+        bar_x = bar_augment(evaluated(prob, x1), z1, zAz1, prob, counter, 1e-12).x
         # brute force: min over coefficients c of f(x_m + B c), B = [p1, z0]
         B = np.stack([p1, z0], axis=1)
         c = np.linalg.solve(B.T @ A @ B, -B.T @ g_m)
@@ -223,8 +228,7 @@ class TestBarAugment:
 
 class TestCgAttempt:
     def _state_for(self, prob, counter, x0, config):
-        f0, g0 = evaluate_counted(prob, x0, counter)
-        return _initial_state(x0, f0, g0, config)
+        return _initial_state(evaluate_counted(prob, x0, counter), config)
 
     def test_quadratic_attempt_always_accepted(self, rng):
         A, b, L, ell, qp = random_spd_quadratic(rng, 8, 0.0, 2.0)
@@ -248,7 +252,7 @@ class TestCgAttempt:
         # so the termination test fires at the new point
         with pytest.raises(_ConvergedAt) as info:
             cg_attempt(state, config, prob, counter, use_steepest=False)
-        assert abs(info.value.x[0]) <= 1e-12
+        assert abs(info.value.point.x[0]) <= 1e-12
 
     def test_engineered_overshoot_is_rejected(self):
         # oracle: f(x) = x^4 at x0 = 1 with L set to f''(x0)/10 = 1.2; the
@@ -269,7 +273,7 @@ class TestCgAttempt:
         assert state_after.estimate.phi_star == state.estimate.phi_star
 
     def test_acceptance_is_the_literal_min_test(self, rng):
-        # acceptance iff min(f_next, bar_f_next) <= phi*_next: with zflag off
+        # acceptance iff min(f_next, bar_f_next) <= phi*_next: with no z augmentation
         # both candidates coincide, so compare against the advanced model.
         A, b, L, ell, qp = random_spd_quadratic(rng, 5, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
@@ -278,4 +282,4 @@ class TestCgAttempt:
         state = self._state_for(prob, counter, rng.standard_normal(5), config)
         accepted, new_state = cg_attempt(state, config, prob, counter, use_steepest=False)
         assert accepted
-        assert min(new_state.f, new_state.bar_f) <= new_state.estimate.phi_star
+        assert min(new_state.point.f, new_state.bar.f) <= new_state.estimate.phi_star

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cagopt import (
     CagConfig,
@@ -12,6 +14,7 @@ from cagopt import (
     StepKind,
     cag_minimize,
     evaluate_counted,
+    lcg_minimize,
     make_huber,
     make_quad_diag,
 )
@@ -26,6 +29,7 @@ from cagopt.cag import (
     return_to_cg,
 )
 from cagopt.estimate_sequence import init_estimate, nesterov_bound
+from cagopt.oracle import Evaluation
 
 from conftest import minimize, random_spd_quadratic
 
@@ -43,10 +47,9 @@ class TestAgStep:
         )
         config = CagConfig(L=1.0, ell=1.0, gtol=1e-30, max_evals=10)
         counter = EvalCounter()
-        f0, g0 = evaluate_counted(prob, np.array([1.0]), counter)
-        state = _initial_state(np.array([1.0]), f0, g0, config)
+        state = _initial_state(evaluate_counted(prob, np.array([1.0]), counter), config)
         state = ag_step(state, config, prob, counter)
-        assert abs(state.bar_x[0] - 1.0) <= 1e-15  # combination of equal points
+        assert abs(state.bar.x[0] - 1.0) <= 1e-15  # combination of equal points
         assert abs(state.x[0]) <= 1e-15            # gradient step lands at 0
 
     def test_centre_equals_iterate_gives_gradient_step(self, rng):
@@ -55,12 +58,10 @@ class TestAgStep:
         prob = qp.objective(L=L, ell=0.0)
         config = CagConfig(L=L, ell=0.0, gtol=1e-30, max_evals=10)
         counter = EvalCounter()
-        x0 = rng.standard_normal(4)
-        f0, g0 = evaluate_counted(prob, x0, counter)
-        state = _initial_state(x0, f0, g0, config)
-        state = ag_step(state, config, prob, counter)
-        assert np.allclose(state.bar_x, x0, atol=1e-14)
-        assert np.allclose(state.x, x0 - g0 / L, atol=1e-14)
+        start = evaluate_counted(prob, rng.standard_normal(4), counter)
+        state = ag_step(_initial_state(start, config), config, prob, counter)
+        assert np.allclose(state.bar.x, start.x, atol=1e-14)
+        assert np.allclose(state.x, start.x - start.g / L, atol=1e-14)
 
     def test_rate_bound_on_diag_quadratic(self):
         # oracle: the guaranteed-gap formula, checked on a pure AG run over
@@ -74,9 +75,8 @@ class TestAgStep:
         config = CagConfig(L=100.0, ell=1.0, gtol=1e-12, max_evals=10000)
         counter = EvalCounter()
         x0 = np.array([1.0, 1.0])
-        f0, g0 = evaluate_counted(prob, x0, counter)
-        state = _initial_state(x0, f0, g0, config)
-        state = replace(state, only_ag=True)
+        state = _initial_state(evaluate_counted(prob, x0, counter), config)
+        state = replace(state, ag_ref_gnorm=state.point.gnorm)
         dist0 = float(x0 @ x0)
         for k in range(1, 300):
             try:
@@ -89,12 +89,11 @@ class TestAgStep:
 
 class TestAgBlockExit:
     def _dummy_state(self, bar_g, ref):
+        bar = Evaluation(np.zeros(2), 0.0, bar_g, float(np.linalg.norm(bar_g)))
         return CagIterationState(
-            x=np.zeros(2), f=0.0, g=np.zeros(2), p=np.zeros(2),
+            x=np.zeros(2), point=bar, p=np.zeros(2),
             estimate=init_estimate(0.0, np.zeros(2), 1.0),
-            i_cg=0, only_ag=True, ag_ref_gnorm=ref,
-            bar_x=np.zeros(2), bar_f=0.0, bar_g=bar_g,
-            zflag=False, z_tilde=None, zAz=0.0, g0_norm=1.0,
+            i_cg=0, ag_ref_gnorm=ref, bar=bar, z_tilde=None, zAz=0.0, g0_norm=1.0,
         )
 
     def test_fires_at_quarter(self):
@@ -112,18 +111,16 @@ class TestReturnToCg:
         prob = qp.objective(L=L, ell=ell)
         config = CagConfig(L=L, ell=ell, gtol=1e-30, max_evals=100)
         counter = EvalCounter()
-        x0 = rng.standard_normal(4)
-        f0, g0 = evaluate_counted(prob, x0, counter)
-        state = _initial_state(x0, f0, g0, config)
-        state = replace(state, only_ag=True)
+        state = _initial_state(evaluate_counted(prob, rng.standard_normal(4), counter), config)
+        state = replace(state, ag_ref_gnorm=state.point.gnorm)
         state = ag_step(state, config, prob, counter)
         before = counter.count
         state = return_to_cg(state, config, prob, counter)
         assert counter.count == before + 1
-        assert not state.only_ag
+        assert state.ag_ref_gnorm is None
         assert state.i_cg == 0
-        assert np.array_equal(state.p, -state.g)
-        assert not state.zflag
+        assert np.array_equal(state.p, -state.point.g)
+        assert state.z_tilde is None
 
     def test_z_mode_initialises_exact_quadratic_form(self, rng):
         # on a quadratic the gradient-difference formula gives z^T A z exactly
@@ -132,16 +129,14 @@ class TestReturnToCg:
         config = CagConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
                            conjugate_z_mode=True)
         counter = EvalCounter()
-        x0 = rng.standard_normal(5)
-        f0, g0 = evaluate_counted(prob, x0, counter)
-        state = _initial_state(x0, f0, g0, config)
-        state = replace(state, only_ag=True)
+        state = _initial_state(evaluate_counted(prob, rng.standard_normal(5), counter), config)
+        state = replace(state, ag_ref_gnorm=state.point.gnorm)
         state = ag_step(state, config, prob, counter)
         before = counter.count
         state = return_to_cg(state, config, prob, counter)
         assert counter.count == before + 2  # iterate plus model centre
-        assert state.zflag
         z = state.z_tilde
+        assert z is not None
         explicit = float(z @ (A @ z))
         assert abs(state.zAz - explicit) <= 1e-10 * max(abs(explicit), 1e-30)
 
@@ -152,13 +147,11 @@ class TestReturnToCg:
         config = CagConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
                            conjugate_z_mode=True)
         counter = EvalCounter()
-        x0 = rng.standard_normal(3)
-        f0, g0 = evaluate_counted(prob, x0, counter)
-        state = _initial_state(x0, f0, g0, config)
+        state = _initial_state(evaluate_counted(prob, rng.standard_normal(3), counter), config)
         est = replace(state.estimate, v=state.x.copy())
-        state = replace(state, only_ag=True, estimate=est)
+        state = replace(state, ag_ref_gnorm=state.point.gnorm, estimate=est)
         state = return_to_cg(state, config, prob, counter)
-        assert not state.zflag
+        assert state.z_tilde is None
 
 
 class TestCagMinimize:
@@ -315,3 +308,25 @@ class TestCagMinimize:
             CagConfig(L=1.0, gtol=0.0)
         with pytest.raises(InvalidSpec):
             CagConfig(L=1.0, ag_exit_factor=1.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 15), seed=st.integers(0, 2**32 - 1))
+def test_cag_reduces_to_linear_cg_on_quadratics(n, seed):
+    # the paper's claim (i): with exact L and ell on an SPD quadratic every
+    # CG step passes the progress test, f <= phi* on every row, and the
+    # iterates are those of linear CG.  The spectrum stays in [1, 10]:
+    # round-off drift between the two recurrences grows with the condition
+    # number (worst of 200 instances: 4e-10 at 10, 6e-4 at 10^2, 2e-2 at
+    # 10^3).  A budget of 2n + 1 evaluations stops cag
+    # after exactly n iterations, and gtol never stops either solver early.
+    A, b, L, ell, qp = random_spd_quadratic(np.random.default_rng(seed), n, 0.0, 1.0)
+    res = cag_minimize(qp.objective(L=L, ell=ell), np.zeros(n),
+                       CagConfig(L=L, ell=ell, gtol=1e-300, max_evals=2 * n + 1),
+                       record_iterates=True)
+    ref = lcg_minimize(qp, np.zeros(n), gtol=1e-300, max_iters=n, record_iterates=True)
+    assert [rec.step for rec in res.trace[1:]] == [StepKind.CG] * n
+    assert all(rec.f <= rec.phi_star for rec in res.trace)
+    scale = np.linalg.norm(np.linalg.solve(A, b))
+    for x_cag, x_lcg in zip(res.iterates, ref.iterates, strict=True):
+        assert np.linalg.norm(x_cag - x_lcg) <= 1e-8 * scale

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cagopt.errors import InvalidState
+from cagopt.errors import InvalidState, NumericalFailure
 from cagopt.estimate_sequence import (
     advance_estimate,
     compute_theta_gamma,
@@ -116,6 +116,18 @@ class TestAdvanceEstimate:
         state = init_estimate(0.0, np.zeros(1), 1.0)
         with pytest.raises(InvalidState):
             advance_estimate(state, 0.0, 1.0, np.zeros(1), 0.0, np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "bar_f,bar_g",
+        [(math.nan, np.zeros(2)), (math.inf, np.zeros(2)), (0.0, np.full(2, 1e200))],
+        ids=["nan-value", "inf-value", "overflowing-gradient-square"],
+    )
+    def test_rejects_nonfinite_phi_star(self, bar_f, bar_g):
+        state = init_estimate(0.0, np.zeros(2), 1.0)
+        theta, gamma_next = compute_theta_gamma(1.0, 0.0, state.gamma)
+        # as inside the solvers, which keep numpy's overflow warning quiet
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+            advance_estimate(state, theta, gamma_next, np.ones(2), bar_f, bar_g)
 
 
 class TestNesterovBound:

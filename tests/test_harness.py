@@ -182,6 +182,14 @@ class TestSuiteConfigFile:
             "family=huber n=10 solver=lcg",  # lcg needs the quadratic family
             "family=abpdn n=16 solver=lcg",
             "family=logistic n=10 solver=lcg",
+            "family=abpdn n=16 lambda=-1 solver=cag",  # out-of-range family parameters
+            "family=abpdn n=16 delta=0 solver=cag",
+            "family=huber n=10 tau=-1 solver=cag",
+            "family=logistic n=10 sigma=-1 solver=cag",
+            "family=logistic n=10 m=0 solver=cag",
+            "family=quad n=10 solver=cag L=1 ell=2",  # out-of-range moduli
+            "family=quad n=10 solver=cag L=0",
+            "family=quad n=10 solver=cag ell=-1",
         ],
     )
     def test_invalid_row_fails_before_any_run(self, tmp_path, row):
@@ -191,3 +199,10 @@ class TestSuiteConfigFile:
         cfg.write_text("family=quad n=10 solver=cag\n" + row + "\n")
         with pytest.raises(InvalidSpec):
             parse_suite_config(cfg)
+
+    def test_ell_above_default_L_fails_at_its_row(self):
+        # the one bad row RunConfig cannot reject: the family's default L
+        # (n^2 = 100 here) is known only once the problem is built
+        config = RunConfig(problem=ProblemSpec("quad", 10), solver="cag", ell=200.0)
+        with pytest.raises(InvalidSpec):
+            run(config)

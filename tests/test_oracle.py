@@ -23,13 +23,14 @@ def norm_sq_problem(n):
 def test_counter_increments_per_call():
     prob = norm_sq_problem(3)
     counter = EvalCounter()
-    f, g = evaluate_counted(prob, np.zeros(3), counter)
-    assert f == 0.0
+    x, f, g, gnorm = evaluate_counted(prob, np.zeros(3), counter)
+    assert f == 0.0 and gnorm == 0.0
     assert np.all(g == 0.0)
     assert counter.count == 1
     e1 = np.array([1.0, 0.0, 0.0])
-    f, g = evaluate_counted(prob, e1, counter)
-    assert f == 0.5
+    x, f, g, gnorm = evaluate_counted(prob, e1, counter)
+    assert x is e1
+    assert f == 0.5 and gnorm == 1.0
     assert np.array_equal(g, e1)
     assert counter.count == 2
 
@@ -37,21 +38,34 @@ def test_counter_increments_per_call():
 def test_quad_diag_gradient_at_zero():
     prob = make_quad_diag(1000)
     counter = EvalCounter()
-    f, g = evaluate_counted(prob, np.zeros(1000), counter)
+    _, f, g, gnorm = evaluate_counted(prob, np.zeros(1000), counter)
     assert f == 0.0
     i = np.arange(1.0, 1001.0)
     assert np.array_equal(g, -np.sin(i))
+    assert gnorm == float(np.linalg.norm(g))
     assert counter.count == 1
 
 
-def test_nonfinite_evaluation_raises():
-    def overflowing(x):
-        with np.errstate(over="ignore"):
-            return float(np.exp(x[0])), np.exp(x)
+def _overflowing(x):
+    with np.errstate(over="ignore"):
+        return float(np.exp(x[0])), np.exp(x)
 
-    bad = ObjectiveProblem(name="overflowing", n=1, evaluate=overflowing, default_L=1.0)
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        _overflowing,  # f and the gradient overflow together
+        lambda x: (1.0, np.array([np.nan])),  # finite f, NaN gradient entry
+        lambda x: (1.0, np.array([-np.inf])),  # finite f, infinite gradient entry
+        lambda x: (1.0, np.array([1e200])),  # finite entry, overflowing norm
+    ],
+    ids=["overflow", "nan-gradient", "inf-gradient", "overflowing-norm"],
+)
+def test_nonfinite_evaluation_raises(evaluate):
+    bad = ObjectiveProblem(name="bad", n=1, evaluate=evaluate, default_L=1.0)
     counter = EvalCounter()
-    with pytest.raises(NumericalFailure):
+    # as inside the solvers, which keep numpy's overflow warning quiet
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
         evaluate_counted(bad, np.array([1e4]), counter)
     # the call is still counted: it did happen
     assert counter.count == 1

@@ -6,13 +6,15 @@ accelerated gradient steps when the test fails, giving CG behaviour on
 quadratics and the accelerated worst-case rate in general.  Baselines
 (linear CG, plain Hager-Zhang NCG, accelerated gradient), four benchmark
 problem families and a reproducible run harness round out the package.
+``cag_minimize``, ``ncg_minimize`` and ``ag_minimize`` all take their
+settings (L, ell, gtol, max_evals, conjugate_z) as one ``SolverConfig``.
 
 The package namespace holds the solver, problem and harness API; single
 steps, the estimate sequence and other internals live in their submodules.
 """
 
 from .baselines import QuadraticProblem, ag_minimize, lcg_minimize, ncg_minimize
-from .cag import CagConfig, cag_minimize
+from .cag import SolverConfig, cag_minimize
 from .errors import InvalidSpec, NotPositiveDefinite, NumericalFailure, SolverError
 from .harness import (
     RunConfig,
@@ -38,7 +40,6 @@ from .results import SolverResult, Status, StepKind, TraceRecord
 __version__ = "0.1.0"
 
 __all__ = [
-    "CagConfig",
     "EvalCounter",
     "InvalidSpec",
     "NotPositiveDefinite",
@@ -47,6 +48,7 @@ __all__ = [
     "ProblemSpec",
     "QuadraticProblem",
     "RunConfig",
+    "SolverConfig",
     "SolverError",
     "SolverResult",
     "Status",

@@ -15,7 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .cag import _ConvergedAt, _evaluate_or_stop, hz_beta, secant_alpha
+from .cag import (
+    RESTART_FACTOR,
+    SolverConfig,
+    _ConvergedAt,
+    _evaluate_or_stop,
+    _start_point,
+    hz_beta,
+    secant_alpha,
+)
 from .errors import (
     CurvatureFailure,
     DegenerateDirection,
@@ -80,7 +88,7 @@ def lcg_minimize(
     objective value is tracked by the update f_{k+1} = f_k - (alpha/2) r^T r,
     which is exact in exact arithmetic.
     """
-    x = np.array(x0, dtype=float, copy=True)
+    x = _start_point(x0, qp.n)
     evals = 0
     if np.any(x != 0.0):
         Ax0 = qp.apply_A(x)
@@ -127,9 +135,7 @@ def lcg_minimize(
 def ncg_minimize(
     problem: ObjectiveProblem,
     x0: Vector,
-    L: float,
-    gtol: float,
-    max_evals: int,
+    config: SolverConfig,
     record_iterates: bool = False,
 ) -> SolverResult:
     """Plain Hager-Zhang NCG with the secant line search and a backtracking safeguard.
@@ -137,11 +143,13 @@ def ncg_minimize(
     No progress test and no fallback: the secant step (probe scale 1/L,
     with L the smoothness bound) is halved until the function value
     decreases, up to 30 times, after which the run stops with
-    ``LINE_SEARCH_FAILURE``.  Restarts to steepest descent every 10n + 1
-    steps and whenever the direction stops being a descent direction.
+    ``LINE_SEARCH_FAILURE``.  Restarts to steepest descent every
+    ``RESTART_FACTOR`` * n + 1 steps and whenever the direction stops being
+    a descent direction.
     """
+    L, gtol, max_evals = config.L, config.gtol, config.max_evals
     counter = EvalCounter()
-    point = evaluate_counted(problem, np.asarray(x0, dtype=float), counter)
+    point = evaluate_counted(problem, _start_point(x0, problem.n), counter)
     log = RunLog(counter, point, math.nan, record_iterates)
     if point.gnorm <= gtol:
         return log.finish(Status.CONVERGED)
@@ -149,7 +157,7 @@ def ncg_minimize(
     g0_norm = point.gnorm
     p = -point.g
     i_cg = 0
-    restart_at = 10 * problem.n + 1
+    restart_at = RESTART_FACTOR * problem.n + 1
     try:
         while counter.count < max_evals:
             g = point.g
@@ -195,10 +203,7 @@ def ncg_minimize(
 def ag_minimize(
     problem: ObjectiveProblem,
     x0: Vector,
-    L: float,
-    ell: float,
-    gtol: float,
-    max_evals: int,
+    config: SolverConfig,
     record_iterates: bool = False,
 ) -> SolverResult:
     """Accelerated gradient with the estimate-sequence bookkeeping.
@@ -209,7 +214,8 @@ def ag_minimize(
     at bar_x.  Termination is tested at the combination point, the only
     point whose gradient is computed.
     """
-    x = np.asarray(x0, dtype=float)
+    L, ell, gtol, max_evals = config.L, config.ell, config.gtol, config.max_evals
+    x = _start_point(x0, problem.n)
     counter = EvalCounter()
     start = evaluate_counted(problem, x, counter)
     log = RunLog(counter, start, start.f, record_iterates)

@@ -8,7 +8,8 @@ estimate sequence.  When the test fails, the step is retried in the
 steepest-descent direction; when that fails too, the solver switches to a
 block of accelerated-gradient iterations, which reduce phi* by
 construction, and returns to CG once the gradient norm within the block has
-dropped by ``ag_exit_factor``.
+dropped by the factor ``AG_EXIT_FACTOR``.  After ``RESTART_FACTOR`` times
+n plus one consecutive CG steps the direction restarts from steepest descent.
 
 On a quadratic with correct curvature bounds the progress test never fails,
 so a run is plain conjugate gradient at two evaluations per iteration (one
@@ -19,11 +20,12 @@ attempt also evaluates its bar point, so the bound is seven.
 
 After an AG block the model centre v no longer coincides with the iterate,
 which invalidates the pure-CG quadratic argument for the plain progress
-test.  ``conjugate_z_mode`` enables the remedy: the offset z = v - x at
-block exit is kept conjugate to the subsequent search directions, and the
-test is applied at the line minimiser along z through each new iterate
-(one extra evaluation per iteration).  The plain test works well in
-practice even after AG blocks, so the mode is off by default.
+test.  ``SolverConfig.conjugate_z`` enables the remedy: the offset
+z = v - x at block exit is kept conjugate to the subsequent search
+directions, and the test is applied at the line minimiser along z through
+each new iterate (one extra evaluation per iteration).  The plain test
+works well in practice even after AG blocks, so the mode is off by
+default.
 """
 
 from __future__ import annotations
@@ -43,37 +45,49 @@ from .estimate_sequence import (
 from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector, evaluate_counted
 from .results import RunLog, SolverResult, Status, StepKind
 
+DEFAULT_GTOL = 1e-8
+# AG spends one evaluation per iteration and the CG-type solvers about two,
+# so a single default budget covers both conventions.
+DEFAULT_MAX_EVALS = 1_000_000
+RESTART_FACTOR = 10  # a CG chain restarts after RESTART_FACTOR * n + 1 steps
+AG_EXIT_FACTOR = 4.0  # gradient-norm reduction that ends an AG block
+
+
+def check_settings(L: float | None, ell: float | None, gtol: float, max_evals: int) -> None:
+    """Raise ``InvalidSpec`` unless 0 < L < inf, 0 <= ell <= L, gtol > 0 and
+    max_evals >= 1; an L or ell of None (a family default, not known yet) is skipped."""
+    if L is not None and not 0.0 < L < math.inf:
+        raise InvalidSpec(f"L must be positive and finite, got {L}")
+    if ell is not None and not 0.0 <= ell <= (math.inf if L is None else L):
+        raise InvalidSpec(f"need 0 <= ell <= L, got ell={ell}, L={L}")
+    if not gtol > 0:
+        raise InvalidSpec(f"gtol must be positive, got {gtol}")
+    if not max_evals >= 1:
+        raise InvalidSpec(f"max_evals must be at least 1, got {max_evals}")
+
 
 @dataclass(frozen=True)
-class CagConfig:
-    """Run parameters for ``cag_minimize``.
-
-    ``restart_interval_factor`` r forces a steepest-descent restart after
-    r*n + 1 consecutive CG steps.  ``ag_exit_factor`` is the gradient-norm
-    reduction required to leave an accelerated-gradient block.
-    """
+class SolverConfig:
+    """Settings of ``cag_minimize``, ``ncg_minimize`` and ``ag_minimize``: the
+    smoothness and strong-convexity bounds L >= ell (ncg reads no ell), the
+    gradient tolerance, the evaluation budget and the conjugate-z test (cag only)."""
 
     L: float
     ell: float = 0.0
-    gtol: float = 1e-8
-    max_evals: int = 1_000_000
-    restart_interval_factor: int = 10
-    ag_exit_factor: float = 4.0
-    conjugate_z_mode: bool = False
+    gtol: float = DEFAULT_GTOL
+    max_evals: int = DEFAULT_MAX_EVALS
+    conjugate_z: bool = False
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise InvalidSpec(f"L must be positive, got {self.L}")
-        if not 0.0 <= self.ell <= self.L:
-            raise InvalidSpec(f"need 0 <= ell <= L, got ell={self.ell}, L={self.L}")
-        if not self.gtol > 0:
-            raise InvalidSpec(f"gtol must be positive, got {self.gtol}")
-        if self.max_evals < 1:
-            raise InvalidSpec(f"max_evals must be positive, got {self.max_evals}")
-        if self.restart_interval_factor < 1:
-            raise InvalidSpec("restart_interval_factor must be positive")
-        if not self.ag_exit_factor > 1.0:
-            raise InvalidSpec("ag_exit_factor must exceed 1")
+        check_settings(self.L, self.ell, self.gtol, self.max_evals)
+
+
+def _start_point(x0: Vector, n: int) -> Vector:
+    """A float copy of ``x0``, which must have shape (n,); else ``InvalidSpec``."""
+    x = np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise InvalidSpec(f"x0 must have shape ({n},), got {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -170,7 +184,7 @@ def hz_beta(g: Vector, new: Evaluation, p: Vector, g0_norm: float) -> float:
     if yp == 0.0:
         raise DegenerateDirection("y^T p vanished in the direction update")
     beta1 = float((y - p * (2.0 * float(y @ y) / yp)) @ g_next) / yp
-    beta2 = -1.0 / (float(np.linalg.norm(p)) * min(0.01 * g0_norm, new.gnorm))
+    beta2 = -1.0 / (math.sqrt(float(p @ p)) * min(0.01 * g0_norm, new.gnorm))
     return max(beta1, beta2)
 
 
@@ -217,7 +231,7 @@ def bar_augment(
 
 def cg_attempt(
     state: CagIterationState,
-    config: CagConfig,
+    config: SolverConfig,
     problem: ObjectiveProblem,
     counter: EvalCounter,
     use_steepest: bool,
@@ -291,7 +305,7 @@ def cg_attempt(
 
 def ag_step(
     state: CagIterationState,
-    config: CagConfig,
+    config: SolverConfig,
     problem: ObjectiveProblem,
     counter: EvalCounter,
 ) -> CagIterationState:
@@ -313,14 +327,14 @@ def ag_step(
     return replace(state, x=bar.x - bar.g / config.L, estimate=est_next, bar=bar)
 
 
-def ag_block_exit_test(state: CagIterationState, config: CagConfig) -> bool:
-    """True once the in-block gradient norm fell below the entry norm / exit factor."""
-    return state.bar.gnorm <= state.ag_ref_gnorm / config.ag_exit_factor
+def ag_block_exit_test(state: CagIterationState) -> bool:
+    """True once the in-block gradient norm fell to the entry norm / ``AG_EXIT_FACTOR``."""
+    return state.bar.gnorm <= state.ag_ref_gnorm / AG_EXIT_FACTOR
 
 
 def return_to_cg(
     state: CagIterationState,
-    config: CagConfig,
+    config: SolverConfig,
     problem: ObjectiveProblem,
     counter: EvalCounter,
 ) -> CagIterationState:
@@ -342,7 +356,7 @@ def return_to_cg(
         z_tilde=None,
         zAz=0.0,
     )
-    if config.conjugate_z_mode:
+    if config.conjugate_z:
         z = state.estimate.v - state.x
         g_v = evaluate_counted(problem, state.estimate.v, counter).g
         zAz = float(z @ (g_v - point.g))
@@ -351,7 +365,7 @@ def return_to_cg(
     return new
 
 
-def _initial_state(start: Evaluation, config: CagConfig) -> CagIterationState:
+def _initial_state(start: Evaluation, config: SolverConfig) -> CagIterationState:
     return CagIterationState(
         x=start.x,
         point=start,
@@ -370,34 +384,31 @@ def _initial_state(start: Evaluation, config: CagConfig) -> CagIterationState:
 def cag_minimize(
     problem: ObjectiveProblem,
     x0: Vector,
-    config: CagConfig,
+    config: SolverConfig,
     record_iterates: bool = False,
 ) -> SolverResult:
     """Minimise ``problem`` from ``x0`` until ||grad f|| <= gtol.
 
     Per-iteration control flow: a forced steepest-descent restart when the
-    CG chain reaches restart_interval_factor*n + 1 steps; a CG attempt; on a
+    CG chain reaches ``RESTART_FACTOR`` * n + 1 steps; a CG attempt; on a
     failed progress test a steepest-descent retry; if both fail (or a block
     is already running) an AG step, with the block entered at the current
     iteration and left once the gradient norm has dropped by
-    ``ag_exit_factor``.
+    ``AG_EXIT_FACTOR``.
 
     The evaluation budget is checked at iteration boundaries, so the final
     count may exceed ``max_evals`` by one iteration's cost less one: at
     most 4, or 6 in conjugate-z mode.  Returns the full per-iteration
     trace; the row for the starting point is tagged ``init``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.n,):
-        raise InvalidSpec(f"x0 must have shape ({problem.n},), got {x0.shape}")
     counter = EvalCounter()
-    start = evaluate_counted(problem, x0, counter)
+    start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
     log = RunLog(counter, start, start.f, record_iterates)
     if start.gnorm <= config.gtol:
         return log.finish(Status.CONVERGED)
 
     state = _initial_state(start, config)
-    restart_at = config.restart_interval_factor * problem.n + 1
+    restart_at = RESTART_FACTOR * problem.n + 1
     try:
         while counter.count < config.max_evals:
             if state.i_cg >= restart_at:
@@ -424,7 +435,7 @@ def cag_minimize(
                 row = state.bar
                 if entering:
                     state = replace(state, ag_ref_gnorm=row.gnorm)
-                if ag_block_exit_test(state, config):
+                if ag_block_exit_test(state):
                     state = return_to_cg(state, config, problem, counter)
             else:
                 row = state.point

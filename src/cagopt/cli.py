@@ -71,12 +71,11 @@ def run_cmd(family, n, m, lam, delta, sigma, tau, seed, solver, gtol, max_evals,
 @main.command("suite")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True,
               help="text file, one run per line as key=value pairs")
-@click.option("--parallel", type=int, default=1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None, help="write summary CSV here")
-def suite_cmd(config_path, parallel, out_path):
+def suite_cmd(config_path, out_path):
     """Run every configuration in a suite file and print the summary table."""
     configs = parse_suite_config(config_path)
-    rows = run_suite(configs, parallelism=parallel)
+    rows = run_suite(configs)
     click.echo(format_suite_table(rows))
     if out_path:
         write_suite_csv(out_path, rows)

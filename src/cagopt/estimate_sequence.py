@@ -53,11 +53,8 @@ class EstimateState:
 
 
 def init_estimate(f0: float, x0: np.ndarray, L: float, ell: float = 0.0) -> EstimateState:
-    """Initial model phi_0(x) = f0 + (L/2)||x - x0||^2."""
-    if not L > 0:
-        raise InvalidState(f"L must be positive, got {L}")
-    if not 0.0 <= ell <= L:
-        raise InvalidState(f"need 0 <= ell <= L, got ell={ell}, L={L}")
+    """Initial model phi_0(x) = f0 + (L/2)||x - x0||^2; L and ell come from a
+    checked ``SolverConfig``."""
     return EstimateState(
         gamma=float(L),
         v=np.array(x0, dtype=float, copy=True),

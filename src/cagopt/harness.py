@@ -6,24 +6,18 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import ag_minimize, lcg_minimize, ncg_minimize
-from .cag import CagConfig, cag_minimize
+from .cag import DEFAULT_GTOL, DEFAULT_MAX_EVALS, SolverConfig, cag_minimize, check_settings
 from .errors import InvalidSpec
 from .problems import PROBLEM_KEYS, ProblemSpec, quad_diag_system
 from .results import SolverResult, Status, TraceRecord
 
 SOLVERS = ("cag", "ag", "ncg", "lcg")
-
-# Evaluation budget: AG spends one evaluation per iteration and the CG-type
-# solvers about two, so a single default covers both conventions.
-DEFAULT_MAX_EVALS = 1_000_000
-DEFAULT_GTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,16 +37,9 @@ class RunConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise InvalidSpec(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
-        if not self.gtol > 0:
-            raise InvalidSpec(f"gtol must be positive, got {self.gtol}")
-        if self.max_evals < 1:
-            raise InvalidSpec(f"max_evals must be positive, got {self.max_evals}")
         if self.solver == "lcg" and self.problem.family != "quad":
             raise InvalidSpec("the lcg solver applies only to the quad family")
-        if self.L is not None and not 0.0 < self.L < math.inf:
-            raise InvalidSpec(f"L must be positive and finite, got {self.L}")
-        if self.ell is not None and not 0.0 <= self.ell <= (self.L or math.inf):
-            raise InvalidSpec(f"need 0 <= ell <= L, got ell={self.ell}, L={self.L}")
+        check_settings(self.L, self.ell, self.gtol, self.max_evals)
 
 
 def _format_float(v: float) -> str:
@@ -78,31 +65,28 @@ def write_trace_csv(path: str | Path, trace: list[TraceRecord]) -> None:
 
 
 def run(config: RunConfig) -> SolverResult:
-    """Build the problem, resolve L/ell (override beats family default),
-    dispatch the solver and write any requested outputs."""
+    """Build the problem, resolve L/ell (override beats family default) into
+    a ``SolverConfig``, dispatch the solver and write any requested outputs.
+
+    Raises ``InvalidSpec`` when the resolved moduli violate 0 <= ell <= L.
+    """
     problem = config.problem.build()
-    L = config.L if config.L is not None else problem.default_L
-    ell = config.ell if config.ell is not None else problem.default_ell
-    if not 0.0 <= ell <= L:
-        raise InvalidSpec(f"resolved moduli violate 0 <= ell <= L: ell={ell}, L={L}")
+    settings = SolverConfig(
+        L=config.L if config.L is not None else problem.default_L,
+        ell=config.ell if config.ell is not None else problem.default_ell,
+        gtol=config.gtol,
+        max_evals=config.max_evals,
+        conjugate_z=config.conjugate_z,
+    )
     x0 = np.zeros(problem.n)
 
-    if config.solver == "cag":
-        cag_cfg = CagConfig(
-            L=L,
-            ell=ell,
-            gtol=config.gtol,
-            max_evals=config.max_evals,
-            conjugate_z_mode=config.conjugate_z,
-        )
-        result = cag_minimize(problem, x0, cag_cfg)
-    elif config.solver == "ag":
-        result = ag_minimize(problem, x0, L, ell, config.gtol, config.max_evals)
-    elif config.solver == "ncg":
-        result = ncg_minimize(problem, x0, L, config.gtol, config.max_evals)
-    else:
+    if config.solver == "lcg":
         qp = quad_diag_system(config.problem.n)
-        result = lcg_minimize(qp, x0, config.gtol, config.max_evals)
+        result = lcg_minimize(qp, x0, settings.gtol, settings.max_evals)
+    else:
+        # looked up at call time, so that wrappers patched into this module apply
+        solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[config.solver]
+        result = solve(problem, x0, settings)
 
     if config.trace_path:
         write_trace_csv(config.trace_path, result.trace)
@@ -115,8 +99,8 @@ def run(config: RunConfig) -> SolverResult:
             "evaluations": result.evaluations,
             "f_final": result.f_final,
             "gnorm_final": result.gnorm_final,
-            "L": L,
-            "ell": ell,
+            "L": settings.L,
+            "ell": settings.ell,
             "gtol": config.gtol,
         }
         with open(config.json_path, "w") as fh:
@@ -140,20 +124,24 @@ class SuiteRow:
     best: bool = False
 
 
-def run_suite(configs: list[RunConfig], parallelism: int = 1) -> list[SuiteRow]:
-    """Execute all runs (optionally concurrently) and flag the per-problem best.
+def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
+    """Execute all runs one after another, in input order, and flag the
+    per-problem best.
 
-    Rows come back in input order regardless of completion order.  A failed
-    run becomes a row with its terminal status.  Bad rows are rejected when
-    their ``RunConfig`` is built, except an ``ell`` override above the
-    family's default L (``quad n=10 ell=200``, L = 100): ``run`` raises
-    ``InvalidSpec`` for it, which aborts the suite at that row.
-    The ``best`` flag marks, within each problem, the converged run with the
+    A failed run becomes a row with its terminal status; the suite never
+    aborts.  Bad rows are rejected when their ``RunConfig`` is built, except
+    an ``ell`` override above the family's default L (``quad n=10 ell=200``,
+    L = 100), which ``run`` rejects once the problem is built: that row gets
+    status ``invalid`` with no evaluations, and the suite goes on.  The
+    ``best`` flag marks, within each problem, the converged run with the
     fewest evaluations.
     """
     def one(config: RunConfig) -> SuiteRow:
         start = time.perf_counter()
-        result = run(config)
+        try:
+            result = run(config)
+        except InvalidSpec:
+            result = SolverResult(Status.INVALID, np.empty(0), math.nan, math.nan, 0, 0, [])
         elapsed = time.perf_counter() - start
         return SuiteRow(
             problem=config.problem.label(),
@@ -166,12 +154,7 @@ def run_suite(configs: list[RunConfig], parallelism: int = 1) -> list[SuiteRow]:
             wall_time=elapsed,
         )
 
-    if parallelism > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(one, configs))
-    else:
-        rows = [one(c) for c in configs]
-
+    rows = [one(c) for c in configs]
     by_problem: dict[str, list[SuiteRow]] = {}
     for row in rows:
         by_problem.setdefault(row.problem, []).append(row)

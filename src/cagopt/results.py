@@ -17,6 +17,7 @@ class Status(str, Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
     LINE_SEARCH_FAILURE = "line_search_failure"
     DIVERGED = "diverged"
+    INVALID = "invalid"  # a suite row whose settings were rejected; nothing ran
 
 
 class StepKind(str, Enum):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cagopt import CagConfig, QuadraticProblem, ag_minimize, cag_minimize, ncg_minimize
+from cagopt import QuadraticProblem, SolverConfig, ag_minimize, cag_minimize, ncg_minimize
 
 
 def random_spd_quadratic(rng, n, log_eig_lo=0.0, log_eig_hi=4.0):
@@ -25,13 +25,9 @@ def random_spd_quadratic(rng, n, log_eig_lo=0.0, log_eig_hi=4.0):
 
 def minimize(solver, prob, x0, gtol=1e-8, max_evals=10**6, record_iterates=False):
     """Run cag, ncg or ag on ``prob`` with the problem's own L and ell."""
-    L, ell = prob.default_L, prob.default_ell
-    if solver == "cag":
-        config = CagConfig(L=L, ell=ell, gtol=gtol, max_evals=max_evals)
-        return cag_minimize(prob, x0, config, record_iterates=record_iterates)
-    if solver == "ncg":
-        return ncg_minimize(prob, x0, L, gtol, max_evals, record_iterates=record_iterates)
-    return ag_minimize(prob, x0, L, ell, gtol, max_evals, record_iterates=record_iterates)
+    config = SolverConfig(prob.default_L, prob.default_ell, gtol, max_evals)
+    solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[solver]
+    return solve(prob, x0, config, record_iterates=record_iterates)
 
 
 @pytest.fixture

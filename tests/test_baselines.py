@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from cagopt import (
-    CagConfig,
+    InvalidSpec,
     NotPositiveDefinite,
     NumericalFailure,
     ObjectiveProblem,
     QuadraticProblem,
+    SolverConfig,
     Status,
     ag_minimize,
     cag_minimize,
@@ -104,14 +105,15 @@ class TestLcg:
 class TestNcg:
     def test_norm_squared_one_iteration(self, rng):
         prob = quad_diag_system(1).objective(L=1.0, ell=1.0)
-        res = ncg_minimize(prob, np.array([2.0]), L=1.0, gtol=1e-10, max_evals=100)
+        res = ncg_minimize(prob, np.array([2.0]), SolverConfig(L=1.0, gtol=1e-10, max_evals=100))
         assert res.converged
         assert res.iterations == 1
 
     def test_huber_run_is_deterministic(self):
         prob = make_huber(400, tau=10.0)
-        first = ncg_minimize(prob, np.zeros(400), L=8.0, gtol=1e-6, max_evals=10**6)
-        second = ncg_minimize(prob, np.zeros(400), L=8.0, gtol=1e-6, max_evals=10**6)
+        config = SolverConfig(L=8.0, gtol=1e-6, max_evals=10**6)
+        first = ncg_minimize(prob, np.zeros(400), config)
+        second = ncg_minimize(prob, np.zeros(400), config)
         assert first.converged and second.converged
         assert first.evaluations == second.evaluations
         assert first.f_final == second.f_final
@@ -120,15 +122,15 @@ class TestNcg:
         # with no progress test to fail, NCG and the guarded solver walk the
         # same path on a quadratic and spend the same evaluations
         prob = make_quad_diag(80)
-        res_ncg = ncg_minimize(prob, np.zeros(80), L=6400.0, gtol=1e-8, max_evals=10**5)
-        res_cag = cag_minimize(prob, np.zeros(80),
-                               CagConfig(L=6400.0, ell=1.0, gtol=1e-8, max_evals=10**5))
+        config = SolverConfig(L=6400.0, ell=1.0, gtol=1e-8, max_evals=10**5)
+        res_ncg = ncg_minimize(prob, np.zeros(80), config)
+        res_cag = cag_minimize(prob, np.zeros(80), config)
         assert res_ncg.converged and res_cag.converged
         assert abs(res_ncg.evaluations - res_cag.evaluations) <= 2
 
     def test_budget_status(self):
         prob = make_quad_diag(200)
-        res = ncg_minimize(prob, np.zeros(200), L=40000.0, gtol=1e-14, max_evals=30)
+        res = ncg_minimize(prob, np.zeros(200), SolverConfig(L=40000.0, gtol=1e-14, max_evals=30))
         assert res.status is Status.BUDGET_EXHAUSTED
 
 
@@ -139,8 +141,8 @@ class TestAg:
         # the only point the method ever evaluates
         qp = QuadraticProblem(apply_A=lambda x: x, b=np.zeros(1))
         prob = qp.objective(L=1.0, ell=1.0)
-        res = ag_minimize(prob, np.array([1.0]), L=1.0, ell=1.0, gtol=1e-12,
-                          max_evals=100)
+        res = ag_minimize(prob, np.array([1.0]),
+                          SolverConfig(L=1.0, ell=1.0, gtol=1e-12, max_evals=100))
         assert res.converged
         assert res.iterations <= 2
         assert res.x_final[0] == 0.0
@@ -156,7 +158,7 @@ class TestAg:
         qp = QuadraticProblem(apply_A=apply_A, b=np.zeros(2))
         prob = qp.objective(L=1.0, ell=0.0)
         x0 = np.array([3.0, 1.0])
-        res = ag_minimize(prob, x0, L=1.0, ell=0.0, gtol=1e-9, max_evals=10**5,
+        res = ag_minimize(prob, x0, SolverConfig(L=1.0, ell=0.0, gtol=1e-9, max_evals=10**5),
                           record_iterates=True)
         assert res.converged
         xstar = np.array([0.0, 1.0])  # nearest minimiser to the start
@@ -168,8 +170,9 @@ class TestAg:
     def test_iterates_stay_below_model_minimum(self, rng):
         A, b, L, ell, qp = random_spd_quadratic(rng, 10, 0.0, 2.0)
         prob = qp.objective(L=L, ell=ell)
-        res = ag_minimize(prob, rng.standard_normal(10), L=L, ell=ell,
-                          gtol=1e-8, max_evals=10**5, record_iterates=True)
+        res = ag_minimize(prob, rng.standard_normal(10),
+                          SolverConfig(L=L, ell=ell, gtol=1e-8, max_evals=10**5),
+                          record_iterates=True)
         assert res.converged
         f0 = res.trace[0].f
         for xk, rec in zip(res.iterates, res.trace):
@@ -178,8 +181,8 @@ class TestAg:
 
     def test_one_evaluation_per_iteration(self):
         prob = make_quad_diag(50)
-        res = ag_minimize(prob, np.zeros(50), L=2500.0, ell=1.0, gtol=1e-6,
-                          max_evals=10**5)
+        res = ag_minimize(prob, np.zeros(50),
+                          SolverConfig(L=2500.0, ell=1.0, gtol=1e-6, max_evals=10**5))
         assert res.converged
         deltas = [b.evals - a.evals for a, b in zip(res.trace, res.trace[1:])]
         assert set(deltas) == {1}
@@ -190,12 +193,11 @@ def test_all_solvers_agree_on_strongly_convex_minimiser():
     prob = make_quad_diag(30)
     qp = quad_diag_system(30)
     gtol, ell = 1e-8, 1.0
+    config = SolverConfig(L=900.0, ell=ell, gtol=gtol, max_evals=10**5)
     xs = [
-        cag_minimize(prob, np.zeros(30),
-                     CagConfig(L=900.0, ell=1.0, gtol=gtol, max_evals=10**5)).x_final,
-        ag_minimize(prob, np.zeros(30), L=900.0, ell=1.0, gtol=gtol,
-                    max_evals=10**5).x_final,
-        ncg_minimize(prob, np.zeros(30), L=900.0, gtol=gtol, max_evals=10**5).x_final,
+        cag_minimize(prob, np.zeros(30), config).x_final,
+        ag_minimize(prob, np.zeros(30), config).x_final,
+        ncg_minimize(prob, np.zeros(30), config).x_final,
         lcg_minimize(qp, np.zeros(30), gtol=gtol, max_iters=10**5).x_final,
     ]
     for a in xs:
@@ -231,3 +233,31 @@ def test_overflowing_gradient_norm_ends_run_diverged(solver):
 
     prob = ObjectiveProblem(name="huge-away", n=2, evaluate=evaluate, default_L=1.0)
     assert minimize(solver, prob, np.ones(2)).status is Status.DIVERGED
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 1)], ids=["n+1", "n-by-1"])
+@pytest.mark.parametrize("solver", ["cag", "ncg", "ag", "lcg"])
+def test_wrong_shape_start_raises_invalid_spec(solver, shape):
+    # unchecked, a (3, 1) zero start broadcasts lcg into a (3, 3) "solution"
+    with pytest.raises(InvalidSpec):
+        if solver == "lcg":
+            lcg_minimize(quad_diag_system(3), np.zeros(shape), gtol=1e-8, max_iters=10)
+        else:
+            minimize(solver, make_quad_diag(3), np.zeros(shape))
+
+
+@pytest.mark.parametrize("solver", ["cag", "ncg", "ag"])
+def test_result_never_aliases_the_callers_start(solver):
+    # the start is copied: a run that converges at x0 and one whose budget
+    # ends after the start evaluation both report a point of their own
+    prob = make_quad_diag(5)
+    converged_x0 = prob.known_xstar
+    converged = minimize(solver, prob, converged_x0, gtol=1e-6, record_iterates=True)
+    capped_x0 = np.ones(5)
+    capped = minimize(solver, prob, capped_x0, max_evals=1, record_iterates=True)
+    assert converged.converged and converged.iterations == 0
+    assert capped.status is Status.BUDGET_EXHAUSTED and capped.iterations == 0
+    for res, x0 in ((converged, converged_x0), (capped, capped_x0)):
+        assert np.array_equal(res.x_final, x0)
+        assert not np.shares_memory(res.x_final, x0)
+        assert not np.shares_memory(res.iterates[0], x0)

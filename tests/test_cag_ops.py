@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cagopt import CagConfig, EvalCounter, ObjectiveProblem, StepKind, evaluate_counted
+from cagopt import EvalCounter, ObjectiveProblem, SolverConfig, StepKind, evaluate_counted
 from cagopt.cag import (
     _ConvergedAt,
     _initial_state,
@@ -233,7 +233,7 @@ class TestCgAttempt:
     def test_quadratic_attempt_always_accepted(self, rng):
         A, b, L, ell, qp = random_spd_quadratic(rng, 8, 0.0, 2.0)
         prob = qp.objective(L=L, ell=ell)
-        config = CagConfig(L=L, ell=ell, gtol=1e-14, max_evals=1000)
+        config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=1000)
         counter = EvalCounter()
         state = self._state_for(prob, counter, rng.standard_normal(8), config)
         for _ in range(8):
@@ -245,7 +245,7 @@ class TestCgAttempt:
             name="1d", n=1, evaluate=lambda x: (0.5 * float(x @ x), x.copy()),
             default_L=1.0, default_ell=1.0,
         )
-        config = CagConfig(L=1.0, ell=1.0, gtol=1e-10, max_evals=100)
+        config = SolverConfig(L=1.0, ell=1.0, gtol=1e-10, max_evals=100)
         counter = EvalCounter()
         state = self._state_for(prob, counter, np.array([1.0]), config)
         # steepest first step with alpha = 1 lands exactly at the minimum,
@@ -263,7 +263,7 @@ class TestCgAttempt:
             evaluate=lambda x: (float(x[0] ** 4), 4.0 * x**3),
             default_L=1.2,
         )
-        config = CagConfig(L=1.2, ell=0.0, gtol=1e-10, max_evals=100)
+        config = SolverConfig(L=1.2, ell=0.0, gtol=1e-10, max_evals=100)
         counter = EvalCounter()
         state = self._state_for(prob, counter, np.array([1.0]), config)
         accepted, state_after = cg_attempt(state, config, prob, counter, use_steepest=False)
@@ -277,7 +277,7 @@ class TestCgAttempt:
         # both candidates coincide, so compare against the advanced model.
         A, b, L, ell, qp = random_spd_quadratic(rng, 5, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
-        config = CagConfig(L=L, ell=ell, gtol=1e-14, max_evals=1000)
+        config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=1000)
         counter = EvalCounter()
         state = self._state_for(prob, counter, rng.standard_normal(5), config)
         accepted, new_state = cg_attempt(state, config, prob, counter, use_steepest=False)

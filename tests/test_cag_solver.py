@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cagopt.cag
 from cagopt import (
-    CagConfig,
     EvalCounter,
     InvalidSpec,
     ObjectiveProblem,
+    SolverConfig,
     Status,
     StepKind,
     cag_minimize,
@@ -45,7 +47,7 @@ class TestAgStep:
             name="1d", n=1, evaluate=lambda x: (0.5 * float(x @ x), x.copy()),
             default_L=1.0, default_ell=1.0,
         )
-        config = CagConfig(L=1.0, ell=1.0, gtol=1e-30, max_evals=10)
+        config = SolverConfig(L=1.0, ell=1.0, gtol=1e-30, max_evals=10)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, np.array([1.0]), counter), config)
         state = ag_step(state, config, prob, counter)
@@ -56,7 +58,7 @@ class TestAgStep:
         # with ell = 0 and v = x the combination point is x itself
         A, b, L, _, qp = random_spd_quadratic(rng, 4, 0.0, 1.0)
         prob = qp.objective(L=L, ell=0.0)
-        config = CagConfig(L=L, ell=0.0, gtol=1e-30, max_evals=10)
+        config = SolverConfig(L=L, ell=0.0, gtol=1e-30, max_evals=10)
         counter = EvalCounter()
         start = evaluate_counted(prob, rng.standard_normal(4), counter)
         state = ag_step(_initial_state(start, config), config, prob, counter)
@@ -72,7 +74,7 @@ class TestAgStep:
             evaluate=lambda x: (0.5 * float(x @ (d * x)), d * x),
             default_L=100.0, default_ell=1.0,
         )
-        config = CagConfig(L=100.0, ell=1.0, gtol=1e-12, max_evals=10000)
+        config = SolverConfig(L=100.0, ell=1.0, gtol=1e-12, max_evals=10000)
         counter = EvalCounter()
         x0 = np.array([1.0, 1.0])
         state = _initial_state(evaluate_counted(prob, x0, counter), config)
@@ -98,18 +100,18 @@ class TestAgBlockExit:
 
     def test_fires_at_quarter(self):
         state = self._dummy_state(np.array([2.0, 0.0]), ref=8.0)
-        assert ag_block_exit_test(state, CagConfig(L=1.0, gtol=1e-8))
+        assert ag_block_exit_test(state)
 
     def test_strictly_above_quarter_does_not_fire(self):
         state = self._dummy_state(np.array([2.0001, 0.0]), ref=8.0)
-        assert not ag_block_exit_test(state, CagConfig(L=1.0, gtol=1e-8))
+        assert not ag_block_exit_test(state)
 
 
 class TestReturnToCg:
     def test_simple_mode_resets_direction(self, rng):
         A, b, L, ell, qp = random_spd_quadratic(rng, 4, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
-        config = CagConfig(L=L, ell=ell, gtol=1e-30, max_evals=100)
+        config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, rng.standard_normal(4), counter), config)
         state = replace(state, ag_ref_gnorm=state.point.gnorm)
@@ -126,8 +128,8 @@ class TestReturnToCg:
         # on a quadratic the gradient-difference formula gives z^T A z exactly
         A, b, L, ell, qp = random_spd_quadratic(rng, 5, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
-        config = CagConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
-                           conjugate_z_mode=True)
+        config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
+                              conjugate_z=True)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, rng.standard_normal(5), counter), config)
         state = replace(state, ag_ref_gnorm=state.point.gnorm)
@@ -144,8 +146,8 @@ class TestReturnToCg:
         # v == x makes z = 0 and zAz = 0: augmentation must stay disabled
         A, b, L, ell, qp = random_spd_quadratic(rng, 3, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
-        config = CagConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
-                           conjugate_z_mode=True)
+        config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
+                              conjugate_z=True)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, rng.standard_normal(3), counter), config)
         est = replace(state.estimate, v=state.x.copy())
@@ -162,7 +164,7 @@ class TestCagMinimize:
             default_L=1.0, default_ell=1.0,
         )
         x0 = rng.standard_normal(6)
-        res = cag_minimize(prob, x0, CagConfig(L=1.0, ell=1.0, gtol=1e-10, max_evals=100))
+        res = cag_minimize(prob, x0, SolverConfig(L=1.0, ell=1.0, gtol=1e-10, max_evals=100))
         assert res.converged
         assert res.iterations == 1
         assert np.linalg.norm(res.x_final) <= 1e-10
@@ -170,7 +172,7 @@ class TestCagMinimize:
     def test_converged_at_start(self):
         prob = make_quad_diag(5)
         res = cag_minimize(
-            prob, prob.known_xstar, CagConfig(L=25.0, ell=1.0, gtol=1e-6, max_evals=10)
+            prob, prob.known_xstar, SolverConfig(L=25.0, ell=1.0, gtol=1e-6, max_evals=10)
         )
         assert res.converged
         assert res.iterations == 0
@@ -180,7 +182,7 @@ class TestCagMinimize:
         A, b, L, ell, qp = random_spd_quadratic(rng, 25, 0.0, 3.0)
         prob = qp.objective(L=L, ell=ell)
         x0 = rng.standard_normal(25)
-        res = cag_minimize(prob, x0, CagConfig(L=L, ell=ell, gtol=1e-9, max_evals=10**5))
+        res = cag_minimize(prob, x0, SolverConfig(L=L, ell=ell, gtol=1e-9, max_evals=10**5))
         assert res.converged
         kinds = step_counts(res)
         assert kinds.get("ag", 0) == 0 and kinds.get("sd", 0) == 0
@@ -197,14 +199,14 @@ class TestCagMinimize:
 
         prob = ObjectiveProblem(name="quartic", n=1, evaluate=quartic, default_L=1.2)
         res = cag_minimize(prob, np.array([1.0]),
-                           CagConfig(L=1.2, ell=0.0, gtol=1e-6, max_evals=60))
+                           SolverConfig(L=1.2, ell=0.0, gtol=1e-6, max_evals=60))
         kinds = step_counts(res)
         assert kinds.get("ag", 0) >= 1
 
     def test_budget_exhaustion_reports_best_iterate(self):
         prob = make_quad_diag(100)
         res = cag_minimize(prob, np.zeros(100),
-                           CagConfig(L=1e4, ell=1.0, gtol=1e-14, max_evals=20))
+                           SolverConfig(L=1e4, ell=1.0, gtol=1e-14, max_evals=20))
         assert res.status is Status.BUDGET_EXHAUSTED
         assert res.evaluations >= 20
         assert np.isfinite(res.f_final)
@@ -221,7 +223,7 @@ class TestCagMinimize:
 
         prob = ObjectiveProblem(name="explosive", n=1, evaluate=explosive, default_L=0.01)
         res = cag_minimize(prob, np.array([2.0]),
-                           CagConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
+                           SolverConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
         assert res.status is Status.DIVERGED
         assert np.isfinite(res.f_final)
 
@@ -233,20 +235,20 @@ class TestCagMinimize:
 
         prob = ObjectiveProblem(name="quartic", n=1, evaluate=quartic, default_L=1.2)
         res = cag_minimize(prob, np.array([1.0]),
-                           CagConfig(L=1.2, ell=0.0, gtol=1e-6, max_evals=60))
+                           SolverConfig(L=1.2, ell=0.0, gtol=1e-6, max_evals=60))
         deltas = [b.evals - a.evals for a, b in zip(res.trace, res.trace[1:])]
         assert max(deltas) <= 5
         ag_rows = [rec for rec in res.trace if rec.step is StepKind.AG]
         assert ag_rows, "expected the fallback ladder to reach an AG step"
 
-    def test_forced_restart_resets_direction_period(self, rng):
-        # restart_interval_factor = 1 on a 3-d quadratic forces a steepest
-        # restart every 4 accepted steps; the run must still converge
+    def test_forced_restart_resets_direction_period(self, rng, monkeypatch):
+        # RESTART_FACTOR = 1 on a 3-d quadratic forces a steepest restart
+        # every 4 accepted steps; the run must still converge
+        monkeypatch.setattr(cagopt.cag, "RESTART_FACTOR", 1)
         A, b, L, ell, qp = random_spd_quadratic(rng, 3, 0.0, 2.0)
         prob = qp.objective(L=L, ell=ell)
         res = cag_minimize(prob, rng.standard_normal(3),
-                           CagConfig(L=L, ell=ell, gtol=1e-9, max_evals=10**4,
-                                     restart_interval_factor=1))
+                           SolverConfig(L=L, ell=ell, gtol=1e-9, max_evals=10**4))
         assert res.converged
 
     def test_huber_z_mode_run_accounting(self):
@@ -256,8 +258,8 @@ class TestCagMinimize:
         # step); block re-entry adds the one extra centre evaluation.
         prob = make_huber(1000, tau=100.0)
         res = cag_minimize(prob, np.zeros(1000),
-                           CagConfig(L=8.0, ell=0.0, gtol=1e-6, max_evals=10**6,
-                                     conjugate_z_mode=True))
+                           SolverConfig(L=8.0, ell=0.0, gtol=1e-6, max_evals=10**6,
+                                        conjugate_z=True))
         assert res.converged
         kinds = step_counts(res)
         assert kinds.get("ag", 0) >= 1
@@ -282,8 +284,8 @@ class TestCagMinimize:
         # iteration starts: that iteration runs to its end
         def solve(max_evals):
             return cag_minimize(make_huber(1000, tau=100.0), np.zeros(1000),
-                                CagConfig(L=8.0, ell=0.0, gtol=1e-8, max_evals=max_evals,
-                                          conjugate_z_mode=z_mode))
+                                SolverConfig(L=8.0, ell=0.0, gtol=1e-8, max_evals=max_evals,
+                                             conjugate_z=z_mode))
 
         full = solve(10**6)
         assert full.converged
@@ -294,20 +296,16 @@ class TestCagMinimize:
         assert capped.status is Status.BUDGET_EXHAUSTED
         assert capped.evaluations - (start + 1) == cost - 1
 
-    def test_rejects_bad_shape(self):
-        prob = make_quad_diag(4)
-        with pytest.raises(InvalidSpec):
-            cag_minimize(prob, np.zeros(5), CagConfig(L=16.0, ell=1.0, gtol=1e-6, max_evals=10))
-
     def test_config_validation(self):
-        with pytest.raises(InvalidSpec):
-            CagConfig(L=0.0)
-        with pytest.raises(InvalidSpec):
-            CagConfig(L=1.0, ell=2.0)
-        with pytest.raises(InvalidSpec):
-            CagConfig(L=1.0, gtol=0.0)
-        with pytest.raises(InvalidSpec):
-            CagConfig(L=1.0, ag_exit_factor=1.0)
+        for bad in (
+            {"L": 0.0}, {"L": -1.0}, {"L": math.inf}, {"L": math.nan},
+            {"L": 1.0, "ell": -1.0}, {"L": 1.0, "ell": 2.0},
+            {"L": 1.0, "gtol": 0.0}, {"L": 1.0, "gtol": -1e-8},
+            {"L": 1.0, "max_evals": 0},
+        ):
+            with pytest.raises(InvalidSpec):
+                SolverConfig(**bad)
+        SolverConfig(L=1.0, ell=1.0, max_evals=1)  # the edges of each range
 
 
 @settings(derandomize=True, deadline=None)
@@ -322,7 +320,7 @@ def test_cag_reduces_to_linear_cg_on_quadratics(n, seed):
     # after exactly n iterations, and gtol never stops either solver early.
     A, b, L, ell, qp = random_spd_quadratic(np.random.default_rng(seed), n, 0.0, 1.0)
     res = cag_minimize(qp.objective(L=L, ell=ell), np.zeros(n),
-                       CagConfig(L=L, ell=ell, gtol=1e-300, max_evals=2 * n + 1),
+                       SolverConfig(L=L, ell=ell, gtol=1e-300, max_evals=2 * n + 1),
                        record_iterates=True)
     ref = lcg_minimize(qp, np.zeros(n), gtol=1e-300, max_iters=n, record_iterates=True)
     assert [rec.step for rec in res.trace[1:]] == [StepKind.CG] * n

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cagopt import ProblemSpec, RunConfig, run
-from cagopt.cag import CagConfig, cag_minimize
+from cagopt.cag import SolverConfig, cag_minimize
 from cagopt.oracle import ObjectiveProblem
 
 FIXTURE = Path(__file__).with_name("golden_traces.json")
@@ -39,7 +39,7 @@ def _explosive_run():
 
     prob = ObjectiveProblem(name="explosive", n=1, evaluate=explosive, default_L=0.01)
     return cag_minimize(prob, np.array([2.0]),
-                        CagConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
+                        SolverConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
 
 
 RUNS = {

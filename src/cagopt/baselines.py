@@ -20,7 +20,9 @@ from .cag import (
     SolverConfig,
     _ConvergedAt,
     _evaluate_or_stop,
+    _initial_state,
     _start_point,
+    ag_step,  # bound at import: traced runs count only cag_minimize's ag_step calls
     hz_beta,
     secant_alpha,
 )
@@ -30,7 +32,8 @@ from .errors import (
     NotPositiveDefinite,
     NumericalFailure,
 )
-from .estimate_sequence import advance_estimate, compute_theta_gamma, init_estimate
+# Unused here, but perfbench/tracing.py wraps these names in this module.
+from .estimate_sequence import advance_estimate, compute_theta_gamma  # noqa: F401
 from .oracle import EvalCounter, ObjectiveProblem, Vector, evaluate_counted
 from .results import RunLog, SolverResult, Status, StepKind, TraceRecord
 
@@ -206,35 +209,28 @@ def ag_minimize(
     config: SolverConfig,
     record_iterates: bool = False,
 ) -> SolverResult:
-    """Accelerated gradient with the estimate-sequence bookkeeping.
+    """Accelerated gradient: ``cag.ag_step`` repeated from the start point.
 
     Each iteration evaluates once, at the combination point
     bar_x = (theta gamma v + gamma_next x) / (gamma + theta ell), takes the
     gradient step x_next = bar_x - bar_g / L and advances the model anchored
     at bar_x.  Termination is tested at the combination point, the only
-    point whose gradient is computed.
+    point whose gradient is computed.  Mutates only its own run state,
+    through ``ag_step``.
     """
-    L, ell, gtol, max_evals = config.L, config.ell, config.gtol, config.max_evals
-    x = _start_point(x0, problem.n)
     counter = EvalCounter()
-    start = evaluate_counted(problem, x, counter)
+    start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
     log = RunLog(counter, start, start.f, record_iterates)
-    if start.gnorm <= gtol:
+    if start.gnorm <= config.gtol:
         return log.finish(Status.CONVERGED)
 
-    est = init_estimate(start.f, x, L, ell)
+    state = _initial_state(start, config)
     try:
-        while counter.count < max_evals:
-            theta, gamma_next = compute_theta_gamma(L, ell, est.gamma)
-            bar_x = (theta * est.gamma * est.v + gamma_next * x) / (
-                est.gamma + theta * ell
-            )
-            bar = _evaluate_or_stop(problem, bar_x, counter, gtol, StepKind.AG)
-            x = bar_x - bar.g / L
-            est = advance_estimate(est, theta, gamma_next, bar_x, bar.f, bar.g)
-            log.record(bar, est.phi_star, StepKind.AG, x)
+        while counter.count < config.max_evals:
+            ag_step(state, config, problem, counter)
+            log.record(state.bar, state.estimate.phi_star, StepKind.AG, state.x)
     except _ConvergedAt as c:
-        return log.converged(c.point, est.phi_star, c.kind)
+        return log.converged(c.point, state.estimate.phi_star, c.kind)
     except NumericalFailure:
         return log.finish(Status.DIVERGED)
     return log.finish(Status.BUDGET_EXHAUSTED)

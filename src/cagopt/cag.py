@@ -31,7 +31,7 @@ default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .estimate_sequence import (
     init_estimate,
 )
 from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector, evaluate_counted
+from .oracle import check_moduli
 from .results import RunLog, SolverResult, Status, StepKind
 
 DEFAULT_GTOL = 1e-8
@@ -54,12 +55,9 @@ AG_EXIT_FACTOR = 4.0  # gradient-norm reduction that ends an AG block
 
 
 def check_settings(L: float | None, ell: float | None, gtol: float, max_evals: int) -> None:
-    """Raise ``InvalidSpec`` unless 0 < L < inf, 0 <= ell <= L, gtol > 0 and
-    max_evals >= 1; an L or ell of None (a family default, not known yet) is skipped."""
-    if L is not None and not 0.0 < L < math.inf:
-        raise InvalidSpec(f"L must be positive and finite, got {L}")
-    if ell is not None and not 0.0 <= ell <= (math.inf if L is None else L):
-        raise InvalidSpec(f"need 0 <= ell <= L, got ell={ell}, L={L}")
+    """Raise ``InvalidSpec`` unless L and ell pass ``check_moduli``, gtol > 0
+    and max_evals >= 1."""
+    check_moduli(L, ell)
     if not gtol > 0:
         raise InvalidSpec(f"gtol must be positive, got {gtol}")
     if not max_evals >= 1:
@@ -90,9 +88,9 @@ def _start_point(x0: Vector, n: int) -> Vector:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CagIterationState:
-    """Full per-iteration state of the solver.
+    """Full per-iteration state of the solver, updated in place by the steps.
 
     ``point`` is the last evaluated iterate and ``x`` the current one; they
     differ only during an AG block, whose iterates are not evaluated until
@@ -243,11 +241,11 @@ def cg_attempt(
     mode), advances the estimate sequence anchored at the *previous* bar
     point, and accepts iff f_next <= phi*_next or bar_f_next <= phi*_next.
 
-    On acceptance the returned state carries the new iterate, the new bar
-    point, the advanced model and the next direction.  On a failed progress
-    test the returned state is unchanged except for the z recurrences, which
-    advance unconditionally.  ``CurvatureFailure``/``DegenerateDirection``
-    reject the attempt without touching the state at all.
+    Returns (accepted, state), ``state`` being the object passed in.  An
+    accepted attempt writes every field but ``ag_ref_gnorm`` and ``g0_norm``.
+    A failed progress test writes only ``z_tilde``/``zAz``, whose
+    recurrences advance unconditionally; ``CurvatureFailure``,
+    ``DegenerateDirection`` and a run that ends inside the attempt write none.
     """
     point = state.point
     p = -point.g if use_steepest else state.p
@@ -279,28 +277,26 @@ def cg_attempt(
     # point only enters the acceptance test (and becomes next iteration's anchor).
     anchor = state.bar
     est_next = advance_estimate(
-        state.estimate, theta, gamma_next, anchor.x, anchor.f, anchor.g
+        state.estimate, theta, gamma_next, config.ell, anchor.x, anchor.f, anchor.g
     )
 
     if not (new.f <= est_next.phi_star or bar.f <= est_next.phi_star):
-        return False, replace(state, z_tilde=z_tilde, zAz=zAz)
+        state.z_tilde, state.zAz = z_tilde, zAz
+        return False, state
 
     try:
         beta = hz_beta(point.g, new, p, state.g0_norm)
     except DegenerateDirection:
         return False, state
 
-    return True, replace(
-        state,
-        x=new.x,
-        point=new,
-        p=-new.g + beta * p,
-        estimate=est_next,
-        i_cg=0 if beta == 0.0 else i_cg + 1,
-        bar=bar,
-        z_tilde=z_tilde,
-        zAz=zAz,
-    )
+    state.x = new.x
+    state.point = new
+    state.p = -new.g + beta * p
+    state.estimate = est_next
+    state.i_cg = 0 if beta == 0.0 else i_cg + 1
+    state.bar = bar
+    state.z_tilde, state.zAz = z_tilde, zAz
+    return True, state
 
 
 def ag_step(
@@ -308,14 +304,15 @@ def ag_step(
     config: SolverConfig,
     problem: ObjectiveProblem,
     counter: EvalCounter,
-) -> CagIterationState:
-    """One accelerated-gradient iteration.
+) -> None:
+    """One accelerated-gradient iteration, of cag's AG blocks and of ``ag_minimize``.
 
     Forms the combination point bar_x = (theta gamma v + gamma_next x) /
     (gamma + theta ell), evaluates there (one counted evaluation), takes the
     gradient step x_next = bar_x - bar_g / L and advances the model anchored
-    at bar_x.  The new iterate is deliberately left unevaluated: ``point``
-    in the returned state is stale until the block exits.
+    at bar_x.  Writes ``x``, ``estimate`` and ``bar`` (none if the run ends
+    at bar_x).  The new iterate is deliberately left unevaluated: ``point``
+    is stale until the block exits.
     """
     est = state.estimate
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, est.gamma)
@@ -323,8 +320,9 @@ def ag_step(
         est.gamma + theta * config.ell
     )
     bar = _evaluate_or_stop(problem, bar_x, counter, config.gtol, StepKind.AG)
-    est_next = advance_estimate(est, theta, gamma_next, bar.x, bar.f, bar.g)
-    return replace(state, x=bar.x - bar.g / config.L, estimate=est_next, bar=bar)
+    state.estimate = advance_estimate(est, theta, gamma_next, config.ell, bar.x, bar.f, bar.g)
+    state.x = bar.x - bar.g / config.L
+    state.bar = bar
 
 
 def ag_block_exit_test(state: CagIterationState) -> bool:
@@ -337,32 +335,26 @@ def return_to_cg(
     config: SolverConfig,
     problem: ObjectiveProblem,
     counter: EvalCounter,
-) -> CagIterationState:
+) -> None:
     """Leave the AG block: evaluate the pending iterate and reset the CG chain.
 
     Costs one counted evaluation at the iterate, plus one more at the model
     centre v in conjugate-z mode, where z = v - x is initialised together
     with zAz = <grad f(v) - grad f(x), z> (exact z^T A z on a quadratic).
     A nonpositive or vanishing zAz disables the augmentation for this block.
+    Writes every field but ``x``, ``estimate`` and ``g0_norm``.
     """
     point = evaluate_counted(problem, state.x, counter)
-    new = replace(
-        state,
-        point=point,
-        p=-point.g,
-        i_cg=0,
-        ag_ref_gnorm=None,
-        bar=point,
-        z_tilde=None,
-        zAz=0.0,
-    )
+    state.point = state.bar = point
+    state.p, state.i_cg = -point.g, 0
+    state.ag_ref_gnorm = None
+    state.z_tilde, state.zAz = None, 0.0
     if config.conjugate_z:
         z = state.estimate.v - state.x
         g_v = evaluate_counted(problem, state.estimate.v, counter).g
         zAz = float(z @ (g_v - point.g))
         if zAz > 0.0 and float(z @ z) > 0.0:
-            new = replace(new, z_tilde=z, zAz=zAz)
-    return new
+            state.z_tilde, state.zAz = z, zAz
 
 
 def _initial_state(start: Evaluation, config: SolverConfig) -> CagIterationState:
@@ -370,7 +362,7 @@ def _initial_state(start: Evaluation, config: SolverConfig) -> CagIterationState
         x=start.x,
         point=start,
         p=-start.g,
-        estimate=init_estimate(start.f, start.x, config.L, config.ell),
+        estimate=init_estimate(start.f, start.x, config.L),
         i_cg=0,
         ag_ref_gnorm=None,
         bar=start,
@@ -412,31 +404,23 @@ def cag_minimize(
     try:
         while counter.count < config.max_evals:
             if state.i_cg >= restart_at:
-                state = replace(state, p=-state.point.g, i_cg=0)
+                state.p, state.i_cg = -state.point.g, 0
 
             kind: StepKind | None = None
             if state.ag_ref_gnorm is None:
-                accepted, state = cg_attempt(
-                    state, config, problem, counter, use_steepest=False
-                )
-                if accepted:
+                if cg_attempt(state, config, problem, counter, use_steepest=False)[0]:
                     kind = StepKind.CG if state.z_tilde is None else StepKind.BAR
-                else:
-                    accepted, state = cg_attempt(
-                        state, config, problem, counter, use_steepest=True
-                    )
-                    if accepted:
-                        kind = StepKind.SD
+                elif cg_attempt(state, config, problem, counter, use_steepest=True)[0]:
+                    kind = StepKind.SD
 
             if kind is None:
-                entering = state.ag_ref_gnorm is None
-                state = ag_step(state, config, problem, counter)
+                ag_step(state, config, problem, counter)
                 kind = StepKind.AG
                 row = state.bar
-                if entering:
-                    state = replace(state, ag_ref_gnorm=row.gnorm)
+                if state.ag_ref_gnorm is None:
+                    state.ag_ref_gnorm = row.gnorm
                 if ag_block_exit_test(state):
-                    state = return_to_cg(state, config, problem, counter)
+                    return_to_cg(state, config, problem, counter)
             else:
                 row = state.point
 

@@ -6,6 +6,7 @@ import sys
 
 import click
 
+from .errors import InvalidSpec
 from .harness import (
     DEFAULT_GTOL,
     DEFAULT_MAX_EVALS,
@@ -46,19 +47,21 @@ def main():
 def run_cmd(family, n, m, lam, delta, sigma, tau, seed, solver, gtol, max_evals,
             l_override, ell, conjugate_z, trace_path, json_path):
     """Run one solver on one problem instance."""
-    config = RunConfig(
-        problem=ProblemSpec(family=family, n=n, m=m, lam=lam, delta=delta,
-                            sigma=sigma, tau=tau, seed=seed),
-        solver=solver,
-        gtol=gtol,
-        max_evals=max_evals,
-        L=l_override,
-        ell=ell,
-        conjugate_z=conjugate_z,
-        trace_path=trace_path,
-        json_path=json_path,
-    )
-    result = run_one(config)
+    try:
+        result = run_one(RunConfig(
+            problem=ProblemSpec(family=family, n=n, m=m, lam=lam, delta=delta,
+                                sigma=sigma, tau=tau, seed=seed),
+            solver=solver,
+            gtol=gtol,
+            max_evals=max_evals,
+            L=l_override,
+            ell=ell,
+            conjugate_z=conjugate_z,
+            trace_path=trace_path,
+            json_path=json_path,
+        ))
+    except InvalidSpec as e:
+        raise click.UsageError(str(e)) from e
     click.echo(
         f"{solver}: {result.status.value}  iterations={result.iterations}  "
         f"evaluations={result.evaluations}  f={result.f_final:.9e}  "
@@ -74,7 +77,10 @@ def run_cmd(family, n, m, lam, delta, sigma, tau, seed, solver, gtol, max_evals,
 @click.option("--out", "out_path", type=click.Path(), default=None, help="write summary CSV here")
 def suite_cmd(config_path, out_path):
     """Run every configuration in a suite file and print the summary table."""
-    configs = parse_suite_config(config_path)
+    try:
+        configs = parse_suite_config(config_path)
+    except InvalidSpec as e:
+        raise click.UsageError(str(e)) from e
     rows = run_suite(configs)
     click.echo(format_suite_table(rows))
     if out_path:

@@ -45,21 +45,13 @@ class EstimateState:
     gamma: float
     v: np.ndarray
     phi_star: float
-    ell: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvalidState(f"gamma must stay positive, got {self.gamma}")
 
 
-def init_estimate(f0: float, x0: np.ndarray, L: float, ell: float = 0.0) -> EstimateState:
-    """Initial model phi_0(x) = f0 + (L/2)||x - x0||^2; L and ell come from a
-    checked ``SolverConfig``."""
+def init_estimate(f0: float, x0: np.ndarray, L: float) -> EstimateState:
+    """Initial model phi_0(x) = f0 + (L/2)||x - x0||^2, with L from a checked
+    ``SolverConfig``."""
     return EstimateState(
-        gamma=float(L),
-        v=np.array(x0, dtype=float, copy=True),
-        phi_star=float(f0),
-        ell=float(ell),
+        gamma=float(L), v=np.array(x0, dtype=float, copy=True), phi_star=float(f0)
     )
 
 
@@ -72,12 +64,10 @@ def compute_theta_gamma(L: float, ell: float, gamma: float) -> tuple[float, floa
 
     The root is computed with the cancellation-free branch of the quadratic
     formula: gamma can exceed ell by six orders of magnitude, and the naive
-    (-b + sqrt(disc)) / 2a form would lose half the digits there.
+    (-b + sqrt(disc)) / 2a form would lose half the digits there.  L and ell
+    come from a checked ``SolverConfig``, so only the identity is checked,
+    which also fails when gamma_next <= 0.
     """
-    if not gamma > 0:
-        raise InvalidState(f"gamma must be positive, got {gamma}")
-    if not (L > 0 and 0.0 <= ell <= L):
-        raise InvalidState(f"need L > 0 and 0 <= ell <= L, got L={L}, ell={ell}")
     b = gamma - ell
     disc = math.sqrt(b * b + 4.0 * L * gamma)
     if b >= 0:
@@ -102,11 +92,13 @@ def advance_estimate(
     state: EstimateState,
     theta: float,
     gamma_next: float,
+    ell: float,
     bar_x: np.ndarray,
     bar_f: float,
     bar_g: np.ndarray,
 ) -> EstimateState:
-    """One model update anchored at ``bar_x`` with value/gradient (bar_f, bar_g).
+    """One model update anchored at ``bar_x`` with value/gradient (bar_f, bar_g),
+    for theta and gamma_next from ``compute_theta_gamma`` with the same ell.
 
     v_next    = [(1-theta) gamma v + theta ell bar_x - theta bar_g] / gamma_next
     phi*_next = (1-theta) phi* + theta bar_f
@@ -117,14 +109,12 @@ def advance_estimate(
     Raises ``NumericalFailure`` when phi*_next is not finite (a non-finite
     v_next makes phi* non-finite at the next update).
     """
-    if not 0.0 < theta <= 1.0:
-        raise InvalidState(f"theta must lie in (0, 1], got {theta}")
     gamma = state.gamma
     dv = state.v - bar_x
     v_next = (
-        (1.0 - theta) * gamma * state.v + (theta * state.ell) * bar_x - theta * bar_g
+        (1.0 - theta) * gamma * state.v + (theta * ell) * bar_x - theta * bar_g
     ) / gamma_next
-    cross = 0.5 * state.ell * float(dv @ dv) + float(bar_g @ dv)
+    cross = 0.5 * ell * float(dv @ dv) + float(bar_g @ dv)
     phi_next = (
         (1.0 - theta) * state.phi_star
         + theta * bar_f
@@ -133,7 +123,7 @@ def advance_estimate(
     )
     if not math.isfinite(phi_next):
         raise NumericalFailure(f"estimate-sequence minimum became {phi_next!r}")
-    return EstimateState(gamma=gamma_next, v=v_next, phi_star=phi_next, ell=state.ell)
+    return EstimateState(gamma=gamma_next, v=v_next, phi_star=phi_next)
 
 
 def nesterov_bound(L: float, ell: float, k: int, dist0_sq: float) -> float:

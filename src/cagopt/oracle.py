@@ -20,6 +20,15 @@ Vector = np.ndarray
 EvaluateFn = Callable[[Vector], "tuple[float, Vector]"]
 
 
+def check_moduli(L: float | None, ell: float | None) -> None:
+    """Raise ``InvalidSpec`` unless 0 < L < inf and 0 <= ell <= L; an L or ell
+    of None (a family default, not known yet) is skipped."""
+    if L is not None and not 0.0 < L < math.inf:
+        raise InvalidSpec(f"L must be positive and finite, got {L}")
+    if ell is not None and not 0.0 <= ell <= (math.inf if L is None else L):
+        raise InvalidSpec(f"need 0 <= ell <= L, got ell={ell}, L={L}")
+
+
 @dataclass(frozen=True)
 class ObjectiveProblem:
     """A smooth convex objective with curvature metadata.
@@ -42,12 +51,9 @@ class ObjectiveProblem:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec(f"dimension must be positive, got {self.n}")
-        if not self.default_L > 0:
-            raise InvalidSpec(f"default_L must be positive, got {self.default_L}")
-        if not 0.0 <= self.default_ell <= self.default_L:
-            raise InvalidSpec(
-                f"need 0 <= ell <= L, got ell={self.default_ell}, L={self.default_L}"
-            )
+        if self.default_L is None or self.default_ell is None:
+            raise InvalidSpec("a problem's default_L and default_ell must be numbers")
+        check_moduli(self.default_L, self.default_ell)
 
 
 @dataclass
@@ -87,22 +93,3 @@ def evaluate_counted(
     if not (math.isfinite(f) and math.isfinite(gnorm)):
         raise NumericalFailure(f"non-finite evaluation in problem {problem.name!r}")
     return Evaluation(x, f, g, gnorm)
-
-
-def finite_diff_gradient(problem: ObjectiveProblem, x: Vector, h: float) -> Vector:
-    """Central-difference gradient, used as a test oracle.
-
-    Costs 2n raw (uncounted) evaluations: (f(x + h e_i) - f(x - h e_i)) / 2h
-    per coordinate.
-    """
-    if not h > 0:
-        raise InvalidSpec(f"step h must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp, _ = problem.evaluate(x + e)
-        fm, _ = problem.evaluate(x - e)
-        g[i] = (fp - fm) / (2.0 * h)
-    return g

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from cagopt import QuadraticProblem, SolverConfig, ag_minimize, cag_minimize, ncg_minimize
+from cagopt import (
+    InvalidSpec,
+    QuadraticProblem,
+    SolverConfig,
+    ag_minimize,
+    cag_minimize,
+    ncg_minimize,
+)
 
 
 def random_spd_quadratic(rng, n, log_eig_lo=0.0, log_eig_hi=4.0):
@@ -21,6 +28,25 @@ def random_spd_quadratic(rng, n, log_eig_lo=0.0, log_eig_hi=4.0):
     b = rng.standard_normal(n)
     qp = QuadraticProblem(apply_A=lambda x, A=A: A @ x, b=b)
     return A, b, L, ell, qp
+
+
+def finite_diff_gradient(problem, x, h):
+    """Central-difference gradient, used as a test oracle.
+
+    Costs 2n raw (uncounted) evaluations: (f(x + h e_i) - f(x - h e_i)) / 2h
+    per coordinate.
+    """
+    if not h > 0:
+        raise InvalidSpec(f"step h must be positive, got {h}")
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        fp, _ = problem.evaluate(x + e)
+        fm, _ = problem.evaluate(x - e)
+        g[i] = (fp - fm) / (2.0 * h)
+    return g
 
 
 def minimize(solver, prob, x0, gtol=1e-8, max_evals=10**6, record_iterates=False):

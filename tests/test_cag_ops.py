@@ -1,6 +1,10 @@
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import cagopt.cag
 from cagopt import EvalCounter, ObjectiveProblem, SolverConfig, StepKind, evaluate_counted
 from cagopt.cag import (
     _ConvergedAt,
@@ -11,7 +15,7 @@ from cagopt.cag import (
     secant_alpha,
     z_conjugate_update,
 )
-from cagopt.errors import CurvatureFailure
+from cagopt.errors import CurvatureFailure, DegenerateDirection
 from cagopt.oracle import Evaluation
 
 from conftest import random_spd_quadratic
@@ -34,6 +38,23 @@ def evaluated(prob, x):
 def gradient_record(g):
     """A record that carries only a gradient and its norm, for hz_beta."""
     return Evaluation(np.zeros_like(g), 0.0, g, float(np.linalg.norm(g)))
+
+
+def snapshot(state):
+    """Each field of ``state`` with its object and that object's pickled content."""
+    return {
+        f.name: (getattr(state, f.name), pickle.dumps(getattr(state, f.name)))
+        for f in fields(state)
+    }
+
+
+def moved_fields(state, before):
+    """Names of the fields that were reassigned or changed in place since ``before``."""
+    return {
+        name
+        for name, (value, content) in before.items()
+        if getattr(state, name) is not value or pickle.dumps(value) != content
+    }
 
 
 class TestSecantAlpha:
@@ -254,7 +275,7 @@ class TestCgAttempt:
             cg_attempt(state, config, prob, counter, use_steepest=False)
         assert abs(info.value.point.x[0]) <= 1e-12
 
-    def test_engineered_overshoot_is_rejected(self):
+    def _quartic_overshoot(self):
         # oracle: f(x) = x^4 at x0 = 1 with L set to f''(x0)/10 = 1.2; the
         # secant step overshoots the model, so phi* drops faster than f and
         # the progress test must fail.
@@ -265,12 +286,67 @@ class TestCgAttempt:
         )
         config = SolverConfig(L=1.2, ell=0.0, gtol=1e-10, max_evals=100)
         counter = EvalCounter()
-        state = self._state_for(prob, counter, np.array([1.0]), config)
+        return prob, config, counter, self._state_for(prob, counter, np.array([1.0]), config)
+
+    def test_engineered_overshoot_is_rejected(self):
+        prob, config, counter, state = self._quartic_overshoot()
+        before = snapshot(state)
         accepted, state_after = cg_attempt(state, config, prob, counter, use_steepest=False)
         assert not accepted
-        # the rejected attempt leaves the iterate untouched
-        assert np.array_equal(state_after.x, state.x)
-        assert state_after.estimate.phi_star == state.estimate.phi_star
+        assert state_after is state
+        assert moved_fields(state, before) == set()
+        assert counter.count == 3  # start, probe, candidate
+
+    def test_failed_progress_test_moves_only_z(self):
+        # in 1-d, re-conjugating z against p leaves z = 0 and zAz < 0 here,
+        # so the augmentation is dropped; nothing else may move
+        prob, config, counter, state = self._quartic_overshoot()
+        state.z_tilde, state.zAz = np.array([0.5]), 1.0
+        before = snapshot(state)
+        accepted, _ = cg_attempt(state, config, prob, counter, use_steepest=False)
+        assert not accepted
+        assert moved_fields(state, before) == {"z_tilde", "zAz"}
+        assert state.z_tilde is None and state.zAz == 0.0
+
+    def test_curvature_failure_moves_no_field(self):
+        # f = -x^2/2 is concave: the probe gives pAp < 0 and the attempt is
+        # rejected after one evaluation, with the active z left as it was
+        prob = ObjectiveProblem(
+            name="concave", n=1, evaluate=lambda x: (-0.5 * float(x @ x), -x),
+            default_L=1.0,
+        )
+        config = SolverConfig(L=1.0, gtol=1e-10, max_evals=100)
+        counter = EvalCounter()
+        state = self._state_for(prob, counter, np.array([1.0]), config)
+        state.z_tilde, state.zAz = np.array([1.0]), 1.0
+        before = snapshot(state)
+        accepted, _ = cg_attempt(state, config, prob, counter, use_steepest=True)
+        assert not accepted
+        assert moved_fields(state, before) == set()
+        assert counter.count == 2  # start, probe
+
+    def test_degenerate_direction_moves_no_field(self, rng, monkeypatch):
+        # the progress test passes, then the direction update fails: z must
+        # not advance although its recurrence already ran
+        calls = []
+
+        def degenerate(*args):
+            calls.append(args)
+            raise DegenerateDirection("y^T p vanished in the direction update")
+
+        monkeypatch.setattr(cagopt.cag, "hz_beta", degenerate)
+        A, b, L, ell, _ = random_spd_quadratic(rng, 4, 0.0, 1.0)
+        prob = explicit_quadratic(A, b, L, ell)
+        config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=100, conjugate_z=True)
+        counter = EvalCounter()
+        state = self._state_for(prob, counter, rng.standard_normal(4), config)
+        z = rng.standard_normal(4)
+        state.z_tilde, state.zAz = z, float(z @ (A @ z))
+        before = snapshot(state)
+        accepted, _ = cg_attempt(state, config, prob, counter, use_steepest=False)
+        assert not accepted and len(calls) == 1
+        assert moved_fields(state, before) == set()
+        assert counter.count == 4  # start, probe, candidate, bar point
 
     def test_acceptance_is_the_literal_min_test(self, rng):
         # acceptance iff min(f_next, bar_f_next) <= phi*_next: with no z augmentation

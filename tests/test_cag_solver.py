@@ -20,8 +20,6 @@ from cagopt import (
     make_huber,
     make_quad_diag,
 )
-from dataclasses import replace
-
 from cagopt.cag import (
     CagIterationState,
     _ConvergedAt,
@@ -50,7 +48,7 @@ class TestAgStep:
         config = SolverConfig(L=1.0, ell=1.0, gtol=1e-30, max_evals=10)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, np.array([1.0]), counter), config)
-        state = ag_step(state, config, prob, counter)
+        ag_step(state, config, prob, counter)
         assert abs(state.bar.x[0] - 1.0) <= 1e-15  # combination of equal points
         assert abs(state.x[0]) <= 1e-15            # gradient step lands at 0
 
@@ -61,7 +59,8 @@ class TestAgStep:
         config = SolverConfig(L=L, ell=0.0, gtol=1e-30, max_evals=10)
         counter = EvalCounter()
         start = evaluate_counted(prob, rng.standard_normal(4), counter)
-        state = ag_step(_initial_state(start, config), config, prob, counter)
+        state = _initial_state(start, config)
+        ag_step(state, config, prob, counter)
         assert np.allclose(state.bar.x, start.x, atol=1e-14)
         assert np.allclose(state.x, start.x - start.g / L, atol=1e-14)
 
@@ -78,11 +77,11 @@ class TestAgStep:
         counter = EvalCounter()
         x0 = np.array([1.0, 1.0])
         state = _initial_state(evaluate_counted(prob, x0, counter), config)
-        state = replace(state, ag_ref_gnorm=state.point.gnorm)
+        state.ag_ref_gnorm = state.point.gnorm
         dist0 = float(x0 @ x0)
         for k in range(1, 300):
             try:
-                state = ag_step(state, config, prob, counter)
+                ag_step(state, config, prob, counter)
             except _ConvergedAt:
                 break
             fk = prob.evaluate(state.x)[0]
@@ -114,10 +113,10 @@ class TestReturnToCg:
         config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, rng.standard_normal(4), counter), config)
-        state = replace(state, ag_ref_gnorm=state.point.gnorm)
-        state = ag_step(state, config, prob, counter)
+        state.ag_ref_gnorm = state.point.gnorm
+        ag_step(state, config, prob, counter)
         before = counter.count
-        state = return_to_cg(state, config, prob, counter)
+        return_to_cg(state, config, prob, counter)
         assert counter.count == before + 1
         assert state.ag_ref_gnorm is None
         assert state.i_cg == 0
@@ -132,10 +131,10 @@ class TestReturnToCg:
                               conjugate_z=True)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, rng.standard_normal(5), counter), config)
-        state = replace(state, ag_ref_gnorm=state.point.gnorm)
-        state = ag_step(state, config, prob, counter)
+        state.ag_ref_gnorm = state.point.gnorm
+        ag_step(state, config, prob, counter)
         before = counter.count
-        state = return_to_cg(state, config, prob, counter)
+        return_to_cg(state, config, prob, counter)
         assert counter.count == before + 2  # iterate plus model centre
         z = state.z_tilde
         assert z is not None
@@ -150,9 +149,9 @@ class TestReturnToCg:
                               conjugate_z=True)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, rng.standard_normal(3), counter), config)
-        est = replace(state.estimate, v=state.x.copy())
-        state = replace(state, ag_ref_gnorm=state.point.gnorm, estimate=est)
-        state = return_to_cg(state, config, prob, counter)
+        assert np.array_equal(state.estimate.v, state.x)  # the initial model's centre
+        state.ag_ref_gnorm = state.point.gnorm
+        return_to_cg(state, config, prob, counter)
         assert state.z_tilde is None
 
 

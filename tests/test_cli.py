@@ -1,5 +1,6 @@
 import csv
 
+import pytest
 from click.testing import CliRunner
 
 from cagopt.cli import main
@@ -36,3 +37,27 @@ def test_suite_prints_table_and_writes_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["solver"] for r in rows] == ["cag", "lcg", "ag"]
     assert {r["status"] for r in rows} == {"converged"}
+
+
+@pytest.mark.parametrize(
+    "override,message",
+    [(["--L", "0"], "L must be positive"), (["--ell", "200"], "need 0 <= ell <= L")],
+    ids=["L-zero", "ell-above-default-L"],
+)
+def test_run_with_invalid_moduli_is_a_usage_error(override, message):
+    # --L 0 fails in RunConfig; --ell 200 only once quad's default L = 100 is known
+    result = CliRunner().invoke(
+        main, ["run", "--family", "quad", "--n", "10", "--solver", "cag", *override]
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_suite_with_invalid_row_is_a_usage_error(tmp_path):
+    config = tmp_path / "suite.txt"
+    config.write_text("family=quad n=10 solver=cag L=0\n")
+    result = CliRunner().invoke(main, ["suite", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert "L must be positive" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

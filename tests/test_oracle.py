@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from cagopt import (
     make_huber,
     make_quad_diag,
 )
-from cagopt.oracle import finite_diff_gradient
+
+from conftest import finite_diff_gradient
 
 
 def norm_sq_problem(n):
@@ -105,8 +108,9 @@ def test_finite_diff_rejects_nonpositive_step():
 def test_problem_metadata_validation():
     with pytest.raises(InvalidSpec):
         ObjectiveProblem(name="bad", n=0, evaluate=lambda x: (0.0, x), default_L=1.0)
-    with pytest.raises(InvalidSpec):
-        ObjectiveProblem(name="bad", n=1, evaluate=lambda x: (0.0, x), default_L=0.0)
+    for L in (0.0, math.inf, math.nan, None):
+        with pytest.raises(InvalidSpec):
+            ObjectiveProblem(name="bad", n=1, evaluate=lambda x: (0.0, x), default_L=L)
     with pytest.raises(InvalidSpec):
         ObjectiveProblem(
             name="bad", n=1, evaluate=lambda x: (0.0, x), default_L=1.0, default_ell=2.0

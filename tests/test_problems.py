@@ -12,7 +12,6 @@ from cagopt import (
     make_logistic,
     make_quad_diag,
 )
-from cagopt.oracle import finite_diff_gradient
 from cagopt.problems import (
     _logistic_loss,
     _logistic_loss_prime,
@@ -20,6 +19,8 @@ from cagopt.problems import (
     estimate_spectral_norm,
     first_primes,
 )
+
+from conftest import finite_diff_gradient
 
 
 def dct_rows(row_indices, n):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from cagopt import ProblemSpec, RunConfig, run
+from cagopt.baselines import ag_minimize, ncg_minimize
 from cagopt.cag import SolverConfig, cag_minimize
 from cagopt.oracle import ObjectiveProblem
 
@@ -29,7 +30,7 @@ def _harness_run(family, n, solver, conjugate_z=False, max_evals=None, seed=None
     return lambda: run(RunConfig(spec, solver, conjugate_z=conjugate_z, **extra))
 
 
-def _explosive_run():
+def _explosive_run(solve=cag_minimize):
     # the diverging objective of test_divergence_status_on_overflow
     def explosive(x):
         with np.errstate(over="ignore"):
@@ -38,8 +39,25 @@ def _explosive_run():
         return v, g
 
     prob = ObjectiveProblem(name="explosive", n=1, evaluate=explosive, default_L=0.01)
-    return cag_minimize(prob, np.array([2.0]),
-                        SolverConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
+    return solve(prob, np.array([2.0]),
+                 SolverConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
+
+
+def _concave_ncg_run():
+    # f = -||x||^2/2 + sum(x) is unbounded below; ncg follows it until f overflows
+    prob = ObjectiveProblem(
+        name="concave", n=5, evaluate=lambda x: (-0.5 * float(x @ x) + float(x.sum()), 1.0 - x),
+        default_L=1.0,
+    )
+    return ncg_minimize(prob, np.zeros(5), SolverConfig(L=1.0, gtol=1e-12, max_evals=5000))
+
+
+def _uphill_ncg_run():
+    # f = x^2/2 with the gradient's sign flipped: no step along -g decreases f
+    prob = ObjectiveProblem(
+        name="uphill", n=1, evaluate=lambda x: (0.5 * float(x @ x), -x), default_L=1.0
+    )
+    return ncg_minimize(prob, np.array([1.0]), SolverConfig(L=1.0))
 
 
 RUNS = {
@@ -59,6 +77,9 @@ RUNS = {
     "quad-100-ncg-budget20": _harness_run("quad", 100, "ncg", max_evals=20),
     "quad-100-ag-budget20": _harness_run("quad", 100, "ag", max_evals=20),
     "explosive-cag": _explosive_run,
+    "explosive-ag": lambda: _explosive_run(ag_minimize),
+    "concave-ncg": _concave_ncg_run,
+    "uphill-ncg": _uphill_ncg_run,
 }
 
 

@@ -13,7 +13,7 @@ The package namespace holds the solver, problem and harness API; single
 steps, the estimate sequence and other internals live in their submodules.
 """
 
-from .baselines import QuadraticProblem, ag_minimize, lcg_minimize, ncg_minimize
+from .baselines import ag_minimize, lcg_minimize, ncg_minimize
 from .cag import SolverConfig, cag_minimize
 from .errors import InvalidSpec, NotPositiveDefinite, NumericalFailure, SolverError
 from .harness import (
@@ -29,6 +29,7 @@ from .harness import (
 from .oracle import EvalCounter, ObjectiveProblem, evaluate_counted
 from .problems import (
     ProblemSpec,
+    QuadraticProblem,
     make_abpdn,
     make_huber,
     make_logistic,

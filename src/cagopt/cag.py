@@ -8,8 +8,7 @@ estimate sequence.  When the test fails, the step is retried in the
 steepest-descent direction; when that fails too, the solver switches to a
 block of accelerated-gradient iterations, which reduce phi* by
 construction, and returns to CG once the gradient norm within the block has
-dropped by the factor ``AG_EXIT_FACTOR``.  After ``RESTART_FACTOR`` times
-n plus one consecutive CG steps the direction restarts from steepest descent.
+dropped by the factor ``AG_EXIT_FACTOR``.
 
 On a quadratic with correct curvature bounds the progress test never fails,
 so a run is plain conjugate gradient at two evaluations per iteration (one
@@ -26,12 +25,27 @@ directions, and the test is applied at the line minimiser along z through
 each new iterate (one extra evaluation per iteration).  The plain test
 works well in practice even after AG blocks, so the mode is off by
 default.
+
+Run contract
+------------
+``run_steps`` runs ``cag_minimize``, ``baselines.ncg_minimize`` and
+``baselines.ag_minimize``, each with its own per-iteration step.  It
+evaluates a copy of x0, which must have shape (n,); a non-finite start
+raises ``NumericalFailure``.  The budget is checked between iterations, so
+the count may exceed ``max_evals`` by one iteration's cost less one.  A CG
+chain restarts from steepest descent after ``RESTART_FACTOR`` * n + 1
+steps.  A run is ``converged`` once any evaluated point has
+||grad f|| <= gtol, and reports that point in its last trace row; else it
+ends ``diverged`` (non-finite value, gradient norm or phi*),
+``line_search_failure`` (ncg's backtracking) or ``budget_exhausted``, and
+reports the lowest-f evaluated point.  ncg's phi* column is NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,6 +91,8 @@ class SolverConfig:
     conjugate_z: bool = False
 
     def __post_init__(self):
+        if self.L is None or self.ell is None:
+            raise InvalidSpec(f"L and ell must be numbers, got L={self.L}, ell={self.ell}")
         check_settings(self.L, self.ell, self.gtol, self.max_evals)
 
 
@@ -90,7 +106,7 @@ def _start_point(x0: Vector, n: int) -> Vector:
 
 @dataclass(slots=True)
 class CagIterationState:
-    """Full per-iteration state of the solver, updated in place by the steps.
+    """Per-iteration state of a run, updated in place by the steps.
 
     ``point`` is the last evaluated iterate and ``x`` the current one; they
     differ only during an AG block, whose iterates are not evaluated until
@@ -120,6 +136,10 @@ class _ConvergedAt(Exception):
         super().__init__("converged")
         self.point = point
         self.kind = kind
+
+
+class _LineSearchFailed(Exception):
+    """Internal control flow: a line search found no acceptable step."""
 
 
 def _evaluate_or_stop(
@@ -304,15 +324,15 @@ def ag_step(
     config: SolverConfig,
     problem: ObjectiveProblem,
     counter: EvalCounter,
-) -> None:
+) -> tuple[Evaluation, StepKind]:
     """One accelerated-gradient iteration, of cag's AG blocks and of ``ag_minimize``.
 
     Forms the combination point bar_x = (theta gamma v + gamma_next x) /
     (gamma + theta ell), evaluates there (one counted evaluation), takes the
     gradient step x_next = bar_x - bar_g / L and advances the model anchored
     at bar_x.  Writes ``x``, ``estimate`` and ``bar`` (none if the run ends
-    at bar_x).  The new iterate is deliberately left unevaluated: ``point``
-    is stale until the block exits.
+    at bar_x) and returns the row ``(bar, AG)``.  The new iterate is
+    deliberately left unevaluated: ``point`` is stale until the block exits.
     """
     est = state.estimate
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, est.gamma)
@@ -323,6 +343,7 @@ def ag_step(
     state.estimate = advance_estimate(est, theta, gamma_next, config.ell, bar.x, bar.f, bar.g)
     state.x = bar.x - bar.g / config.L
     state.bar = bar
+    return bar, StepKind.AG
 
 
 def ag_block_exit_test(state: CagIterationState) -> bool:
@@ -357,12 +378,37 @@ def return_to_cg(
             state.z_tilde, state.zAz = z, zAz
 
 
-def _initial_state(start: Evaluation, config: SolverConfig) -> CagIterationState:
+def cag_step(
+    state: CagIterationState,
+    config: SolverConfig,
+    problem: ObjectiveProblem,
+    counter: EvalCounter,
+) -> tuple[Evaluation, StepKind]:
+    """One iteration of the fallback ladder: a CG attempt; on a failed
+    progress test a steepest-descent retry; if both fail (or a block is
+    already running) an AG step, with the block entered here and left once
+    the gradient norm has dropped by ``AG_EXIT_FACTOR``.  Returns the row."""
+    if state.ag_ref_gnorm is None:
+        if cg_attempt(state, config, problem, counter, use_steepest=False)[0]:
+            return state.point, StepKind.CG if state.z_tilde is None else StepKind.BAR
+        if cg_attempt(state, config, problem, counter, use_steepest=True)[0]:
+            return state.point, StepKind.SD
+    row, kind = ag_step(state, config, problem, counter)
+    if state.ag_ref_gnorm is None:
+        state.ag_ref_gnorm = row.gnorm
+    if ag_block_exit_test(state):
+        return_to_cg(state, config, problem, counter)
+    return row, kind
+
+
+def _initial_state(
+    start: Evaluation, config: SolverConfig, phi_star0: float | None = None
+) -> CagIterationState:
     return CagIterationState(
         x=start.x,
         point=start,
         p=-start.g,
-        estimate=init_estimate(start.f, start.x, config.L),
+        estimate=init_estimate(start.f if phi_star0 is None else phi_star0, start.x, config.L),
         i_cg=0,
         ag_ref_gnorm=None,
         bar=start,
@@ -373,60 +419,46 @@ def _initial_state(start: Evaluation, config: SolverConfig) -> CagIterationState
 
 
 @np.errstate(over="ignore")
+def run_steps(
+    step: Callable[..., tuple[Evaluation, StepKind]],
+    problem: ObjectiveProblem,
+    x0: Vector,
+    config: SolverConfig,
+    record_iterates: bool,
+    phi_star0: float | None = None,
+) -> SolverResult:
+    """Run from ``x0`` under the run contract above.  Each call
+    ``step(state, config, problem, counter)`` is one iteration: it updates
+    the state in place and returns the (point, kind) of its trace row, whose
+    iterate is ``state.x``.  ``phi_star0`` replaces phi*_0 = f(x0)."""
+    counter = EvalCounter()
+    start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
+    state = _initial_state(start, config, phi_star0)
+    log = RunLog(counter, start, state.estimate.phi_star, record_iterates)
+    if start.gnorm <= config.gtol:
+        return log.finish(Status.CONVERGED)
+
+    restart_at = RESTART_FACTOR * problem.n + 1
+    try:
+        while counter.count < config.max_evals:
+            if state.i_cg >= restart_at:
+                state.p, state.i_cg = -state.point.g, 0
+            row, kind = step(state, config, problem, counter)
+            log.record(row, state.estimate.phi_star, kind, state.x)
+    except _ConvergedAt as c:
+        return log.converged(c.point, state.estimate.phi_star, c.kind)
+    except NumericalFailure:
+        return log.finish(Status.DIVERGED)
+    except _LineSearchFailed:
+        return log.finish(Status.LINE_SEARCH_FAILURE)
+    return log.finish(Status.BUDGET_EXHAUSTED)
+
+
 def cag_minimize(
     problem: ObjectiveProblem,
     x0: Vector,
     config: SolverConfig,
     record_iterates: bool = False,
 ) -> SolverResult:
-    """Minimise ``problem`` from ``x0`` until ||grad f|| <= gtol.
-
-    Per-iteration control flow: a forced steepest-descent restart when the
-    CG chain reaches ``RESTART_FACTOR`` * n + 1 steps; a CG attempt; on a
-    failed progress test a steepest-descent retry; if both fail (or a block
-    is already running) an AG step, with the block entered at the current
-    iteration and left once the gradient norm has dropped by
-    ``AG_EXIT_FACTOR``.
-
-    The evaluation budget is checked at iteration boundaries, so the final
-    count may exceed ``max_evals`` by one iteration's cost less one: at
-    most 4, or 6 in conjugate-z mode.  Returns the full per-iteration
-    trace; the row for the starting point is tagged ``init``.
-    """
-    counter = EvalCounter()
-    start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
-    log = RunLog(counter, start, start.f, record_iterates)
-    if start.gnorm <= config.gtol:
-        return log.finish(Status.CONVERGED)
-
-    state = _initial_state(start, config)
-    restart_at = RESTART_FACTOR * problem.n + 1
-    try:
-        while counter.count < config.max_evals:
-            if state.i_cg >= restart_at:
-                state.p, state.i_cg = -state.point.g, 0
-
-            kind: StepKind | None = None
-            if state.ag_ref_gnorm is None:
-                if cg_attempt(state, config, problem, counter, use_steepest=False)[0]:
-                    kind = StepKind.CG if state.z_tilde is None else StepKind.BAR
-                elif cg_attempt(state, config, problem, counter, use_steepest=True)[0]:
-                    kind = StepKind.SD
-
-            if kind is None:
-                ag_step(state, config, problem, counter)
-                kind = StepKind.AG
-                row = state.bar
-                if state.ag_ref_gnorm is None:
-                    state.ag_ref_gnorm = row.gnorm
-                if ag_block_exit_test(state):
-                    return_to_cg(state, config, problem, counter)
-            else:
-                row = state.point
-
-            log.record(row, state.estimate.phi_star, kind, state.x)
-    except _ConvergedAt as c:
-        return log.converged(c.point, state.estimate.phi_star, c.kind)
-    except NumericalFailure:
-        return log.finish(Status.DIVERGED)
-    return log.finish(Status.BUDGET_EXHAUSTED)
+    """Minimise ``problem`` from ``x0`` by ``cag_step`` iterations until ||grad f|| <= gtol."""
+    return run_steps(cag_step, problem, x0, config, record_iterates)

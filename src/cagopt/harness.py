@@ -216,31 +216,35 @@ def parse_suite_config(path: str | Path) -> list[RunConfig]:
 
     Problem keys: family, n, m, lambda, delta, sigma, tau, seed.
     Run keys: solver, gtol, max_evals, L, ell, conjugate_z, trace, json.
+    Any error in a line raises ``InvalidSpec`` prefixed with ``path:lineno``.
     """
     configs = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        pairs = {}
-        for token in line.split():
-            if "=" not in token:
-                raise InvalidSpec(f"{path}:{lineno}: expected key=value, got {token!r}")
-            key, _, value = token.partition("=")
-            pairs[key] = value
-        configs.append(run_config_from_kv(pairs, where=f"{path}:{lineno}"))
+        try:
+            pairs = {}
+            for token in line.split():
+                if "=" not in token:
+                    raise InvalidSpec(f"expected key=value, got {token!r}")
+                key, _, value = token.partition("=")
+                pairs[key] = value
+            configs.append(run_config_from_kv(pairs))
+        except ValueError as e:  # InvalidSpec, or a value that is not a number
+            raise InvalidSpec(f"{path}:{lineno}: {e}") from e
     return configs
 
 
 _RUN_KEYS = {"solver", "gtol", "max_evals", "L", "ell", "conjugate_z", "trace", "json"}
 
 
-def run_config_from_kv(pairs: dict[str, str], where: str = "") -> RunConfig:
+def run_config_from_kv(pairs: dict[str, str]) -> RunConfig:
     unknown = set(pairs) - PROBLEM_KEYS - _RUN_KEYS
     if unknown:
-        raise InvalidSpec(f"{where}: unknown keys {sorted(unknown)}")
+        raise InvalidSpec(f"unknown keys {sorted(unknown)}")
     if "solver" not in pairs:
-        raise InvalidSpec(f"{where}: missing solver=...")
+        raise InvalidSpec("missing solver=...")
     spec = ProblemSpec.from_kv({k: v for k, v in pairs.items() if k in PROBLEM_KEYS})
     return RunConfig(
         problem=spec,

@@ -16,12 +16,11 @@ huber     Huber regression on a first-difference stencil against b = 1..n+1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .baselines import QuadraticProblem
 from .errors import InvalidSpec
 from .oracle import ObjectiveProblem, Vector
 
@@ -37,6 +36,43 @@ _PARAMS = (
     ("seed", "seed", int),
 )
 PROBLEM_KEYS = frozenset(["family", "n", *(key for key, _, _ in _PARAMS)])
+
+
+@dataclass(frozen=True)
+class QuadraticProblem:
+    """Quadratic objective f(x) = x^T A x / 2 - b^T x given as an SPD operator."""
+
+    apply_A: Callable[[Vector], Vector]
+    b: Vector
+    known_fstar: float | None = None
+    known_xstar: Vector | None = None
+    name: str = "quadratic"
+
+    @property
+    def n(self) -> int:
+        return self.b.size
+
+    def objective(self, L: float, ell: float = 0.0, name: str | None = None) -> ObjectiveProblem:
+        """Wrap the operator as a counted function-gradient oracle.
+
+        One evaluate call applies A once: f = x^T(Ax)/2 - b^T x,
+        grad = Ax - b.
+        """
+        apply_A, b = self.apply_A, self.b
+
+        def evaluate(x):
+            Ax = apply_A(x)
+            return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
+
+        return ObjectiveProblem(
+            name=name or self.name,
+            n=self.n,
+            evaluate=evaluate,
+            default_L=L,
+            default_ell=ell,
+            known_xstar=self.known_xstar,
+            known_fstar=self.known_fstar,
+        )
 
 
 def first_primes(m: int) -> list[int]:

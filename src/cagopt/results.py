@@ -76,10 +76,8 @@ class RunLog:
     appends one iteration's row for an evaluated point, with the evaluation
     count read from the run's counter, and keeps the lowest-f point seen as
     ``best``; ``iterate`` is the point stored in ``iterates`` when it
-    differs from the row's point.  A run ends through ``converged`` (one
-    last row at the point that passed the gradient test, which the result
-    reports) or ``finish`` (any status, reporting ``best``: the starting
-    point when no iteration ran).
+    differs from the row's point.  ``converged`` and ``finish`` build the
+    result as the run contract in ``cag`` states it.
     """
 
     def __init__(

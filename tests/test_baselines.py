@@ -108,6 +108,7 @@ class TestNcg:
         res = ncg_minimize(prob, np.array([2.0]), SolverConfig(L=1.0, gtol=1e-10, max_evals=100))
         assert res.converged
         assert res.iterations == 1
+        assert np.isnan([rec.phi_star for rec in res.trace]).all()  # no estimate sequence
 
     def test_huber_run_is_deterministic(self):
         prob = make_huber(400, tau=10.0)
@@ -132,6 +133,7 @@ class TestNcg:
         prob = make_quad_diag(200)
         res = ncg_minimize(prob, np.zeros(200), SolverConfig(L=40000.0, gtol=1e-14, max_evals=30))
         assert res.status is Status.BUDGET_EXHAUSTED
+        assert np.isnan([rec.phi_star for rec in res.trace]).all()
 
 
 class TestAg:

@@ -19,6 +19,7 @@ from cagopt import (
     lcg_minimize,
     make_huber,
     make_quad_diag,
+    ncg_minimize,
 )
 from cagopt.cag import (
     CagIterationState,
@@ -48,7 +49,8 @@ class TestAgStep:
         config = SolverConfig(L=1.0, ell=1.0, gtol=1e-30, max_evals=10)
         counter = EvalCounter()
         state = _initial_state(evaluate_counted(prob, np.array([1.0]), counter), config)
-        ag_step(state, config, prob, counter)
+        row, kind = ag_step(state, config, prob, counter)
+        assert row is state.bar and kind is StepKind.AG  # the iteration's trace row
         assert abs(state.bar.x[0] - 1.0) <= 1e-15  # combination of equal points
         assert abs(state.x[0]) <= 1e-15            # gradient step lands at 0
 
@@ -250,6 +252,16 @@ class TestCagMinimize:
                            SolverConfig(L=L, ell=ell, gtol=1e-9, max_evals=10**4))
         assert res.converged
 
+    def test_forced_restart_rule_is_shared_with_ncg(self, monkeypatch):
+        # ncg converges on quad n=100 in 263 evaluations; restarting every
+        # step (RESTART_FACTOR = 0) turns it into steepest descent, which
+        # does not converge within 2,000
+        config = SolverConfig(L=1e4, ell=1.0, max_evals=2000)
+        assert ncg_minimize(make_quad_diag(100), np.zeros(100), config).evaluations == 263
+        monkeypatch.setattr(cagopt.cag, "RESTART_FACTOR", 0)
+        res = ncg_minimize(make_quad_diag(100), np.zeros(100), config)
+        assert res.status is Status.BUDGET_EXHAUSTED
+
     def test_huber_z_mode_run_accounting(self):
         # end-to-end conjugate-z run with real AG blocks: the trace deltas
         # partition the counter exactly; plain rows stay within 5 calls and
@@ -301,6 +313,7 @@ class TestCagMinimize:
             {"L": 1.0, "ell": -1.0}, {"L": 1.0, "ell": 2.0},
             {"L": 1.0, "gtol": 0.0}, {"L": 1.0, "gtol": -1e-8},
             {"L": 1.0, "max_evals": 0},
+            {"L": None}, {"L": 1.0, "ell": None},
         ):
             with pytest.raises(InvalidSpec):
                 SolverConfig(**bad)

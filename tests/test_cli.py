@@ -61,3 +61,23 @@ def test_suite_with_invalid_row_is_a_usage_error(tmp_path):
     assert result.exit_code == 2, result.output
     assert "L must be positive" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("family=quad n=10 solver=cag L=abc", "could not convert string to float: 'abc'"),
+        ("family=quad n=abc solver=cag", "invalid literal for int()"),
+        ("family=quad n=10 solver=cag max_evals=1e3", "invalid literal for int()"),
+        ("family=quad n=10 solver=cag L=0", "L must be positive"),
+    ],
+    ids=["L-not-a-number", "n-not-a-number", "max_evals-not-an-int", "L-zero"],
+)
+def test_suite_row_error_names_its_line(tmp_path, row, message):
+    config = tmp_path / "suite.txt"
+    config.write_text("# a comment line\nfamily=quad n=10 solver=ag\n" + row + "\n")
+    result = CliRunner().invoke(main, ["suite", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert f"{config}:3: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

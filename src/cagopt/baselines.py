@@ -24,7 +24,7 @@ from .cag import (
     run_steps,
     secant_alpha,
 )
-from .errors import CurvatureFailure, DegenerateDirection, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector
 from .problems import QuadraticProblem
 # Unused here, but perfbench/tracing.py wraps these names in this module.
@@ -102,12 +102,10 @@ def ncg_step(
     g = point.g
     if float(g @ p) >= 0.0:
         p, i_cg = -g, 0
-    try:
-        alpha, _, _ = secant_alpha(problem, counter, point, p, config.L, config.gtol, StepKind.CG)
-    except CurvatureFailure:
-        # Flat or concave along p: fall back to the step that the
-        # smoothness bound alone guarantees to decrease f.
-        alpha = -float(g @ p) / (config.L * float(p @ p))
+    secant = secant_alpha(problem, counter, point, p, config.L, config.gtol, StepKind.CG)
+    # With no secant step (flat or concave along p), take the step that the
+    # smoothness bound alone guarantees to decrease f.
+    alpha = secant[0] if secant is not None else -float(g @ p) / (config.L * float(p @ p))
 
     # Near the minimum the true decrease falls below what doubles can
     # represent, so demand decrease only up to a rounding-level slack.
@@ -120,9 +118,8 @@ def ncg_step(
     else:
         raise _LineSearchFailed
 
-    try:
-        beta = hz_beta(g, new, p, state.g0_norm)
-    except DegenerateDirection:
+    beta = hz_beta(g, new, p, state.g0_norm)
+    if beta is None:
         beta = 0.0
     state.x, state.point = new.x, new
     state.p = -new.g + beta * p

@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CurvatureFailure, DegenerateDirection, InvalidSpec, NumericalFailure
+from .errors import InvalidSpec, NumericalFailure
 from .estimate_sequence import (
     EstimateState,
     advance_estimate,
@@ -165,42 +165,39 @@ def secant_alpha(
     L: float,
     gtol: float,
     kind: StepKind,
-) -> tuple[float, Vector, float]:
+) -> tuple[float, Vector, float] | None:
     """Secant step length from a single probe at x + p/L, x = ``point.x``.
 
     The gradient difference gives a generalized curvature product
     Ap = L (grad f(x + p/L) - g); on a quadratic it equals the exact A p, so
     alpha = -<g, p> / <p, Ap> is the exact line minimiser there.
 
-    Returns (alpha, Ap, pAp).  Costs one counted evaluation, and ends the
-    run at the probe (as a ``kind`` row) when its gradient passes ``gtol``.
-    Raises ``CurvatureFailure`` when pAp <= 0, which the caller treats as a
-    failed attempt.
+    Returns (alpha, Ap, pAp), or None when pAp <= 0.  Costs one counted
+    evaluation, and ends the run at the probe (as a ``kind`` row) when its
+    gradient passes ``gtol``.
     """
     probe = _evaluate_or_stop(problem, point.x + p / L, counter, gtol, kind)
     Ap = L * (probe.g - point.g)
     pAp = float(p @ Ap)
     if pAp <= 0.0:
-        raise CurvatureFailure(f"nonpositive directional curvature pAp={pAp!r}")
+        return None
     alpha = -float(point.g @ p) / pAp
     return alpha, Ap, pAp
 
 
-def hz_beta(g: Vector, new: Evaluation, p: Vector, g0_norm: float) -> float:
+def hz_beta(g: Vector, new: Evaluation, p: Vector, g0_norm: float) -> float | None:
     """Hager-Zhang conjugacy coefficient with the negative lower safeguard.
 
     With g_next = ``new.g`` and y = g_next - g:
     beta1 = <y - p * 2||y||^2 / <y,p>, g_next> / <y,p>
     beta2 = -1 / (||p|| * min(0.01 * g0_norm, ||g_next||))
-    returns max(beta1, beta2).
-
-    Raises ``DegenerateDirection`` when <y, p> = 0.
+    returns max(beta1, beta2), or None when <y, p> = 0.
     """
     g_next = new.g
     y = g_next - g
     yp = float(y @ p)
     if yp == 0.0:
-        raise DegenerateDirection("y^T p vanished in the direction update")
+        return None
     beta1 = float((y - p * (2.0 * float(y @ y) / yp)) @ g_next) / yp
     beta2 = -1.0 / (math.sqrt(float(p @ p)) * min(0.01 * g0_norm, new.gnorm))
     return max(beta1, beta2)
@@ -213,10 +210,8 @@ def z_conjugate_update(
 
     delta = <z, Ap> / pAp removes the p-component of z in the A-inner
     product; the quadratic form follows by expansion:
-    zAz' = zAz - 2 delta <z, Ap> + delta^2 pAp.
+    zAz' = zAz - 2 delta <z, Ap> + delta^2 pAp.  The caller ensures pAp > 0.
     """
-    if pAp <= 0.0:
-        raise CurvatureFailure(f"nonpositive curvature pAp={pAp!r} in z update")
     zAp = float(z_tilde @ Ap)
     delta = zAp / pAp
     z_next = z_tilde - delta * p
@@ -237,10 +232,8 @@ def bar_augment(
     alpha_t = -<g_next, z> / zAz with g_next = ``new.g``; returns the
     evaluation at bar_x = x_next + alpha_t z.  Costs one counted evaluation,
     and ends the run there (as a ``bar`` row) when the gradient passes
-    ``gtol``.
+    ``gtol``.  The caller ensures zAz > 0.
     """
-    if zAz <= 0.0:
-        raise CurvatureFailure(f"nonpositive quadratic form zAz={zAz!r}")
     alpha_t = -float(new.g @ z_tilde) / zAz
     return _evaluate_or_stop(
         problem, new.x + alpha_t * z_tilde, counter, gtol, StepKind.BAR
@@ -261,23 +254,23 @@ def cg_attempt(
     mode), advances the estimate sequence anchored at the *previous* bar
     point, and accepts iff f_next <= phi*_next or bar_f_next <= phi*_next.
 
-    Returns (accepted, state), ``state`` being the object passed in.  An
-    accepted attempt writes every field but ``ag_ref_gnorm`` and ``g0_norm``.
-    A failed progress test writes only ``z_tilde``/``zAz``, whose
-    recurrences advance unconditionally; ``CurvatureFailure``,
-    ``DegenerateDirection`` and a run that ends inside the attempt write none.
+    Returns (accepted, state), ``state`` being the object passed in.  The
+    attempt fails (False) on nonpositive curvature pAp <= 0 at the probe,
+    on a failed progress test, or on a degenerate direction update
+    <y, p> = 0 after a passed one.  An accepted attempt writes every field
+    but ``ag_ref_gnorm`` and ``g0_norm``.  A failed progress test writes
+    only ``z_tilde``/``zAz``, whose recurrences advance unconditionally;
+    the other two failures and a run that ends inside the attempt write none.
     """
     point = state.point
     p = -point.g if use_steepest else state.p
     i_cg = 0 if use_steepest else state.i_cg
     kind = StepKind.SD if use_steepest else StepKind.CG
 
-    try:
-        alpha, Ap, pAp = secant_alpha(
-            problem, counter, point, p, config.L, config.gtol, kind
-        )
-    except CurvatureFailure:
+    secant = secant_alpha(problem, counter, point, p, config.L, config.gtol, kind)
+    if secant is None:
         return False, state
+    alpha, Ap, pAp = secant
 
     new = _evaluate_or_stop(problem, point.x + alpha * p, counter, config.gtol, kind)
 
@@ -304,9 +297,8 @@ def cg_attempt(
         state.z_tilde, state.zAz = z_tilde, zAz
         return False, state
 
-    try:
-        beta = hz_beta(point.g, new, p, state.g0_norm)
-    except DegenerateDirection:
+    beta = hz_beta(point.g, new, p, state.g0_norm)
+    if beta is None:
         return False, state
 
     state.x = new.x

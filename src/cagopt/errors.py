@@ -13,14 +13,6 @@ class InvalidState(SolverError):
     """An internal algebraic invariant was violated; indicates a bug or bad input."""
 
 
-class CurvatureFailure(SolverError):
-    """A directional curvature estimate came out nonpositive."""
-
-
-class DegenerateDirection(SolverError):
-    """A direction-update denominator vanished; restart with steepest descent."""
-
-
 class NotPositiveDefinite(SolverError):
     """The operator handed to the linear CG solver is not positive definite."""
 

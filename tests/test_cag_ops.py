@@ -15,7 +15,6 @@ from cagopt.cag import (
     secant_alpha,
     z_conjugate_update,
 )
-from cagopt.errors import CurvatureFailure, DegenerateDirection
 from cagopt.oracle import Evaluation
 
 from conftest import random_spd_quadratic
@@ -102,8 +101,7 @@ class TestSecantAlpha:
         )
         counter = EvalCounter()
         point = evaluated(prob, np.array([1.0]))
-        with pytest.raises(CurvatureFailure):
-            secant_alpha(prob, counter, point, np.array([1.0]), 1.0, 1e-12, StepKind.CG)
+        assert secant_alpha(prob, counter, point, np.array([1.0]), 1.0, 1e-12, StepKind.CG) is None
         assert counter.count == 1
         # the probe x + p/L = 0 has a zero gradient: the run ends there
         # although pAp <= 0 along p = -1
@@ -135,6 +133,11 @@ class TestHzBeta:
         g = g_next - y
         beta = hz_beta(g, gradient_record(g_next), p, g0_norm=10.0)
         assert beta == 0.0
+
+    def test_vanishing_yp_returns_none(self):
+        # y = g_next - g = (0, 1) is orthogonal to p = (1, 0)
+        g, g_next, p = np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0])
+        assert hz_beta(g, gradient_record(g_next), p, g0_norm=1.0) is None
 
     def test_reproduces_conjugate_direction_on_quadratic(self, rng):
         # oracle: explicit 5x5 SPD matrix and an exact line search step;
@@ -195,10 +198,6 @@ class TestZConjugateUpdate:
             assert rel <= 1e-10
         explicit = float(z @ (A @ z))
         assert abs(zAz - explicit) <= 1e-10 * abs(explicit)
-
-    def test_rejects_nonpositive_curvature(self):
-        with pytest.raises(CurvatureFailure):
-            z_conjugate_update(np.ones(2), 1.0, np.ones(2), np.ones(2), 0.0)
 
 
 class TestBarAugment:
@@ -332,7 +331,7 @@ class TestCgAttempt:
 
         def degenerate(*args):
             calls.append(args)
-            raise DegenerateDirection("y^T p vanished in the direction update")
+            return None
 
         monkeypatch.setattr(cagopt.cag, "hz_beta", degenerate)
         A, b, L, ell, _ = random_spd_quadratic(rng, 4, 0.0, 1.0)

@@ -35,10 +35,12 @@ raises ``NumericalFailure``.  The budget is checked between iterations, so
 the count may exceed ``max_evals`` by one iteration's cost less one.  A CG
 chain restarts from steepest descent after ``RESTART_FACTOR`` * n + 1
 steps.  A run is ``converged`` once any evaluated point has
-||grad f|| <= gtol, and reports that point in its last trace row; else it
-ends ``diverged`` (non-finite value, gradient norm or phi*),
-``line_search_failure`` (ncg's backtracking) or ``budget_exhausted``, and
-reports the lowest-f evaluated point.  ncg's phi* column is NaN.
+||grad f|| <= gtol (a secant probe, a candidate, a bar or AG combination
+point, or the iterate or model centre that ``return_to_cg`` evaluates),
+and reports that point in its last trace row; else it ends ``diverged``
+(non-finite value, gradient norm or phi*), ``line_search_failure`` (ncg's
+backtracking) or ``budget_exhausted``, and reports the lowest-f evaluated
+point.  ncg's phi* column is NaN.
 """
 
 from __future__ import annotations
@@ -355,16 +357,17 @@ def return_to_cg(
     centre v in conjugate-z mode, where z = v - x is initialised together
     with zAz = <grad f(v) - grad f(x), z> (exact z^T A z on a quadratic).
     A nonpositive or vanishing zAz disables the augmentation for this block.
-    Writes every field but ``x``, ``estimate`` and ``g0_norm``.
+    Writes every field but ``x``, ``estimate`` and ``g0_norm``, unless the
+    run ends at either point (as an ``ag`` row).
     """
-    point = evaluate_counted(problem, state.x, counter)
+    point = _evaluate_or_stop(problem, state.x, counter, config.gtol, StepKind.AG)
     state.point = state.bar = point
     state.p, state.i_cg = -point.g, 0
     state.ag_ref_gnorm = None
     state.z_tilde, state.zAz = None, 0.0
     if config.conjugate_z:
         z = state.estimate.v - state.x
-        g_v = evaluate_counted(problem, state.estimate.v, counter).g
+        g_v = _evaluate_or_stop(problem, state.estimate.v, counter, config.gtol, StepKind.AG).g
         zAz = float(z @ (g_v - point.g))
         if zAz > 0.0 and float(z @ z) > 0.0:
             state.z_tilde, state.zAz = z, zAz

@@ -156,6 +156,23 @@ class TestReturnToCg:
         return_to_cg(state, config, prob, counter)
         assert state.z_tilde is None
 
+    def test_ends_the_run_at_a_passing_centre(self):
+        # f = ||x||^2 / 2 with the model centre v moved to the minimiser: the
+        # iterate fails gtol, the centre passes it and ends the run as an ag row
+        prob = ObjectiveProblem(
+            name="halfnormsq", n=2, evaluate=lambda x: (0.5 * float(x @ x), x.copy()),
+            default_L=1.0,
+        )
+        config = SolverConfig(L=1.0, gtol=1e-12, conjugate_z=True)
+        counter = EvalCounter()
+        state = _initial_state(evaluate_counted(prob, np.ones(2), counter), config)
+        state.estimate = init_estimate(0.0, np.zeros(2), 1.0)
+        with pytest.raises(_ConvergedAt) as info:
+            return_to_cg(state, config, prob, counter)
+        assert info.value.kind is StepKind.AG
+        assert np.array_equal(info.value.point.x, np.zeros(2))
+        assert counter.count == 3  # start, iterate, centre
+
 
 class TestCagMinimize:
     def test_norm_squared_converges_in_one_iteration(self, rng):
@@ -261,6 +278,18 @@ class TestCagMinimize:
         monkeypatch.setattr(cagopt.cag, "RESTART_FACTOR", 0)
         res = ncg_minimize(make_quad_diag(100), np.zeros(100), config)
         assert res.status is Status.BUDGET_EXHAUSTED
+
+    @pytest.mark.parametrize("z_mode, evals", [(False, 1034), (True, 1038)])
+    def test_stops_at_the_iterate_that_ends_an_ag_block(self, z_mode, evals):
+        # with L = 4 on huber 700 the iterate that return_to_cg evaluates has
+        # a zero gradient; the run ends there, as an ag row, before the
+        # centre (z mode) and the next secant probe are evaluated
+        res = cag_minimize(make_huber(700, tau=70.0), np.zeros(700),
+                           SolverConfig(L=4.0, conjugate_z=z_mode))
+        assert res.status is Status.CONVERGED
+        assert (res.iterations, res.evaluations) == (631, evals)
+        last = res.trace[-1]
+        assert (last.step, last.gnorm, last.evals) == (StepKind.AG, 0.0, evals)
 
     def test_huber_z_mode_run_accounting(self):
         # end-to-end conjugate-z run with real AG blocks: the trace deltas

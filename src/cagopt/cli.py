@@ -48,7 +48,7 @@ def run_cmd(family, n, m, lam, delta, sigma, tau, seed, solver, gtol, max_evals,
             l_override, ell, conjugate_z, trace_path, json_path):
     """Run one solver on one problem instance."""
     try:
-        result = run_one(RunConfig(
+        config = RunConfig(
             problem=ProblemSpec(family=family, n=n, m=m, lam=lam, delta=delta,
                                 sigma=sigma, tau=tau, seed=seed),
             solver=solver,
@@ -59,11 +59,12 @@ def run_cmd(family, n, m, lam, delta, sigma, tau, seed, solver, gtol, max_evals,
             conjugate_z=conjugate_z,
             trace_path=trace_path,
             json_path=json_path,
-        ))
+        )
+        result = run_one(config)
     except InvalidSpec as e:
         raise click.UsageError(str(e)) from e
     click.echo(
-        f"{solver}: {result.status.value}  iterations={result.iterations}  "
+        f"{config.solver_name}: {result.status.value}  iterations={result.iterations}  "
         f"evaluations={result.evaluations}  f={result.f_final:.9e}  "
         f"gnorm={result.gnorm_final:.3e}"
     )

@@ -39,7 +39,14 @@ class RunConfig:
             raise InvalidSpec(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.solver == "lcg" and self.problem.family != "quad":
             raise InvalidSpec("the lcg solver applies only to the quad family")
+        if self.conjugate_z and self.solver != "cag":
+            raise InvalidSpec("conjugate_z applies only to the cag solver")
         check_settings(self.L, self.ell, self.gtol, self.max_evals)
+
+    @property
+    def solver_name(self) -> str:
+        """The solver's name in the suite and the JSON summary: cag+z in conjugate-z mode."""
+        return "cag+z" if self.conjugate_z else self.solver
 
 
 def _format_float(v: float) -> str:
@@ -93,7 +100,7 @@ def run(config: RunConfig) -> SolverResult:
     if config.json_path:
         summary = {
             "problem": problem.name,
-            "solver": config.solver,
+            "solver": config.solver_name,
             "status": result.status.value,
             "iterations": result.iterations,
             "evaluations": result.evaluations,
@@ -145,7 +152,7 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
         elapsed = time.perf_counter() - start
         return SuiteRow(
             problem=config.problem.label(),
-            solver=config.solver,
+            solver=config.solver_name,
             status=result.status,
             iterations=result.iterations,
             evaluations=result.evaluations,

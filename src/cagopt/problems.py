@@ -52,7 +52,7 @@ class QuadraticProblem:
     def n(self) -> int:
         return self.b.size
 
-    def objective(self, L: float, ell: float = 0.0, name: str | None = None) -> ObjectiveProblem:
+    def objective(self, L: float, ell: float = 0.0) -> ObjectiveProblem:
         """Wrap the operator as a counted function-gradient oracle.
 
         One evaluate call applies A once: f = x^T(Ax)/2 - b^T x,
@@ -65,7 +65,7 @@ class QuadraticProblem:
             return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
 
         return ObjectiveProblem(
-            name=name or self.name,
+            name=self.name,
             n=self.n,
             evaluate=evaluate,
             default_L=L,
@@ -95,22 +95,21 @@ def first_primes(m: int) -> list[int]:
     return primes
 
 
+POWER_ITERS = 30  # rounds of power iteration in estimate_spectral_norm
+
+
 def estimate_spectral_norm(
-    apply: Callable[[Vector], Vector],
-    apply_t: Callable[[Vector], Vector],
-    n: int,
-    iters: int = 30,
+    apply: Callable[[Vector], Vector], apply_t: Callable[[Vector], Vector], n: int
 ) -> float:
-    """Largest singular value of a linear operator by power iteration on A^T A.
+    """Largest singular value of a linear operator by ``POWER_ITERS`` rounds
+    of power iteration on A^T A.
 
     Starts from the all-ones vector (fixed, so the estimate is
     deterministic) and returns ||A x|| for the final unit iterate x.
     """
-    if iters < 1:
-        raise InvalidSpec(f"need iters >= 1, got {iters}")
     x = np.ones(n)
     x /= np.linalg.norm(x)
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         y = apply(x)
         ny = float(np.linalg.norm(y))
         if ny == 0.0:
@@ -370,7 +369,8 @@ class ProblemSpec:
 
     Unset parameters fall back to per-family defaults: abpdn uses
     lam=1e-3, delta=1e-4; logistic uses m=2n, lam=1e-4, sigma=0.4, seed=0;
-    huber uses tau=n/10.  The family's constructor check runs here on the
+    huber uses tau=n/10.  A set parameter that the family's constructor does
+    not take is rejected, and the constructor check runs here on the
     resolved parameters, so an out-of-range one fails before any build.
     """
 
@@ -388,8 +388,13 @@ class ProblemSpec:
             raise InvalidSpec(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1:
             raise InvalidSpec(f"need n >= 1, got {self.n}")
+        args = self._constructor()[1]
+        unused = [key for key, field, _ in _PARAMS if getattr(self, field) is not None
+                  and field not in args]
+        if unused:
+            raise InvalidSpec(f"family {self.family} takes no {', '.join(unused)}")
         if self.family in _CHECKS:
-            _CHECKS[self.family](**self._constructor()[1])
+            _CHECKS[self.family](**args)
 
     def _constructor(self) -> tuple[Callable[..., ObjectiveProblem], dict]:
         """The family's constructor and its arguments, defaults filled in."""
@@ -416,22 +421,14 @@ class ProblemSpec:
         make, args = self._constructor()
         return make(**args)
 
-    def _pairs(self) -> list[str]:
-        """key=value for n and every set parameter, floats in %g form."""
-        values = [("n", self.n)] + [(key, getattr(self, field)) for key, field, _ in _PARAMS]
-        return [
-            f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
-            for key, value in values
-            if value is not None
-        ]
-
-    def to_kv(self) -> str:
-        """Serialise as space-separated key=value pairs."""
-        return " ".join([f"family={self.family}", *self._pairs()])
-
     def label(self) -> str:
-        """Name in the suite table, e.g. ``huber(n=60,tau=6)``."""
-        return f"{self.family}({','.join(self._pairs())})"
+        """Name in the suite table, every argument resolved and floats in %g
+        form: ``huber(n=60,tau=6)`` whether or not tau was set."""
+        args = self._constructor()[1]
+        values = [("n", self.n)] + [(key, args[field]) for key, field, _ in _PARAMS if field in args]
+        pairs = [f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+                 for key, value in values]
+        return f"{self.family}({','.join(pairs)})"
 
     @classmethod
     def from_kv(cls, pairs: dict[str, str]) -> "ProblemSpec":

@@ -12,6 +12,14 @@ def test_run_prints_converged_status():
     assert result.output.startswith("cag: converged")
 
 
+def test_run_names_conjugate_z_mode():
+    result = CliRunner().invoke(
+        main, ["run", "--family", "quad", "--n", "10", "--solver", "cag", "--conjugate-z"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("cag+z: converged")
+
+
 def test_run_capped_by_budget_exits_nonzero():
     result = CliRunner().invoke(
         main, ["run", "--family", "quad", "--n", "10", "--solver", "cag", "--max-evals", "3"]

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -101,6 +102,31 @@ class TestSuite:
         assert winner.evaluations == min(r.evaluations for r in rows
                                          if r.status is Status.CONVERGED)
 
+    def test_one_instance_one_label_one_best(self):
+        # tau = 6 is huber n=60's default, so both rows run one instance
+        rows = run_suite([
+            RunConfig(problem=ProblemSpec("huber", 60), solver="cag", gtol=1e-6),
+            RunConfig(problem=ProblemSpec("huber", 60, tau=6.0), solver="ncg", gtol=1e-6),
+        ])
+        assert rows[0].problem == rows[1].problem == "huber(n=60,tau=6)"
+        assert all(r.status is Status.CONVERGED for r in rows)
+        assert sum(r.best for r in rows) == 1
+
+    def test_conjugate_z_rows_are_named_cag_plus_z(self, tmp_path):
+        spec = ProblemSpec("huber", 60)
+        summary = tmp_path / "summary.json"
+        rows = run_suite([
+            RunConfig(problem=spec, solver="cag", gtol=1e-6),
+            RunConfig(problem=spec, solver="cag", gtol=1e-6, conjugate_z=True,
+                      json_path=str(summary)),
+        ])
+        out = tmp_path / "suite.csv"
+        write_suite_csv(out, rows)
+        with open(out, newline="") as fh:
+            assert [r["solver"] for r in csv.DictReader(fh)] == ["cag", "cag+z"]
+        assert json.loads(summary.read_text())["solver"] == "cag+z"
+        assert format_suite_table(rows).splitlines()[2].split()[1] == "cag+z"
+
     def test_empty_suite(self):
         rows = run_suite([])
         assert rows == []
@@ -193,6 +219,8 @@ class TestSuiteConfigFile:
             "family=quad n=10 solver=cag L=1 ell=2",  # out-of-range moduli
             "family=quad n=10 solver=cag L=0",
             "family=quad n=10 solver=cag ell=-1",
+            "family=quad n=10 tau=5 solver=cag",  # a parameter the family ignores
+            "family=quad n=10 solver=ncg conjugate_z=true",  # conjugate z is cag-only
         ],
     )
     def test_invalid_row_fails_before_any_run(self, tmp_path, row):

@@ -295,21 +295,22 @@ class TestHuber:
 
 class TestSpectralNorm:
     def test_scaled_identity_exact_after_one_iteration(self):
-        got = estimate_spectral_norm(lambda x: 2.0 * x, lambda y: 2.0 * y, 4, iters=1)
+        # the unit start vector is already the top singular vector and stays exact
+        got = estimate_spectral_norm(lambda x: 2.0 * x, lambda y: 2.0 * y, 4)
         assert got == 2.0
 
     def test_diag_one_three_converges(self):
         d = np.array([1.0, 3.0])
-        got = estimate_spectral_norm(lambda x: d * x, lambda y: d * y, 2, iters=30)
+        got = estimate_spectral_norm(lambda x: d * x, lambda y: d * y, 2)
         assert abs(got - 3.0) <= 1e-6
 
     def test_orthonormal_rows_give_unit_norm(self):
         A = dct_rows(first_primes(16), 256)
-        got = estimate_spectral_norm(lambda x: A @ x, lambda y: A.T @ y, 256, iters=30)
+        got = estimate_spectral_norm(lambda x: A @ x, lambda y: A.T @ y, 256)
         assert abs(got - 1.0) <= 1e-6
 
     def test_zero_operator(self):
-        got = estimate_spectral_norm(lambda x: 0.0 * x, lambda y: 0.0 * y, 3, iters=5)
+        got = estimate_spectral_norm(lambda x: 0.0 * x, lambda y: 0.0 * y, 3)
         assert got == 0.0
 
 
@@ -362,12 +363,23 @@ def test_construction_determinism(family, kwargs, rng):
 class TestProblemSpec:
     def test_kv_round_trip(self):
         spec = ProblemSpec(family="logistic", n=300, m=600, lam=1e-4, sigma=0.4, seed=7)
-        parsed = ProblemSpec.from_kv(
-            dict(tok.split("=") for tok in spec.to_kv().split())
-        )
-        assert parsed == spec
-        assert spec.to_kv() == "family=logistic n=300 m=600 lambda=0.0001 sigma=0.4 seed=7"
+        kv = "family=logistic n=300 m=600 lambda=0.0001 sigma=0.4 seed=7"
+        assert ProblemSpec.from_kv(dict(tok.split("=") for tok in kv.split())) == spec
         assert spec.label() == "logistic(n=300,m=600,lambda=0.0001,sigma=0.4,seed=7)"
+
+    def test_label_resolves_defaults(self):
+        # a set default and an unset one name the same instance
+        assert ProblemSpec("huber", 60).label() == ProblemSpec("huber", 60, tau=6.0).label()
+        assert ProblemSpec("huber", 60).label() == "huber(n=60,tau=6)"
+        assert (ProblemSpec("logistic", 20).label()
+                == ProblemSpec("logistic", 20, seed=0).label()
+                == "logistic(n=20,m=40,lambda=0.0001,sigma=0.4,seed=0)")
+        assert ProblemSpec("quad", 10).label() == "quad(n=10)"
+
+    @pytest.mark.parametrize("kwargs", [dict(tau=5.0), dict(seed=0), dict(lam=1e-3)])
+    def test_rejects_a_parameter_quad_does_not_take(self, kwargs):
+        with pytest.raises(InvalidSpec, match="family quad takes no"):
+            ProblemSpec(family="quad", n=10, **kwargs)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):

@@ -357,8 +357,8 @@ def return_to_cg(
     centre v in conjugate-z mode, where z = v - x is initialised together
     with zAz = <grad f(v) - grad f(x), z> (exact z^T A z on a quadratic).
     A nonpositive or vanishing zAz disables the augmentation for this block.
-    Writes every field but ``x``, ``estimate`` and ``g0_norm``, unless the
-    run ends at either point (as an ``ag`` row).
+    Writes every field but ``x``, ``estimate`` and ``g0_norm``.  Either
+    evaluation ends the run, as an ``ag`` row, when it passes ``gtol``.
     """
     point = _evaluate_or_stop(problem, state.x, counter, config.gtol, StepKind.AG)
     state.point = state.bar = point

@@ -220,6 +220,7 @@ class TestSuiteConfigFile:
             "family=quad n=10 solver=cag L=0",
             "family=quad n=10 solver=cag ell=-1",
             "family=quad n=10 tau=5 solver=cag",  # a parameter the family ignores
+            "family=huber n=10 seed=1 solver=cag",
             "family=quad n=10 solver=ncg conjugate_z=true",  # conjugate z is cag-only
         ],
     )

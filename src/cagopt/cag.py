@@ -290,10 +290,7 @@ def cg_attempt(
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, state.estimate.gamma)
     # The model update is anchored at the previous bar point; the fresh bar
     # point only enters the acceptance test (and becomes next iteration's anchor).
-    anchor = state.bar
-    est_next = advance_estimate(
-        state.estimate, theta, gamma_next, config.ell, anchor.x, anchor.f, anchor.g
-    )
+    est_next = advance_estimate(state.estimate, theta, gamma_next, config.ell, state.bar)
 
     if not (new.f <= est_next.phi_star or bar.f <= est_next.phi_star):
         state.z_tilde, state.zAz = z_tilde, zAz
@@ -334,7 +331,7 @@ def ag_step(
         est.gamma + theta * config.ell
     )
     bar = _evaluate_or_stop(problem, bar_x, counter, config.gtol, StepKind.AG)
-    state.estimate = advance_estimate(est, theta, gamma_next, config.ell, bar.x, bar.f, bar.g)
+    state.estimate = advance_estimate(est, theta, gamma_next, config.ell, bar)
     state.x = bar.x - bar.g / config.L
     state.bar = bar
     return bar, StepKind.AG

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState, NumericalFailure
+from .oracle import Evaluation
 
 # Tolerance for the theta/gamma identity self-check.  It is exact algebra,
 # so anything beyond a few ulps indicates corrupted state.
@@ -93,12 +94,11 @@ def advance_estimate(
     theta: float,
     gamma_next: float,
     ell: float,
-    bar_x: np.ndarray,
-    bar_f: float,
-    bar_g: np.ndarray,
+    anchor: Evaluation,
 ) -> EstimateState:
-    """One model update anchored at ``bar_x`` with value/gradient (bar_f, bar_g),
-    for theta and gamma_next from ``compute_theta_gamma`` with the same ell.
+    """One model update anchored at the evaluated point ``anchor`` = (bar_x,
+    bar_f, bar_g, ||bar_g||, ||bar_g||^2), for theta and gamma_next from
+    ``compute_theta_gamma`` with the same ell.
 
     v_next    = [(1-theta) gamma v + theta ell bar_x - theta bar_g] / gamma_next
     phi*_next = (1-theta) phi* + theta bar_f
@@ -109,6 +109,7 @@ def advance_estimate(
     Raises ``NumericalFailure`` when phi*_next is not finite (a non-finite
     v_next makes phi* non-finite at the next update).
     """
+    bar_x, bar_f, bar_g, _, bar_gg = anchor
     gamma = state.gamma
     dv = state.v - bar_x
     v_next = (
@@ -118,7 +119,7 @@ def advance_estimate(
     phi_next = (
         (1.0 - theta) * state.phi_star
         + theta * bar_f
-        - (theta * theta / (2.0 * gamma_next)) * float(bar_g @ bar_g)
+        - (theta * theta / (2.0 * gamma_next)) * bar_gg
         + (theta * (1.0 - theta) * gamma / gamma_next) * cross
     )
     if not math.isfinite(phi_next):

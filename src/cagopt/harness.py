@@ -99,7 +99,7 @@ def run(config: RunConfig) -> SolverResult:
         write_trace_csv(config.trace_path, result.trace)
     if config.json_path:
         summary = {
-            "problem": problem.name,
+            "problem": config.problem.label(),
             "solver": config.solver_name,
             "status": result.status.value,
             "iterations": result.iterations,

@@ -64,12 +64,13 @@ class EvalCounter:
 
 
 class Evaluation(NamedTuple):
-    """One counted evaluation: the point x, f(x), grad f(x) and its norm."""
+    """One counted evaluation: the point x, f(x), g = grad f(x), ||g|| and <g, g>."""
 
     x: Vector
     f: float
     g: Vector
     gnorm: float
+    gg: float
 
 
 def evaluate_counted(
@@ -78,7 +79,8 @@ def evaluate_counted(
     """Evaluate ``problem`` at ``x``, incrementing ``counter`` by exactly one.
 
     Returns the point with its value, gradient and gradient norm, the norm
-    computed here once as sqrt(<g, g>) for every consumer of the point.
+    computed here once as sqrt(<g, g>) for every consumer of the point, and
+    <g, g> itself for the estimate-sequence update.
     Raises ``NumericalFailure`` if the value or the norm is non-finite: a
     NaN or infinite gradient entry, or a sum of squares that overflows,
     makes the norm non-finite.  An overflowing evaluation thus aborts the
@@ -89,7 +91,8 @@ def evaluate_counted(
     f, g = problem.evaluate(x)
     counter.count += 1
     f = float(f)
-    gnorm = math.sqrt(float(g @ g))
+    gg = float(g @ g)
+    gnorm = math.sqrt(gg)
     if not (math.isfinite(f) and math.isfinite(gnorm)):
         raise NumericalFailure(f"non-finite evaluation in problem {problem.name!r}")
-    return Evaluation(x, f, g, gnorm)
+    return Evaluation(x, f, g, gnorm, gg)

@@ -329,25 +329,32 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
 
     zeta'' <= 2 and sigma_max(A) <= 2 for the stencil, so L = 8 is a cheap
     certified bound; the linear tails make ell = 0.
+
+    evaluate makes three passes over fresh buffers: the residual t; zeta(t)
+    over a = |t| (the tail a * 2tau - tau^2, then t * t where a <= tau),
+    summed pairwise as np.sum does; zeta'(t) = 2 clip(t, -tau, tau) over t.
+    Each entry rounds as in the piecewise formula (2 (+-tau) is the same
+    double as 2tau (+-1)), so f and g equal it bit for bit, NaN and inf too.
     """
     _check_huber(n, tau)
     b = np.arange(1, n + 2, dtype=float)
 
-    def apply_A(x):
-        r = np.empty(n + 1)
-        r[0] = x[0]
-        r[1:n] = x[1:] - x[:-1]
-        r[n] = -x[-1]
-        return r
-
     def evaluate(x):
-        t = apply_A(x) - b
-        inner = np.abs(t) <= tau
-        f = float(np.sum(np.where(inner, t * t, -tau * tau + 2.0 * tau * np.abs(t))))
-        zp = np.where(inner, 2.0 * t, 2.0 * tau * np.sign(t))
+        t = np.empty(n + 1)
+        t[0], t[n] = x[0], -x[-1]
+        np.subtract(x[1:], x[:-1], out=t[1:n])
+        t -= b
+        a = np.abs(t)
+        inner = a <= tau
+        a *= 2.0 * tau
+        a -= tau * tau
+        np.multiply(t, t, out=a, where=inner)
+        f = float(np.add.reduce(a))
+        np.maximum(t, -tau, out=t)
+        np.minimum(t, tau, out=t)
+        t *= 2.0
         # A^T y: column j carries +1 at row j and -1 at row j+1
-        g = zp[:n] - zp[1:]
-        return f, g
+        return f, t[:n] - t[1:]
 
     return ObjectiveProblem(
         name=f"huber(n={n},tau={tau:g})",

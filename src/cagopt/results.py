@@ -117,7 +117,7 @@ class RunLog:
         return self.finish(Status.CONVERGED)
 
     def finish(self, status: Status) -> SolverResult:
-        x, f, _, gnorm = self.best
+        x, f, _, gnorm, _ = self.best
         return SolverResult(
             status, x, f, gnorm, self.iterations, self.counter.count, self.trace, self.iterates
         )

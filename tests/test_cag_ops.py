@@ -35,8 +35,8 @@ def evaluated(prob, x):
 
 
 def gradient_record(g):
-    """A record that carries only a gradient and its norm, for hz_beta."""
-    return Evaluation(np.zeros_like(g), 0.0, g, float(np.linalg.norm(g)))
+    """A record that carries only a gradient, its norm and square, for hz_beta."""
+    return Evaluation(np.zeros_like(g), 0.0, g, float(np.linalg.norm(g)), float(g @ g))
 
 
 def snapshot(state):

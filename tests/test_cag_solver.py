@@ -92,7 +92,8 @@ class TestAgStep:
 
 class TestAgBlockExit:
     def _dummy_state(self, bar_g, ref):
-        bar = Evaluation(np.zeros(2), 0.0, bar_g, float(np.linalg.norm(bar_g)))
+        bar = Evaluation(np.zeros(2), 0.0, bar_g, float(np.linalg.norm(bar_g)),
+                         float(bar_g @ bar_g))
         return CagIterationState(
             x=np.zeros(2), point=bar, p=np.zeros(2),
             estimate=init_estimate(0.0, np.zeros(2), 1.0),

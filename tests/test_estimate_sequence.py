@@ -10,6 +10,14 @@ from cagopt.estimate_sequence import (
     init_estimate,
     nesterov_bound,
 )
+from cagopt.oracle import Evaluation
+
+
+def anchor(bar_x, bar_f, bar_g):
+    """An evaluated anchor point with its gradient norm and square, as
+    ``evaluate_counted`` records it."""
+    gg = float(bar_g @ bar_g)
+    return Evaluation(bar_x, bar_f, bar_g, math.sqrt(gg), gg)
 
 
 def quadratic_formula_root(L, ell, gamma):
@@ -62,7 +70,7 @@ class TestAdvanceEstimate:
     def test_stationary_anchor_no_ell(self):
         state = init_estimate(3.0, np.zeros(2), 1.0)
         theta, gamma_next = compute_theta_gamma(1.0, 0.0, state.gamma)
-        out = advance_estimate(state, theta, gamma_next, 0.0, np.ones(2), 2.0, np.zeros(2))
+        out = advance_estimate(state, theta, gamma_next, 0.0, anchor(np.ones(2), 2.0, np.zeros(2)))
         assert np.allclose(out.v, state.v)
         assert abs(out.phi_star - ((1 - theta) * 3.0 + theta * 2.0)) <= 1e-15
 
@@ -75,7 +83,7 @@ class TestAdvanceEstimate:
         #         = 1.5 + 1 - 0.25 - 0.5 = 1.75
         state = init_estimate(3.0, np.zeros(2), 1.0)
         out = advance_estimate(
-            state, 0.5, 0.5, 0.0, np.array([1.0, 0.0]), 2.0, np.array([1.0, 0.0])
+            state, 0.5, 0.5, 0.0, anchor(np.array([1.0, 0.0]), 2.0, np.array([1.0, 0.0]))
         )
         assert np.allclose(out.v, np.array([-1.0, 0.0]), atol=1e-15)
         assert abs(out.phi_star - 1.75) <= 1e-15
@@ -86,7 +94,7 @@ class TestAdvanceEstimate:
         state = init_estimate(1.0, v, 2.0)
         theta, gamma_next = compute_theta_gamma(2.0, 0.0, state.gamma)
         bar_g = rng.standard_normal(n)
-        out = advance_estimate(state, theta, gamma_next, 0.0, v.copy(), 4.0, bar_g)
+        out = advance_estimate(state, theta, gamma_next, 0.0, anchor(v.copy(), 4.0, bar_g))
         expected_v = v - (theta / gamma_next) * bar_g
         expected_phi = (
             (1 - theta) * 1.0
@@ -116,7 +124,7 @@ class TestAdvanceEstimate:
         theta, gamma_next = compute_theta_gamma(1.0, 0.0, state.gamma)
         # as inside the solvers, which keep numpy's overflow warning quiet
         with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
-            advance_estimate(state, theta, gamma_next, 0.0, np.ones(2), bar_f, bar_g)
+            advance_estimate(state, theta, gamma_next, 0.0, anchor(np.ones(2), bar_f, bar_g))
 
 
 class TestNesterovBound:

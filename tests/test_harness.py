@@ -43,6 +43,23 @@ class TestRun:
         assert summary["ell"] == 0.5
         assert summary["status"] == "converged"
 
+    def test_json_names_the_instance_by_its_label(self, tmp_path):
+        # make_logistic's own name omits sigma, so it would name both
+        # logistic instances alike; the label is the suite table's name too
+        specs = [ProblemSpec("logistic", 20), ProblemSpec("logistic", 20, sigma=0.8),
+                 ProblemSpec("abpdn", 16)]
+        names = []
+        for spec in specs:
+            path = tmp_path / "summary.json"
+            run(RunConfig(problem=spec, solver="ag", max_evals=3, json_path=str(path)))
+            names.append(json.loads(path.read_text())["problem"])
+        assert names == [
+            "logistic(n=20,m=40,lambda=0.0001,sigma=0.4,seed=0)",
+            "logistic(n=20,m=40,lambda=0.0001,sigma=0.8,seed=0)",
+            "abpdn(n=16,lambda=0.001,delta=0.0001)",
+        ]
+        assert names == [spec.label() for spec in specs]
+
     def test_lcg_requires_quadratic_family(self):
         with pytest.raises(InvalidSpec):
             run(RunConfig(problem=ProblemSpec("huber", 10), solver="lcg"))

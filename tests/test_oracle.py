@@ -26,14 +26,14 @@ def norm_sq_problem(n):
 def test_counter_increments_per_call():
     prob = norm_sq_problem(3)
     counter = EvalCounter()
-    x, f, g, gnorm = evaluate_counted(prob, np.zeros(3), counter)
-    assert f == 0.0 and gnorm == 0.0
+    x, f, g, gnorm, gg = evaluate_counted(prob, np.zeros(3), counter)
+    assert f == 0.0 and gnorm == 0.0 and gg == 0.0
     assert np.all(g == 0.0)
     assert counter.count == 1
     e1 = np.array([1.0, 0.0, 0.0])
-    x, f, g, gnorm = evaluate_counted(prob, e1, counter)
+    x, f, g, gnorm, gg = evaluate_counted(prob, e1, counter)
     assert x is e1
-    assert f == 0.5 and gnorm == 1.0
+    assert f == 0.5 and gnorm == 1.0 and gg == 1.0
     assert np.array_equal(g, e1)
     assert counter.count == 2
 
@@ -41,11 +41,12 @@ def test_counter_increments_per_call():
 def test_quad_diag_gradient_at_zero():
     prob = make_quad_diag(1000)
     counter = EvalCounter()
-    _, f, g, gnorm = evaluate_counted(prob, np.zeros(1000), counter)
+    _, f, g, gnorm, gg = evaluate_counted(prob, np.zeros(1000), counter)
     assert f == 0.0
     i = np.arange(1.0, 1001.0)
     assert np.array_equal(g, -np.sin(i))
     assert gnorm == float(np.linalg.norm(g))
+    assert gg == float(g @ g) and gnorm == math.sqrt(gg)
     assert counter.count == 1
 
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cagopt import (
     InvalidSpec,
@@ -47,6 +49,45 @@ def sieve_of_eratosthenes(limit):
         if flags[i]:
             flags[i * i :: i] = False
     return [int(i) for i in np.flatnonzero(flags)]
+
+
+def huber_reference(n, tau, x):
+    """make_huber's value and gradient by the piecewise formula, branch by
+    branch; ``make_huber``'s in-place kernel must equal it bit for bit."""
+    b = np.arange(1, n + 2, dtype=float)
+    r = np.empty(n + 1)
+    r[0] = x[0]
+    r[1:n] = x[1:] - x[:-1]
+    r[n] = -x[-1]
+    t = r - b
+    inner = np.abs(t) <= tau
+    f = float(np.sum(np.where(inner, t * t, -tau * tau + 2.0 * tau * np.abs(t))))
+    zp = np.where(inner, 2.0 * t, 2.0 * tau * np.sign(t))
+    return f, zp[:n] - zp[1:]
+
+
+@st.composite
+def huber_points(draw):
+    """(n, tau, x) with residuals (A x - b)_i drawn exactly at +-tau, at 0 or
+    inside a few tau, and x entries drawn at +-0.0 and +-1e300.  tau is a
+    multiple of 1/8 and b holds integers, so the knots are hit exactly."""
+    n = draw(st.integers(1, 50))
+    tau = draw(st.integers(1, 2**12)) / 8.0
+    x = np.empty(n)
+    prev = 0.0
+    for i in range(n):
+        kind = draw(st.sampled_from(["+tau", "-tau", "zero", "free", "signed-zero", "huge"]))
+        if kind == "signed-zero":
+            x[i] = draw(st.sampled_from([0.0, -0.0]))
+        elif kind == "huge":
+            x[i] = draw(st.sampled_from([1e300, -1e300]))
+        else:
+            residual = {"+tau": tau, "-tau": -tau, "zero": 0.0}.get(kind)
+            if residual is None:
+                residual = draw(st.floats(-4.0 * tau, 4.0 * tau))
+            x[i] = prev + (i + 1) + residual  # row i's residual is x_i - x_{i-1} - (i + 1)
+        prev = x[i]
+    return n, tau, x
 
 
 class TestFirstPrimes:
@@ -287,6 +328,27 @@ class TestHuber:
             assert abs(f - f_brute) <= 1e-12 * (1 + abs(f_brute))
             assert np.allclose(g, g_brute, atol=1e-12)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(point=huber_points(), bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+           where=st.integers(0, 49))
+    def test_kernel_equals_the_piecewise_formula_bit_for_bit(self, point, bad, where):
+        n, tau, x = point
+        if bad is not None:
+            x[where % n] = bad
+        # 1e300 residuals overflow t * t, and non-finite ones make NaNs
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_ref, g_ref = huber_reference(n, tau, x)
+            f, g = make_huber(n, tau).evaluate(x)
+        assert isinstance(f, float)
+        if math.isnan(f_ref):
+            assert math.isnan(f)
+        else:
+            assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
+        nan = np.isnan(g_ref)
+        assert np.array_equal(np.isnan(g), nan)
+        assert g[~nan].tobytes() == g_ref[~nan].tobytes()
+        assert bad is not None or not nan.any()
+
     def test_metadata(self):
         prob = make_huber(100, tau=10.0)
         assert prob.default_L == 8.0
@@ -345,6 +407,19 @@ def test_convexity_along_random_segments(family, kwargs, rng):
         fm = prob.evaluate(0.5 * (a + b))[0]
         scale = 1.0 + abs(fa) + abs(fb)
         assert fm <= 0.5 * (fa + fb) + 1e-9 * scale
+
+
+@pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
+def test_gradient_shares_no_memory(family, kwargs, rng):
+    # solvers keep gradients across iterations (state.point, RunLog.best), so
+    # evaluate must never return a view of x or of a buffer it reuses
+    prob = ProblemSpec(family=family, **kwargs).build()
+    x, y = rng.standard_normal(prob.n), rng.standard_normal(prob.n)
+    g1 = prob.evaluate(x)[1]
+    g2 = prob.evaluate(y)[1]
+    assert not np.shares_memory(g1, x)
+    assert not np.shares_memory(g2, y)
+    assert not np.shares_memory(g1, g2)
 
 
 @pytest.mark.parametrize("family,kwargs", FAMILY_CASES)

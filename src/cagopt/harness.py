@@ -41,6 +41,8 @@ class RunConfig:
             raise InvalidSpec("the lcg solver applies only to the quad family")
         if self.conjugate_z and self.solver != "cag":
             raise InvalidSpec("conjugate_z applies only to the cag solver")
+        if self.solver == "lcg" and (self.L is not None or self.ell is not None):
+            raise InvalidSpec("the lcg solver takes no L or ell")
         check_settings(self.L, self.ell, self.gtol, self.max_evals)
 
     @property
@@ -75,25 +77,27 @@ def run(config: RunConfig) -> SolverResult:
     """Build the problem, resolve L/ell (override beats family default) into
     a ``SolverConfig``, dispatch the solver and write any requested outputs.
 
-    Raises ``InvalidSpec`` when the resolved moduli violate 0 <= ell <= L.
+    An lcg row builds only the quadratic's operator, since lcg reads neither
+    L nor ell; its JSON summary writes both as null.  Raises ``InvalidSpec``
+    when the resolved moduli violate 0 <= ell <= L.
     """
-    problem = config.problem.build()
-    settings = SolverConfig(
-        L=config.L if config.L is not None else problem.default_L,
-        ell=config.ell if config.ell is not None else problem.default_ell,
-        gtol=config.gtol,
-        max_evals=config.max_evals,
-        conjugate_z=config.conjugate_z,
-    )
-    x0 = np.zeros(problem.n)
-
     if config.solver == "lcg":
         qp = quad_diag_system(config.problem.n)
-        result = lcg_minimize(qp, x0, settings.gtol, settings.max_evals)
+        result = lcg_minimize(qp, np.zeros(qp.n), config.gtol, config.max_evals)
+        L = ell = None
     else:
+        problem = config.problem.build()
+        settings = SolverConfig(
+            L=config.L if config.L is not None else problem.default_L,
+            ell=config.ell if config.ell is not None else problem.default_ell,
+            gtol=config.gtol,
+            max_evals=config.max_evals,
+            conjugate_z=config.conjugate_z,
+        )
         # looked up at call time, so that wrappers patched into this module apply
         solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[config.solver]
-        result = solve(problem, x0, settings)
+        result = solve(problem, np.zeros(problem.n), settings)
+        L, ell = settings.L, settings.ell
 
     if config.trace_path:
         write_trace_csv(config.trace_path, result.trace)
@@ -106,8 +110,8 @@ def run(config: RunConfig) -> SolverResult:
             "evaluations": result.evaluations,
             "f_final": result.f_final,
             "gnorm_final": result.gnorm_final,
-            "L": settings.L,
-            "ell": settings.ell,
+            "L": L,
+            "ell": ell,
             "gtol": config.gtol,
         }
         with open(config.json_path, "w") as fh:

@@ -259,15 +259,31 @@ def _standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
 
     Spelled out (rather than rng.normal) so the draw is pinned to a named
     transformation of a named bit stream and stays reproducible across
-    library versions.
+    library versions: with U1, U2 two successive blocks of ``half``
+    uniforms, r = sqrt(-2 log(1 - U1)) and z = (r cos(2 pi U2), r sin(2 pi U2)).
+
+    The draw works in place, in one output buffer (the uniforms, then the
+    normals) plus one half-size temporary for r.  Every entry goes through
+    the same IEEE operations on the same operands as the spelled-out
+    formula with fresh arrays, which ``tests/test_problems.py`` keeps as
+    the reference, so the output is byte-identical to it.
     """
     total = int(np.prod(shape))
     half = (total + 1) // 2
+    z = np.empty(2 * half)
+    u1, u2 = z[:half], z[half:]
+    rng.random(out=u1)
+    rng.random(out=u2)
     # 1 - U keeps the argument of log strictly positive.
-    u1 = 1.0 - rng.random(half)
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
+    radius = np.subtract(1.0, u1)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u1)
+    u1 *= radius
+    np.sin(u2, out=u2)
+    u2 *= radius
     return z[:total].reshape(shape)
 
 
@@ -289,10 +305,17 @@ def make_logistic(
     drawn from a seeded Philox stream.  The loss curvature is at most 1/4
     per row, so L = sigma_max(A)^2 / 4 + lam with sigma_max estimated by
     power iteration (30 rounds, inflated by 1%); the ridge gives ell = lam.
+
+    A is the buffer of the normal draw, scaled by sigma and shifted by
+    1/sqrt(n) in place, so the build peaks at A plus a half-size temporary;
+    multiply and add commute exactly, so A equals 1/sqrt(n) + sigma z byte
+    for byte.
     """
     _check_logistic(m, n, lam, sigma, seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    A = 1.0 / math.sqrt(n) + sigma * _standard_normal(rng, (m, n))
+    A = _standard_normal(rng, (m, n))
+    A *= sigma
+    A += 1.0 / math.sqrt(n)
     sig_max = 1.01 * estimate_spectral_norm(lambda x: A @ x, lambda y: A.T @ y, n)
 
     def evaluate(x):

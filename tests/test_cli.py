@@ -62,6 +62,16 @@ def test_run_with_invalid_moduli_is_a_usage_error(override, message):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("override", [["--L", "5"], ["--ell", "0.5"]], ids=["L", "ell"])
+def test_lcg_with_moduli_override_is_a_usage_error(override):
+    result = CliRunner().invoke(
+        main, ["run", "--family", "quad", "--n", "10", "--solver", "lcg", *override]
+    )
+    assert result.exit_code == 2, result.output
+    assert "lcg solver takes no L or ell" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_suite_with_invalid_row_is_a_usage_error(tmp_path):
     config = tmp_path / "suite.txt"
     config.write_text("family=quad n=10 solver=cag L=0\n")

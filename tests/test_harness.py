@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import cagopt.harness
+import cagopt.problems
 from cagopt import (
     InvalidSpec,
     ProblemSpec,
@@ -63,6 +65,33 @@ class TestRun:
     def test_lcg_requires_quadratic_family(self):
         with pytest.raises(InvalidSpec):
             run(RunConfig(problem=ProblemSpec("huber", 10), solver="lcg"))
+
+    @pytest.mark.parametrize("override", [dict(L=5.0), dict(ell=0.5)], ids=["L", "ell"])
+    def test_lcg_rejects_moduli_overrides(self, override):
+        # lcg reads neither, so an override would be silently dropped
+        with pytest.raises(InvalidSpec, match="lcg solver takes no L or ell"):
+            RunConfig(problem=ProblemSpec("quad", 10), solver="lcg", **override)
+
+    def test_lcg_builds_its_system_once(self, monkeypatch):
+        calls = []
+        original = cagopt.problems.quad_diag_system
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        # make_quad_diag reaches it through problems, harness through its own name
+        monkeypatch.setattr(cagopt.problems, "quad_diag_system", counted)
+        monkeypatch.setattr(cagopt.harness, "quad_diag_system", counted)
+        assert run(RunConfig(problem=ProblemSpec("quad", 10), solver="lcg")).converged
+        assert calls == [10]
+
+    def test_lcg_json_has_null_moduli(self, tmp_path):
+        path = tmp_path / "summary.json"
+        run(RunConfig(problem=ProblemSpec("quad", 10), solver="lcg", json_path=str(path)))
+        summary = json.loads(path.read_text())
+        assert summary["L"] is None and summary["ell"] is None
+        assert summary["solver"] == "lcg" and summary["status"] == "converged"
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -239,6 +268,8 @@ class TestSuiteConfigFile:
             "family=quad n=10 tau=5 solver=cag",  # a parameter the family ignores
             "family=huber n=10 seed=1 solver=cag",
             "family=quad n=10 solver=ncg conjugate_z=true",  # conjugate z is cag-only
+            "family=quad n=10 solver=lcg L=5",  # lcg reads no moduli
+            "family=quad n=10 solver=lcg ell=0.5",
         ],
     )
     def test_invalid_row_fails_before_any_run(self, tmp_path, row):

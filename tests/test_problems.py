@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cagopt.problems
 from cagopt import (
     InvalidSpec,
     ProblemSpec,
@@ -17,6 +18,7 @@ from cagopt import (
 from cagopt.problems import (
     _logistic_loss,
     _logistic_loss_prime,
+    _standard_normal,
     dct_row_operator,
     estimate_spectral_norm,
     first_primes,
@@ -64,6 +66,18 @@ def huber_reference(n, tau, x):
     f = float(np.sum(np.where(inner, t * t, -tau * tau + 2.0 * tau * np.abs(t))))
     zp = np.where(inner, 2.0 * t, 2.0 * tau * np.sign(t))
     return f, zp[:n] - zp[1:]
+
+
+def standard_normal_reference(rng, shape):
+    """The Box-Muller draw spelled out with fresh arrays; ``_standard_normal``'s
+    in-place draw must equal it byte for byte."""
+    total = int(np.prod(shape))
+    half = (total + 1) // 2
+    u1 = 1.0 - rng.random(half)
+    u2 = rng.random(half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
+    return z[:total].reshape(shape)
 
 
 @st.composite
@@ -264,6 +278,38 @@ class TestLogistic:
         b = make_logistic(20, 10, lam=1e-4, seed=6)
         x = np.ones(10)
         assert a.evaluate(x)[0] != b.evaluate(x)[0]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (2001, 1), (40, 20)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_draw_equals_the_spelled_out_formula_byte_for_byte(self, seed, shape):
+        # odd totals leave the last sine unused
+        z = _standard_normal(np.random.Generator(np.random.Philox(seed)), shape)
+        ref = standard_normal_reference(np.random.Generator(np.random.Philox(seed)), shape)
+        assert z.shape == ref.shape == shape
+        assert z.tobytes() == ref.tobytes()
+
+    def test_instance_equals_the_one_built_on_the_reference_draw(self, monkeypatch):
+        x = np.linspace(-1.0, 1.0, 20)
+        prob = make_logistic(40, 20, seed=3)
+        monkeypatch.setattr(cagopt.problems, "_standard_normal", standard_normal_reference)
+        ref = make_logistic(40, 20, seed=3)
+        assert prob.default_L == ref.default_L
+        (f, g), (f_ref, g_ref) = prob.evaluate(x), ref.evaluate(x)
+        assert f == f_ref
+        assert g.tobytes() == g_ref.tobytes()
+
+    def test_build_peak_memory_is_the_design_plus_half(self):
+        # the draw fills A in place next to one half-size temporary; the
+        # spelled-out formula with fresh arrays peaks at 3.5 times A
+        m, n = 2000, 1000
+        tracemalloc.start()
+        try:
+            make_logistic(m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 8 * m * n
 
 
 class TestHuber:

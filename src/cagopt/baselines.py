@@ -45,7 +45,10 @@ def lcg_minimize(
     One A-application per iteration, counted as one evaluation; the initial
     residual is free for x0 = 0 and costs one application otherwise.  The
     objective value is tracked by the update f_{k+1} = f_k - (alpha/2) r^T r,
-    which is exact in exact arithmetic.
+    which is exact in exact arithmetic.  At the budget exit the result holds
+    the last iterate, not the lowest-f one as ``RunLog`` reports for the
+    other solvers: the tracked f stalls at round-off while the residual
+    still falls, so the first lowest-f row has a larger residual.
     """
     x = _start_point(x0, qp.n)
     evals = 0

@@ -176,50 +176,36 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     return rows
 
 
+# Each suite column: table header, CSV header, table cell, CSV cell.
+_SUITE_COLUMNS = (
+    ("problem", "problem", lambda r: r.problem, lambda r: r.problem),
+    ("solver", "solver", lambda r: r.solver, lambda r: r.solver),
+    ("status", "status", lambda r: r.status.value, lambda r: r.status.value),
+    ("iters", "iterations", lambda r: str(r.iterations), lambda r: r.iterations),
+    ("evals", "evaluations", lambda r: str(r.evaluations), lambda r: r.evaluations),
+    ("f_final", "f_final", lambda r: f"{r.f_final:.6e}", lambda r: _format_float(r.f_final)),
+    ("gnorm_final", "gnorm_final", lambda r: f"{r.gnorm_final:.3e}",
+     lambda r: _format_float(r.gnorm_final)),
+    ("time_s", "wall_time", lambda r: f"{r.wall_time:.2f}", lambda r: f"{r.wall_time:.3f}"),
+    ("best", "best", lambda r: "*" if r.best else "", lambda r: int(r.best)),
+)
+
+
 def format_suite_table(rows: list[SuiteRow]) -> str:
     """Aligned text table; '*' in the best column marks the per-problem winner."""
-    header = ("problem", "solver", "status", "iters", "evals", "f_final", "gnorm_final", "time_s", "best")
-    body = [
-        (
-            r.problem,
-            r.solver,
-            r.status.value,
-            str(r.iterations),
-            str(r.evaluations),
-            f"{r.f_final:.6e}",
-            f"{r.gnorm_final:.3e}",
-            f"{r.wall_time:.2f}",
-            "*" if r.best else "",
-        )
-        for r in rows
-    ]
-    widths = [max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    lines = [[header for header, *_ in _SUITE_COLUMNS]]
+    lines += [[cell(r) for _, _, cell, _ in _SUITE_COLUMNS] for r in rows]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in lines
+    )
 
 
 def write_suite_csv(path: str | Path, rows: list[SuiteRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["problem", "solver", "status", "iterations", "evaluations", "f_final", "gnorm_final", "wall_time", "best"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.problem,
-                    r.solver,
-                    r.status.value,
-                    r.iterations,
-                    r.evaluations,
-                    _format_float(r.f_final),
-                    _format_float(r.gnorm_final),
-                    f"{r.wall_time:.3f}",
-                    int(r.best),
-                ]
-            )
+        writer.writerow([header for _, header, _, _ in _SUITE_COLUMNS])
+        writer.writerows([cell(r) for *_, cell in _SUITE_COLUMNS] for r in rows)
 
 
 def parse_suite_config(path: str | Path) -> list[RunConfig]:

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidSpec
 from .oracle import ObjectiveProblem, Vector
-
-FAMILIES = ("quad", "abpdn", "logistic", "huber")
 
 # key=value name, ProblemSpec field and parser of each optional parameter.
 _PARAMS = (
@@ -388,20 +386,30 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
     )
 
 
-# The parameter check that each family's constructor runs first; ProblemSpec
-# runs it on the same arguments.
-_CHECKS = {"abpdn": _check_abpdn, "logistic": _check_logistic, "huber": _check_huber}
+class _Family(NamedTuple):
+    make: Callable[..., ObjectiveProblem]
+    check: Callable[..., object] | None  # what make checks first; ProblemSpec runs it too
+    defaults: Callable[[int], dict]  # optional parameters' defaults by field, given n
+
+
+_FAMILIES = {
+    "quad": _Family(make_quad_diag, None, lambda n: {}),
+    "abpdn": _Family(make_abpdn, _check_abpdn, lambda n: {"lam": 1e-3, "delta": 1e-4}),
+    "logistic": _Family(make_logistic, _check_logistic,
+                        lambda n: {"m": 2 * n, "lam": 1e-4, "sigma": 0.4, "seed": 0}),
+    "huber": _Family(make_huber, _check_huber, lambda n: {"tau": n / 10.0}),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """Declarative description of a benchmark instance.
 
-    Unset parameters fall back to per-family defaults: abpdn uses
-    lam=1e-3, delta=1e-4; logistic uses m=2n, lam=1e-4, sigma=0.4, seed=0;
-    huber uses tau=n/10.  A set parameter that the family's constructor does
-    not take is rejected, and the constructor check runs here on the
-    resolved parameters, so an out-of-range one fails before any build.
+    Unset parameters fall back to the family's defaults in ``_FAMILIES``.  A
+    set parameter that the family's constructor does not take is rejected,
+    and the constructor check runs here on the resolved parameters, so an
+    out-of-range one fails before any build.
     """
 
     family: str
@@ -414,47 +422,34 @@ class ProblemSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1:
             raise InvalidSpec(f"need n >= 1, got {self.n}")
-        args = self._constructor()[1]
+        args = self._args()
         unused = [key for key, field, _ in _PARAMS if getattr(self, field) is not None
                   and field not in args]
         if unused:
             raise InvalidSpec(f"family {self.family} takes no {', '.join(unused)}")
-        if self.family in _CHECKS:
-            _CHECKS[self.family](**args)
+        check = _FAMILIES[self.family].check
+        if check is not None:
+            check(**args)
 
-    def _constructor(self) -> tuple[Callable[..., ObjectiveProblem], dict]:
-        """The family's constructor and its arguments, defaults filled in."""
-        def pick(value, default):
-            return default if value is None else value
-
-        if self.family == "quad":
-            return make_quad_diag, {"n": self.n}
-        if self.family == "abpdn":
-            return make_abpdn, {
-                "n": self.n, "lam": pick(self.lam, 1e-3), "delta": pick(self.delta, 1e-4)
-            }
-        if self.family == "logistic":
-            return make_logistic, {
-                "m": pick(self.m, 2 * self.n),
-                "n": self.n,
-                "lam": pick(self.lam, 1e-4),
-                "sigma": pick(self.sigma, 0.4),
-                "seed": pick(self.seed, 0),
-            }
-        return make_huber, {"n": self.n, "tau": pick(self.tau, self.n / 10.0)}
+    def _args(self) -> dict:
+        """The constructor's arguments: n and each optional parameter, defaults filled in."""
+        args = {"n": self.n}
+        for field, default in _FAMILIES[self.family].defaults(self.n).items():
+            value = getattr(self, field)
+            args[field] = default if value is None else value
+        return args
 
     def build(self) -> ObjectiveProblem:
-        make, args = self._constructor()
-        return make(**args)
+        return _FAMILIES[self.family].make(**self._args())
 
     def label(self) -> str:
         """Name in the suite table, every argument resolved and floats in %g
         form: ``huber(n=60,tau=6)`` whether or not tau was set."""
-        args = self._constructor()[1]
+        args = self._args()
         values = [("n", self.n)] + [(key, args[field]) for key, field, _ in _PARAMS if field in args]
         pairs = [f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
                  for key, value in values]

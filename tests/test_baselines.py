@@ -1,22 +1,31 @@
 import numpy as np
 import pytest
 
+import cagopt.baselines
 from cagopt import (
+    EvalCounter,
     InvalidSpec,
     NotPositiveDefinite,
     NumericalFailure,
     ObjectiveProblem,
+    ProblemSpec,
     QuadraticProblem,
+    RunConfig,
     SolverConfig,
     Status,
+    StepKind,
     ag_minimize,
     cag_minimize,
     lcg_minimize,
     make_huber,
     make_quad_diag,
+    evaluate_counted,
     ncg_minimize,
     quad_diag_system,
+    run,
 )
+from cagopt.baselines import ncg_step
+from cagopt.cag import _initial_state
 from cagopt.estimate_sequence import nesterov_bound
 
 from conftest import minimize, random_spd_quadratic
@@ -100,6 +109,55 @@ class TestLcg:
         res = lcg_minimize(qp, np.zeros(100), gtol=1e-14, max_iters=3)
         assert res.status is Status.BUDGET_EXHAUSTED
         assert res.iterations == 3
+
+    def test_budget_exit_returns_the_last_iterate(self):
+        # f stays flat at round-off from row 10 on while the residual falls
+        # from 5e-13 to 4e-36: the first lowest-f row is not the one returned
+        qp = quad_diag_system(10)
+        res = lcg_minimize(qp, np.zeros(10), gtol=1e-300, max_iters=30, record_iterates=True)
+        assert res.status is Status.BUDGET_EXHAUSTED
+        fs = [rec.f for rec in res.trace]
+        first_lowest = fs.index(min(fs))
+        assert first_lowest == 10 and res.trace[first_lowest].gnorm > 1e-13
+        assert res.f_final == res.trace[-1].f == fs[first_lowest]
+        assert res.gnorm_final == res.trace[-1].gnorm < 1e-35
+        assert np.array_equal(res.x_final, res.iterates[-1])
+        assert not np.array_equal(res.x_final, res.iterates[first_lowest])
+
+    def test_converged_at_start(self):
+        qp = quad_diag_system(5)
+        res = lcg_minimize(qp, np.zeros(5), gtol=float(np.linalg.norm(qp.b)), max_iters=10)
+        assert res.converged
+        assert (res.iterations, res.evaluations, len(res.trace)) == (0, 0, 1)
+        assert np.array_equal(res.x_final, np.zeros(5))
+
+
+class TestNcgStep:
+    def _state(self, x0):
+        prob = make_quad_diag(4)
+        config = SolverConfig(L=16.0, gtol=1e-12, max_evals=100)
+        counter = EvalCounter()
+        return prob, config, counter, _initial_state(evaluate_counted(prob, x0, counter), config)
+
+    def test_non_descent_direction_restarts_from_steepest_descent(self):
+        x0 = np.array([1.0, -1.0, 0.5, 2.0])
+        prob, config, counter, uphill = self._state(x0)
+        uphill.p, uphill.i_cg = uphill.point.g.copy(), 7
+        _, _, _, steepest = self._state(x0)
+        ncg_step(uphill, config, prob, counter)
+        ncg_step(steepest, config, prob, EvalCounter())
+        assert np.array_equal(uphill.x, steepest.x)
+        assert np.array_equal(uphill.p, steepest.p)
+        assert uphill.i_cg == steepest.i_cg == 1
+
+    def test_degenerate_beta_restarts_the_chain(self, monkeypatch):
+        monkeypatch.setattr(cagopt.baselines, "hz_beta", lambda *args: None)
+        prob, config, counter, state = self._state(np.array([1.0, -1.0, 0.5, 2.0]))
+        state.i_cg = 3
+        new, kind = ncg_step(state, config, prob, counter)
+        assert kind is StepKind.CG and state.point is new
+        assert np.array_equal(state.p, -new.g)
+        assert state.i_cg == 0
 
 
 class TestNcg:
@@ -263,3 +321,27 @@ def test_result_never_aliases_the_callers_start(solver):
         assert np.array_equal(res.x_final, x0)
         assert not np.shares_memory(res.x_final, x0)
         assert not np.shares_memory(res.iterates[0], x0)
+
+
+@pytest.mark.parametrize("family, n, within_twice_best", [
+    ("quad", 100, True),       # cag 263, ncg 263
+    ("huber", 200, False),     # cag 1,206, ncg 1,275, ag 199
+    ("logistic", 100, True),   # cag 85, ncg 85
+    ("abpdn", 100, True),      # cag 2,851, ncg 2,922
+])
+def test_cag_needs_no_more_evaluations_than_the_baselines(family, n, within_twice_best):
+    # The paper's empirical claim: the guarded solver's evaluation count
+    # behaves as the better of AG and NCG.  It never loses to ncg here, and
+    # it stays within twice the better baseline except on small huber,
+    # where AG converges in a sixth of cag's evaluations.  ag runs on a
+    # budget of half cag's count: a capped count never exceeds ag's own, and
+    # reaching the cap already meets the bound.
+    def evaluations(solver, **budget):
+        result = run(RunConfig(ProblemSpec(family, n), solver, **budget))
+        assert result.converged or budget, solver
+        return result.evaluations
+
+    cag, ncg = evaluations("cag"), evaluations("ncg")
+    assert cag <= ncg
+    if within_twice_best:
+        assert cag <= 2 * min(ncg, evaluations("ag", max_evals=(cag + 1) // 2))

@@ -10,6 +10,7 @@ from cagopt.cag import (
     _ConvergedAt,
     _initial_state,
     bar_augment,
+    cag_step,
     cg_attempt,
     hz_beta,
     secant_alpha,
@@ -358,3 +359,21 @@ class TestCgAttempt:
         accepted, new_state = cg_attempt(state, config, prob, counter, use_steepest=False)
         assert accepted
         assert min(new_state.point.f, new_state.bar.f) <= new_state.estimate.phi_star
+
+
+class TestCagStep:
+    def test_accepted_steepest_descent_retry(self):
+        # with p orthogonal to g the CG attempt returns to x0 and fails the
+        # progress test; the steepest-descent retry then passes it
+        d = np.array([1.0, 100.0])
+        prob = explicit_quadratic(np.diag(d), np.zeros(2), L=100.0, ell=1.0)
+        config = SolverConfig(L=100.0, ell=1.0, gtol=1e-12, max_evals=100)
+        counter = EvalCounter()
+        state = _initial_state(evaluate_counted(prob, np.ones(2), counter), config)
+        f0, g = state.point.f, state.point.g
+        state.p = np.array([-g[1], g[0]])
+        row, kind = cag_step(state, config, prob, counter)
+        assert kind is StepKind.SD
+        assert row is state.point and row.f < f0
+        assert counter.count == 5  # start, then probe and candidate twice
+        assert state.ag_ref_gnorm is None

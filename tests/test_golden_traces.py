@@ -30,6 +30,16 @@ def _harness_run(family, n, solver, conjugate_z=False, max_evals=None, seed=None
     return lambda: run(RunConfig(spec, solver, conjugate_z=conjugate_z, **extra))
 
 
+def _understated_L_run(family, n, L=None):
+    # cag on a budget of 5,000 with L below the problem's true curvature
+    # (default L/10 when L is None), so that the fallback ladder runs
+    def solve():
+        spec = ProblemSpec(family, n)
+        wrong_L = spec.build().default_L / 10 if L is None else L
+        return run(RunConfig(spec, "cag", max_evals=5000, L=wrong_L))
+    return solve
+
+
 def _explosive_run(solve=cag_minimize):
     # the diverging objective of test_divergence_status_on_overflow
     def explosive(x):
@@ -80,6 +90,9 @@ RUNS = {
     "explosive-ag": lambda: _explosive_run(ag_minimize),
     "concave-ncg": _concave_ncg_run,
     "uphill-ncg": _uphill_ncg_run,
+    "huber-200-cag-L0.8": _understated_L_run("huber", 200, L=0.8),
+    "logistic-50-cag-L/10": _understated_L_run("logistic", 50),
+    "quad-100-cag-L1000": _understated_L_run("quad", 100, L=1000.0),
 }
 
 

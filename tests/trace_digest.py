@@ -1,0 +1,168 @@
+"""Bit-identity sweep: one line per run, problem instance and output format.
+
+    PYTHONPATH=src python tests/trace_digest.py > after.txt
+
+Each solver run prints its status, counts and one SHA-256 over the trace
+rows, the status, f_final, gnorm_final, the counts and the bytes of
+x_final.  It covers every benchmark cell (``perfbench/workloads.py``) and
+cag, cag+z, ncg and ag at budgets 50 and 5,000, at each problem's default
+L and at L/10.  Each ``ProblemSpec`` of a grid over every family, with each
+optional parameter unset and set, prints its label, default L and ell and
+a SHA-256 of its evaluation at a fixed point; each rejected spec prints
+its message.  Hand-built suite rows print the SHA-256 of the suite table
+and CSV, and the CLI's help texts are hashed too.
+
+To show that a change leaves behaviour bit-identical, run the script
+against both source trees (point ``PYTHONPATH`` at the other ``src``) and
+diff the output.  Nothing is stored: round-off differs between machines,
+so the digests are only comparable on one machine.  Takes about 20 s.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import math
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from click.testing import CliRunner
+
+from cagopt import InvalidSpec, ProblemSpec, RunConfig, Status, run
+from cagopt.cli import main as cli_main
+from cagopt.harness import SuiteRow, format_suite_table, write_suite_csv
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS, cells_for  # noqa: E402
+
+SOLVERS = (("cag", False), ("cag", True), ("ncg", False), ("ag", False))
+BUDGETS = (50, 5000)
+DIRECT = (
+    ProblemSpec("quad", 1000),
+    ProblemSpec("huber", 1000),
+    ProblemSpec("logistic", 200),
+    ProblemSpec("abpdn", 400),
+)
+# Spelled out rather than read from cagopt.problems, so that the script runs
+# unchanged on both trees: a value other than the default for each optional
+# parameter, by field, and the fields that each family takes.
+SET_VALUES = {"m": 25, "lam": 0.01, "delta": 0.001, "sigma": 0.8, "tau": 2.5, "seed": 3}
+TAKES = {"quad": (), "abpdn": ("lam", "delta"), "logistic": ("m", "lam", "sigma", "seed"),
+         "huber": ("tau",)}
+REJECTED = (
+    {"family": "cubic", "n": 10},
+    {"family": "quad", "n": 0},
+    {"family": "quad", "n": 10, "tau": 1.0},
+    {"family": "huber", "n": 10, "lam": 1.0, "seed": 2},
+    {"family": "abpdn", "n": 15},
+    {"family": "abpdn", "n": 1},
+    {"family": "abpdn", "n": 16, "lam": -1.0},
+    {"family": "abpdn", "n": 16, "delta": math.inf},
+    {"family": "abpdn", "n": 16, "sigma": 0.5},
+    {"family": "logistic", "n": 10, "m": 0},
+    {"family": "logistic", "n": 10, "sigma": 0.0},
+    {"family": "logistic", "n": 10, "seed": -1},
+    {"family": "logistic", "n": 10, "lam": math.nan},
+    {"family": "logistic", "n": 10, "tau": 1.0},
+    {"family": "huber", "n": 10, "tau": 0.0},
+    {"family": "huber", "n": 10, "tau": math.inf},
+    {"family": "huber", "n": 0},
+)
+
+
+def run_digest(result) -> str:
+    h = hashlib.sha256()
+    for r in result.trace:
+        h.update(struct.pack("<qqddd", r.iteration, r.evals, r.f, r.gnorm, r.phi_star))
+        h.update(r.step.value.encode())
+    h.update(result.status.value.encode())
+    h.update(struct.pack("<ddqq", result.f_final, result.gnorm_final,
+                         result.iterations, result.evaluations))
+    h.update(np.ascontiguousarray(result.x_final, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def print_run(name: str, config: RunConfig) -> None:
+    result = run(config)
+    print(f"run {name}: {result.status.value} {result.iterations} {result.evaluations} "
+          f"{run_digest(result)}")
+
+
+def bench_cells() -> None:
+    # seed 1 changes only the logistic cells; dict.fromkeys drops the repeats
+    for workload in WORKLOADS:
+        cells = dict.fromkeys(c for seed in (0, 1) for c in cells_for(workload, seed))
+        for cell in cells:
+            config = RunConfig(cell.spec(), cell.solver, cell.gtol, conjugate_z=cell.conjugate_z)
+            print_run(f"{workload} {cell.label}", config)
+
+
+def direct_runs() -> None:
+    for spec in DIRECT:
+        default_L = spec.build().default_L
+        for (solver, z), budget, scale in itertools.product(SOLVERS, BUDGETS, (1, 10)):
+            config = RunConfig(spec, solver, max_evals=budget, L=default_L / scale,
+                               conjugate_z=z)
+            print_run(f"{spec.label()} {config.solver_name} budget={budget} L/{scale}", config)
+
+
+def spec_grid() -> None:
+    sizes = {"quad": 10, "abpdn": 16, "logistic": 10, "huber": 10}
+    for family, params in TAKES.items():
+        n = sizes[family]
+        x = np.linspace(-1.0, 2.0, n)
+        for chosen in itertools.product((False, True), repeat=len(params)):
+            kwargs = {p: SET_VALUES[p] for p, on in zip(params, chosen) if on}
+            spec = ProblemSpec(family, n, **kwargs)
+            problem = spec.build()
+            f, g = problem.evaluate(x)
+            h = hashlib.sha256(struct.pack("<d", f) + np.asarray(g, dtype=float).tobytes())
+            print(f"spec {family} {sorted(kwargs)}: {spec.label()} {problem.name} "
+                  f"L={problem.default_L!r} ell={problem.default_ell!r} {h.hexdigest()}")
+    for kwargs in REJECTED:
+        try:
+            ProblemSpec(**kwargs)
+            print(f"rejected {kwargs}: accepted")
+        except InvalidSpec as e:
+            print(f"rejected {kwargs}: {e}")
+    for pairs in ({"family": "quad"}, {"family": "logistic", "n": "10", "seed": "1.5"}):
+        try:
+            ProblemSpec.from_kv(pairs)
+            print(f"from_kv {pairs}: accepted")
+        except ValueError as e:
+            print(f"from_kv {pairs}: {type(e).__name__}: {e}")
+
+
+def suite_outputs() -> None:
+    rows = [
+        SuiteRow("quad(n=10)", "cag", Status.CONVERGED, 6, 13, -0.25, 3e-9, 0.012, best=True),
+        SuiteRow("quad(n=10)", "cag+z", Status.CONVERGED, 6, 15, -0.25000000000000006,
+                 2.5e-9, 0.0151),
+        SuiteRow("quad(n=10)", "ag", Status.BUDGET_EXHAUSTED, 49, 50, -0.2, 0.4, 1.5),
+        SuiteRow("huber(n=10,tau=1)", "cag", Status.INVALID, 0, 0, math.nan, math.nan, 0.0),
+    ]
+    for name, subset in (("empty", []), ("rows", rows)):
+        table = format_suite_table(subset)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "suite.csv"
+            write_suite_csv(path, subset)
+            csv_bytes = path.read_bytes()
+        print(f"suite {name} table {hashlib.sha256(table.encode()).hexdigest()}")
+        print(f"suite {name} csv {hashlib.sha256(csv_bytes).hexdigest()}")
+    for command in ("run", "suite"):
+        text = CliRunner().invoke(cli_main, [command, "--help"]).output
+        print(f"cli {command} --help {hashlib.sha256(text.encode()).hexdigest()}")
+
+
+def main() -> None:
+    spec_grid()
+    suite_outputs()
+    bench_cells()
+    direct_runs()
+
+
+if __name__ == "__main__":
+    main()

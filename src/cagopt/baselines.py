@@ -24,7 +24,7 @@ from .cag import (
     run_steps,
     secant_alpha,
 )
-from .errors import NotPositiveDefinite
+from .errors import InvalidSpec, NotPositiveDefinite
 from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector
 from .problems import QuadraticProblem
 # Unused here, but perfbench/tracing.py wraps these names in this module.
@@ -141,8 +141,10 @@ def ncg_minimize(
     No progress test and no fallback: the secant step (probe scale 1/L) is
     halved until f decreases, at most 30 times before the line search
     fails, and the direction restarts from steepest descent whenever it is
-    not a descent direction.
+    not a descent direction.  Rejects ``config.conjugate_z``, a cag-only test.
     """
+    if config.conjugate_z:
+        raise InvalidSpec("conjugate_z applies only to the cag solver")
     return run_steps(ncg_step, problem, x0, config, record_iterates, phi_star0=math.nan)
 
 
@@ -154,5 +156,7 @@ def ag_minimize(
 ) -> SolverResult:
     """Accelerated gradient: ``cag.ag_step`` repeated from the start point, one
     evaluation per iteration, at the combination point (where termination is
-    therefore tested)."""
+    therefore tested).  Rejects ``config.conjugate_z``, a cag-only test."""
+    if config.conjugate_z:
+        raise InvalidSpec("conjugate_z applies only to the cag solver")
     return run_steps(ag_step, problem, x0, config, record_iterates)

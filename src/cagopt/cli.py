@@ -1,4 +1,5 @@
-"""Command-line front-end: single runs and suite execution."""
+"""Command-line front-end: single runs, given as a suite line's key=value
+tokens, and suite files; ``harness.run_config_from_tokens`` parses both."""
 
 from __future__ import annotations
 
@@ -8,17 +9,13 @@ import click
 
 from .errors import InvalidSpec
 from .harness import (
-    DEFAULT_GTOL,
-    DEFAULT_MAX_EVALS,
-    SOLVERS,
-    RunConfig,
     format_suite_table,
     parse_suite_config,
     run as run_one,
+    run_config_from_tokens,
     run_suite,
     write_suite_csv,
 )
-from .problems import FAMILIES, ProblemSpec
 from .results import Status
 
 
@@ -28,40 +25,22 @@ def main():
 
 
 @main.command("run")
-@click.option("--family", type=click.Choice(FAMILIES), required=True)
-@click.option("--n", type=int, required=True, help="problem dimension")
-@click.option("--m", type=int, default=None, help="rows for the logistic family (default 2n)")
-@click.option("--lambda", "lam", type=float, default=None, help="regularisation weight")
-@click.option("--delta", type=float, default=None, help="abpdn smoothing parameter")
-@click.option("--sigma", type=float, default=None, help="logistic noise level")
-@click.option("--tau", type=float, default=None, help="huber cutoff")
-@click.option("--seed", type=int, default=None, help="logistic design seed")
-@click.option("--solver", type=click.Choice(SOLVERS), required=True)
-@click.option("--gtol", type=float, default=DEFAULT_GTOL, show_default=True)
-@click.option("--max-evals", type=int, default=DEFAULT_MAX_EVALS, show_default=True)
-@click.option("--L", "l_override", type=float, default=None, help="override the smoothness bound")
-@click.option("--ell", type=float, default=None, help="override the strong-convexity bound")
-@click.option("--conjugate-z", is_flag=True, help="enable the conjugate-z progress test after AG blocks")
-@click.option("--trace", "trace_path", type=click.Path(), default=None, help="write per-iteration CSV here")
-@click.option("--json", "json_path", type=click.Path(), default=None, help="write run summary JSON here")
-def run_cmd(family, n, m, lam, delta, sigma, tau, seed, solver, gtol, max_evals,
-            l_override, ell, conjugate_z, trace_path, json_path):
-    """Run one solver on one problem instance."""
+@click.argument("tokens", nargs=-1)
+def run_cmd(tokens):
+    """Run one solver on one problem, given as a suite line's key=value pairs:
+
+    \b
+        cagopt run family=huber n=200 tau=20 solver=cag conjugate_z=true
+
+    \b
+    Problem keys: family, n, m, lambda, delta, sigma, tau, seed
+    Run keys: solver, gtol, max_evals, L, ell, conjugate_z,
+              trace (per-iteration CSV file), json (summary JSON file)
+    """
     try:
-        config = RunConfig(
-            problem=ProblemSpec(family=family, n=n, m=m, lam=lam, delta=delta,
-                                sigma=sigma, tau=tau, seed=seed),
-            solver=solver,
-            gtol=gtol,
-            max_evals=max_evals,
-            L=l_override,
-            ell=ell,
-            conjugate_z=conjugate_z,
-            trace_path=trace_path,
-            json_path=json_path,
-        )
+        config = run_config_from_tokens(tokens)
         result = run_one(config)
-    except InvalidSpec as e:
+    except ValueError as e:  # InvalidSpec, or a value that is not a number
         raise click.UsageError(str(e)) from e
     click.echo(
         f"{config.solver_name}: {result.status.value}  iterations={result.iterations}  "

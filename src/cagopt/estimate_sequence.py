@@ -66,8 +66,8 @@ def compute_theta_gamma(L: float, ell: float, gamma: float) -> tuple[float, floa
     The root is computed with the cancellation-free branch of the quadratic
     formula: gamma can exceed ell by six orders of magnitude, and the naive
     (-b + sqrt(disc)) / 2a form would lose half the digits there.  L and ell
-    come from a checked ``SolverConfig``, so only the identity is checked,
-    which also fails when gamma_next <= 0.
+    come from a checked ``SolverConfig``, whose bounds on L keep disc finite,
+    so only the identity is checked, which also fails when gamma_next < 0.
     """
     b = gamma - ell
     disc = math.sqrt(b * b + 4.0 * L * gamma)

@@ -1,4 +1,8 @@
-"""Run configuration, dispatch, trace/summary output, and suite execution."""
+"""Run configuration, dispatch, trace/summary output, and suite execution.
+
+``run_config_from_tokens`` parses one run from key=value tokens, a suite
+line or ``cagopt run``'s arguments: ``family=quad n=100 solver=cag``.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -208,49 +213,59 @@ def write_suite_csv(path: str | Path, rows: list[SuiteRow]) -> None:
         writer.writerows([cell(r) for *_, cell in _SUITE_COLUMNS] for r in rows)
 
 
-def parse_suite_config(path: str | Path) -> list[RunConfig]:
-    """One run per non-comment line, as space-separated key=value pairs.
+def _flag(value: str) -> bool:
+    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise InvalidSpec(f"conjugate_z takes 1/0/true/false/yes/no, got {value!r}")
+    return value.lower() in ("1", "true", "yes")
 
-    Problem keys: family, n, m, lambda, delta, sigma, tau, seed.
-    Run keys: solver, gtol, max_evals, L, ell, conjugate_z, trace, json.
-    Any error in a line raises ``InvalidSpec`` prefixed with ``path:lineno``.
-    """
+
+# key=value name, RunConfig field and parser of each run setting, as in problems._PARAMS.
+_RUN_PARAMS = (
+    ("solver", "solver", str),
+    ("gtol", "gtol", float),
+    ("max_evals", "max_evals", int),
+    ("L", "L", float),
+    ("ell", "ell", float),
+    ("conjugate_z", "conjugate_z", _flag),
+    ("trace", "trace_path", str),
+    ("json", "json_path", str),
+)
+RUN_KEYS = frozenset(key for key, _, _ in _RUN_PARAMS)
+
+
+def run_config_from_tokens(tokens: Iterable[str]) -> RunConfig:
+    """A ``RunConfig`` from key=value tokens over ``PROBLEM_KEYS | RUN_KEYS``;
+    family, n and solver are required, an unset key keeps its default.  A value
+    that is not a number raises ``ValueError``, any other error ``InvalidSpec``."""
+    pairs = {}
+    for token in tokens:
+        key, _, value = token.partition("=")
+        if not (key and value):
+            raise InvalidSpec(f"expected key=value, got {token!r}")
+        if key in pairs:
+            raise InvalidSpec(f"repeated key {key}")
+        pairs[key] = value
+    unknown = pairs.keys() - PROBLEM_KEYS - RUN_KEYS
+    if unknown:
+        raise InvalidSpec(f"unknown keys {sorted(unknown)}")
+    if "solver" not in pairs:
+        raise InvalidSpec("missing solver=...")
+    spec = ProblemSpec.from_kv({k: v for k, v in pairs.items() if k in PROBLEM_KEYS})
+    settings = {field: parse(pairs[key]) for key, field, parse in _RUN_PARAMS if key in pairs}
+    return RunConfig(problem=spec, **settings)
+
+
+def parse_suite_config(path: str | Path) -> list[RunConfig]:
+    """One ``run_config_from_tokens`` run per line, skipping blank lines and
+    '#' comments.  Any error in a line raises ``InvalidSpec`` prefixed with
+    ``path:lineno``."""
     configs = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            pairs = {}
-            for token in line.split():
-                if "=" not in token:
-                    raise InvalidSpec(f"expected key=value, got {token!r}")
-                key, _, value = token.partition("=")
-                pairs[key] = value
-            configs.append(run_config_from_kv(pairs))
+            configs.append(run_config_from_tokens(line.split()))
         except ValueError as e:  # InvalidSpec, or a value that is not a number
             raise InvalidSpec(f"{path}:{lineno}: {e}") from e
     return configs
-
-
-_RUN_KEYS = {"solver", "gtol", "max_evals", "L", "ell", "conjugate_z", "trace", "json"}
-
-
-def run_config_from_kv(pairs: dict[str, str]) -> RunConfig:
-    unknown = set(pairs) - PROBLEM_KEYS - _RUN_KEYS
-    if unknown:
-        raise InvalidSpec(f"unknown keys {sorted(unknown)}")
-    if "solver" not in pairs:
-        raise InvalidSpec("missing solver=...")
-    spec = ProblemSpec.from_kv({k: v for k, v in pairs.items() if k in PROBLEM_KEYS})
-    return RunConfig(
-        problem=spec,
-        solver=pairs["solver"],
-        gtol=float(pairs.get("gtol", DEFAULT_GTOL)),
-        max_evals=int(pairs.get("max_evals", DEFAULT_MAX_EVALS)),
-        L=float(pairs["L"]) if "L" in pairs else None,
-        ell=float(pairs["ell"]) if "ell" in pairs else None,
-        conjugate_z=pairs.get("conjugate_z", "false").lower() in ("1", "true", "yes"),
-        trace_path=pairs.get("trace"),
-        json_path=pairs.get("json"),
-    )

@@ -21,10 +21,11 @@ EvaluateFn = Callable[[Vector], "tuple[float, Vector]"]
 
 
 def check_moduli(L: float | None, ell: float | None) -> None:
-    """Raise ``InvalidSpec`` unless 0 < L < inf and 0 <= ell <= L; an L or ell
-    of None (a family default, not known yet) is skipped."""
-    if L is not None and not 0.0 < L < math.inf:
-        raise InvalidSpec(f"L must be positive and finite, got {L}")
+    """Raise ``InvalidSpec`` unless 0 <= ell <= L and 1e-100 <= L <= 1e100, the
+    range where ``compute_theta_gamma``'s b^2 + 4 L gamma (b, gamma <= L) does not
+    overflow or underflow; an L or ell of None (a family default not known yet) is skipped."""
+    if L is not None and not 1e-100 <= L <= 1e100:
+        raise InvalidSpec(f"L must be positive and finite, in [1e-100, 1e100], got {L}")
     if ell is not None and not 0.0 <= ell <= (math.inf if L is None else L):
         raise InvalidSpec(f"need 0 <= ell <= L, got ell={ell}, L={L}")
 

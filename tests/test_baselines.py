@@ -323,6 +323,13 @@ def test_result_never_aliases_the_callers_start(solver):
         assert not np.shares_memory(res.iterates[0], x0)
 
 
+@pytest.mark.parametrize("solver", [ncg_minimize, ag_minimize], ids=["ncg", "ag"])
+def test_rejects_the_cag_only_conjugate_z_setting(solver):
+    # it used to be ignored: quad 10 converged in 21 (ncg) and 214 (ag) evaluations
+    with pytest.raises(InvalidSpec, match="conjugate_z applies only to the cag solver"):
+        solver(make_quad_diag(10), np.zeros(10), SolverConfig(L=100.0, ell=1.0, conjugate_z=True))
+
+
 @pytest.mark.parametrize("family, n, within_twice_best", [
     ("quad", 100, True),       # cag 263, ncg 263
     ("huber", 200, False),     # cag 1,206, ncg 1,275, ag 199

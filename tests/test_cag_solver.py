@@ -349,6 +349,13 @@ class TestCagMinimize:
                 SolverConfig(**bad)
         SolverConfig(L=1.0, ell=1.0, max_evals=1)  # the edges of each range
 
+    def test_config_rejects_L_outside_the_estimate_sequences_range(self):
+        for L in (1e-200, 1e-160, 1e-101, 1e101, 1e155, 1e300):
+            with pytest.raises(InvalidSpec, match="L must be positive"):
+                SolverConfig(L=L)
+        SolverConfig(L=1e-100)
+        SolverConfig(L=1e100)
+
 
 @settings(derandomize=True, deadline=None)
 @given(n=st.integers(2, 15), seed=st.integers(0, 2**32 - 1))

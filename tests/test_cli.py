@@ -1,20 +1,24 @@
 import csv
+import re
 
 import pytest
 from click.testing import CliRunner
 
+from cagopt import ProblemSpec, RunConfig, run
 from cagopt.cli import main
+from cagopt.harness import RUN_KEYS
+from cagopt.problems import PROBLEM_KEYS
 
 
 def test_run_prints_converged_status():
-    result = CliRunner().invoke(main, ["run", "--family", "quad", "--n", "10", "--solver", "cag"])
+    result = CliRunner().invoke(main, ["run", "family=quad", "n=10", "solver=cag"])
     assert result.exit_code == 0, result.output
     assert result.output.startswith("cag: converged")
 
 
 def test_run_names_conjugate_z_mode():
     result = CliRunner().invoke(
-        main, ["run", "--family", "quad", "--n", "10", "--solver", "cag", "--conjugate-z"]
+        main, ["run", "family=quad", "n=10", "solver=cag", "conjugate_z=true"]
     )
     assert result.exit_code == 0, result.output
     assert result.output.startswith("cag+z: converged")
@@ -22,7 +26,7 @@ def test_run_names_conjugate_z_mode():
 
 def test_run_capped_by_budget_exits_nonzero():
     result = CliRunner().invoke(
-        main, ["run", "--family", "quad", "--n", "10", "--solver", "cag", "--max-evals", "3"]
+        main, ["run", "family=quad", "n=10", "solver=cag", "max_evals=3"]
     )
     assert result.exit_code == 1
     assert "budget_exhausted" in result.output
@@ -49,23 +53,23 @@ def test_suite_prints_table_and_writes_csv(tmp_path):
 
 @pytest.mark.parametrize(
     "override,message",
-    [(["--L", "0"], "L must be positive"), (["--ell", "200"], "need 0 <= ell <= L")],
+    [(["L=0"], "L must be positive"), (["ell=200"], "need 0 <= ell <= L")],
     ids=["L-zero", "ell-above-default-L"],
 )
 def test_run_with_invalid_moduli_is_a_usage_error(override, message):
-    # --L 0 fails in RunConfig; --ell 200 only once quad's default L = 100 is known
+    # L=0 fails in RunConfig; ell=200 only once quad's default L = 100 is known
     result = CliRunner().invoke(
-        main, ["run", "--family", "quad", "--n", "10", "--solver", "cag", *override]
+        main, ["run", "family=quad", "n=10", "solver=cag", *override]
     )
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("override", [["--L", "5"], ["--ell", "0.5"]], ids=["L", "ell"])
+@pytest.mark.parametrize("override", [["L=5"], ["ell=0.5"]], ids=["L", "ell"])
 def test_lcg_with_moduli_override_is_a_usage_error(override):
     result = CliRunner().invoke(
-        main, ["run", "--family", "quad", "--n", "10", "--solver", "lcg", *override]
+        main, ["run", "family=quad", "n=10", "solver=lcg", *override]
     )
     assert result.exit_code == 2, result.output
     assert "lcg solver takes no L or ell" in result.output
@@ -97,5 +101,51 @@ def test_suite_row_error_names_its_line(tmp_path, row, message):
     result = CliRunner().invoke(main, ["suite", "--config", str(config)])
     assert result.exit_code == 2, result.output
     assert f"{config}:3: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "tokens,key",
+    [
+        ("solver=cag L=500 L=100", "L"),
+        ("solver=cag trace=", "trace"),
+        ("solver=cag json=", "json"),
+        ("solver=cag conjugate_z=ture", "conjugate_z"),
+        ("solver=ag conjugate_z=off", "conjugate_z"),
+    ],
+    ids=["repeated-key", "empty-trace", "empty-json", "conjugate_z-typo", "conjugate_z-off"],
+)
+def test_run_rejects_a_malformed_token(tokens, key):
+    result = CliRunner().invoke(main, ["run", "family=quad", "n=10", *tokens.split()])
+    assert result.exit_code == 2, result.output
+    assert key in result.output.splitlines()[-1]
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_run_writes_the_trace_and_summary_that_harness_run_writes(tmp_path):
+    result = CliRunner().invoke(
+        main, ["run", "family=huber", "n=20", "tau=2", "solver=cag", "conjugate_z=yes",
+               f"trace={tmp_path / 'cli.csv'}", f"json={tmp_path / 'cli.json'}"]
+    )
+    assert result.exit_code == 0, result.output
+    run(RunConfig(ProblemSpec("huber", 20, tau=2.0), "cag", conjugate_z=True,
+                  trace_path=str(tmp_path / "run.csv"), json_path=str(tmp_path / "run.json")))
+    for suffix in ("csv", "json"):
+        written = (tmp_path / f"cli.{suffix}").read_bytes()
+        assert written and written == (tmp_path / f"run.{suffix}").read_bytes()
+
+
+def test_run_help_names_every_key():
+    text = CliRunner().invoke(main, ["run", "--help"]).output
+    for key in PROBLEM_KEYS | RUN_KEYS:
+        assert re.search(rf"\b{key}\b", text), key
+
+
+def test_run_value_that_is_not_a_number_is_a_usage_error():
+    result = CliRunner().invoke(main, ["run", "family=quad", "n=10", "solver=cag", "L=abc"])
+    assert result.exit_code == 2, result.output
+    assert "could not convert string to float: 'abc'" in result.output
     assert "Traceback" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cagopt import (
     run_suite,
     write_suite_csv,
 )
+from cagopt.harness import run_config_from_tokens
 
 
 class TestRun:
@@ -280,9 +282,68 @@ class TestSuiteConfigFile:
         with pytest.raises(InvalidSpec):
             parse_suite_config(cfg)
 
+    @pytest.mark.parametrize(
+        "tokens,key",
+        [
+            ("solver=cag L=500 L=100", "L"),
+            ("solver=cag trace=", "trace"),
+            ("solver=cag json=", "json"),
+            ("solver=cag conjugate_z=ture", "conjugate_z"),
+            ("solver=ag conjugate_z=off", "conjugate_z"),
+        ],
+        ids=["repeated-key", "empty-trace", "empty-json", "conjugate_z-typo", "conjugate_z-off"],
+    )
+    def test_malformed_token_names_its_key_and_line(self, tmp_path, tokens, key):
+        cfg = tmp_path / "suite.txt"
+        cfg.write_text(f"family=quad n=10 solver=cag\nfamily=quad n=10 {tokens}\n")
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(str(cfg))}:2: .*{key}"):
+            parse_suite_config(cfg)
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [("1", True), ("true", True), ("Yes", True), ("0", False), ("FALSE", False), ("no", False)],
+    )
+    def test_conjugate_z_values(self, value, expected):
+        config = run_config_from_tokens(f"family=quad n=10 solver=cag conjugate_z={value}".split())
+        assert config.conjugate_z is expected
+
+    def test_unset_keys_keep_the_dataclass_defaults(self):
+        assert run_config_from_tokens(["family=huber", "n=20", "solver=ncg"]) == RunConfig(
+            ProblemSpec("huber", 20), "ncg"
+        )
+
+    def test_each_run_key_sets_its_field(self):
+        config = run_config_from_tokens(
+            "family=quad n=10 solver=cag gtol=1e-6 max_evals=77 L=200 ell=0.5 conjugate_z=1 "
+            "trace=t.csv json=s.json".split()
+        )
+        assert config == RunConfig(ProblemSpec("quad", 10), "cag", gtol=1e-6, max_evals=77,
+                                   L=200.0, ell=0.5, conjugate_z=True, trace_path="t.csv",
+                                   json_path="s.json")
+
     def test_ell_above_default_L_fails_at_its_row(self):
         # the one bad row RunConfig cannot reject: the family's default L
         # (n^2 = 100 here) is known only once the problem is built
         config = RunConfig(problem=ProblemSpec("quad", 10), solver="cag", ell=200.0)
         with pytest.raises(InvalidSpec):
             run(config)
+
+
+@pytest.mark.parametrize("L", [1e-200, 1e-160, 1e-101, 1e101, 1e155, 1e300])
+def test_run_config_rejects_L_outside_the_estimate_sequences_range(L):
+    with pytest.raises(InvalidSpec, match="L must be positive"):
+        RunConfig(ProblemSpec("quad", 10), "cag", L=L, ell=0.0)
+
+
+@pytest.mark.parametrize("L", [1e-100, 1e100])
+def test_L_at_the_ends_of_its_range_ends_every_run_with_a_status(L):
+    # outside this range, compute_theta_gamma's b^2 + 4 L gamma over- or
+    # underflowed: a numpy warning and a ZeroDivisionError at L = 1e155, an
+    # InvalidState at L = 1e-160
+    configs = [RunConfig(ProblemSpec(family, n), solver, L=L, ell=0.0, max_evals=300,
+                         conjugate_z=z)
+               for family, n in (("quad", 10), ("logistic", 10), ("abpdn", 16))
+               for solver, z in (("cag", False), ("cag", True), ("ncg", False), ("ag", False))]
+    rows = run_suite(configs)
+    assert all(r.status is not Status.INVALID for r in rows)
+    assert all(r.evaluations > 0 for r in rows)

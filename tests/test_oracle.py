@@ -116,3 +116,11 @@ def test_problem_metadata_validation():
         ObjectiveProblem(
             name="bad", n=1, evaluate=lambda x: (0.0, x), default_L=1.0, default_ell=2.0
         )
+
+
+def test_problem_L_outside_the_estimate_sequences_range_is_rejected():
+    for L in (1e-200, 1e-160, 1e-101, 1e101, 1e155, 1e300):
+        with pytest.raises(InvalidSpec, match="L must be positive"):
+            ObjectiveProblem(name="bad", n=1, evaluate=lambda x: (0.0, x), default_L=L)
+    for L in (1e-100, 1e100):  # the ends of the range
+        ObjectiveProblem(name="edge", n=1, evaluate=lambda x: (0.0, x), default_L=L)

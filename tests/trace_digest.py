@@ -10,7 +10,9 @@ L and at L/10.  Each ``ProblemSpec`` of a grid over every family, with each
 optional parameter unset and set, prints its label, default L and ell and
 a SHA-256 of its evaluation at a fixed point; each rejected spec prints
 its message.  Hand-built suite rows print the SHA-256 of the suite table
-and CSV, and the CLI's help texts are hashed too.
+and CSV, and the CLI's help texts are hashed too.  Suite lines that set
+every problem and run key, and malformed ones, print the parsed
+``RunConfig`` or the error message.
 
 To show that a change leaves behaviour bit-identical, run the script
 against both source trees (point ``PYTHONPATH`` at the other ``src``) and
@@ -33,7 +35,7 @@ from click.testing import CliRunner
 
 from cagopt import InvalidSpec, ProblemSpec, RunConfig, Status, run
 from cagopt.cli import main as cli_main
-from cagopt.harness import SuiteRow, format_suite_table, write_suite_csv
+from cagopt.harness import SuiteRow, format_suite_table, parse_suite_config, write_suite_csv
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, cells_for  # noqa: E402
@@ -70,6 +72,48 @@ REJECTED = (
     {"family": "huber", "n": 10, "tau": 0.0},
     {"family": "huber", "n": 10, "tau": math.inf},
     {"family": "huber", "n": 0},
+)
+
+# Suite lines that set every problem key and every run key, and malformed
+# lines, each parsed as a suite file of its own.
+_Q = "family=quad n=10 solver=cag"
+SUITE_LINES = (
+    _Q,
+    _Q + " gtol=1e-6 max_evals=500 L=200 ell=0.5 conjugate_z=true trace=t.csv json=s.json",
+    "family=abpdn n=16 lambda=0.01 delta=0.001 solver=ncg L=50",
+    "family=logistic n=10 m=25 lambda=0.01 sigma=0.8 seed=3 solver=ag ell=0",
+    "family=huber n=10 tau=2.5 solver=cag conjugate_z=YES",
+    "family=huber n=10 solver=ag conjugate_z=no",
+    "family=quad n=10 solver=lcg gtol=1e-10 max_evals=40",
+    _Q + " L=1e-100 ell=0",
+    _Q + " L=1e100",
+    _Q + " L=500 L=100",
+    "family=quad n=10 n=20 solver=cag",
+    _Q + " trace=",
+    _Q + " json=",
+    _Q + " conjugate_z=ture",
+    "family=quad n=10 solver=ag conjugate_z=off",
+    _Q + " L=1e155",
+    _Q + " L=1e300",
+    _Q + " L=1e-160 ell=0",
+    _Q + " L=1e-200 ell=0",
+    _Q + " L=1e101",
+    "family=quad n=10 cag",
+    _Q + " =5",
+    _Q + " momentum=0.9",
+    "family=quad solver=cag",
+    "family=quad n=10",
+    _Q + " L=abc",
+    "family=quad n=abc solver=cag",
+    _Q + " max_evals=1e3",
+    _Q + " L=0",
+    _Q + " ell=-1",
+    _Q + " L=1 ell=2",
+    "family=quad n=10 solver=sgd",
+    "family=huber n=10 solver=lcg",
+    "family=quad n=10 solver=ncg conjugate_z=true",
+    "family=quad n=10 solver=lcg L=5",
+    "family=quad n=10 tau=5 solver=cag",
 )
 
 
@@ -157,9 +201,22 @@ def suite_outputs() -> None:
         print(f"cli {command} --help {hashlib.sha256(text.encode()).hexdigest()}")
 
 
+def suite_parse() -> None:
+    # each line alone, after a comment and a blank line, so an error names line 3
+    for line in SUITE_LINES:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "suite.txt"
+            path.write_text(f"# one run\n\n{line}\n")
+            try:
+                print(f"parse {line!r}: {parse_suite_config(path)[0]!r}")
+            except InvalidSpec as e:
+                print(f"parse {line!r}: rejected: {str(e).replace(str(path), 'suite.txt')}")
+
+
 def main() -> None:
     spec_grid()
     suite_outputs()
+    suite_parse()
     bench_cells()
     direct_runs()
 

@@ -56,7 +56,11 @@ def run_cmd(tokens):
               help="text file, one run per line as key=value pairs")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="write summary CSV here")
 def suite_cmd(config_path, out_path):
-    """Run every configuration in a suite file and print the summary table."""
+    """Run every configuration in a suite file and print the summary table.
+
+    Consecutive lines on one problem instance build it once, and only the
+    first of them counts the build in its time_s: group lines by instance.
+    """
     try:
         configs = parse_suite_config(config_path)
     except InvalidSpec as e:

@@ -127,7 +127,12 @@ def run(config: RunConfig) -> SolverResult:
 
 @dataclass
 class SuiteRow:
-    """One line of the suite summary table."""
+    """One line of the suite summary table.
+
+    ``wall_time`` is the whole ``run`` call.  It includes building the
+    problem only when the row before did not build the same instance, since
+    ``ProblemSpec.build`` keeps the last one.
+    """
 
     problem: str
     solver: str
@@ -151,6 +156,10 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     status ``invalid`` with no evaluations, and the suite goes on.  The
     ``best`` flag marks, within each problem, the converged run with the
     fewest evaluations.
+
+    Consecutive rows on one instance build it once (``ProblemSpec.build``),
+    so group rows by instance: only the first row of a group pays for the
+    build in its ``wall_time``.
     """
     def one(config: RunConfig) -> SuiteRow:
         start = time.perf_counter()

@@ -2,7 +2,9 @@
 
 All constructors are pure: the same specification yields bit-identical
 evaluators.  Each family ships a sound default smoothness bound L and
-strong-convexity bound ell, overridable at the harness level.
+strong-convexity bound ell, overridable at the harness level.  Every array
+a built instance exposes or closes over is read-only, so runs that share
+one instance (see ``ProblemSpec.build``) cannot change it for each other.
 
 Families
 --------
@@ -136,11 +138,14 @@ def quad_diag_system(n: int) -> QuadraticProblem:
     idx = np.arange(1, n + 1, dtype=float)
     d = idx**2
     b = np.sin(idx)
+    xstar = b / d
+    for array in (d, b, xstar):
+        array.flags.writeable = False
     return QuadraticProblem(
         apply_A=lambda x: d * x,
         b=b,
-        known_xstar=b / d,
-        known_fstar=-0.5 * float(b @ (b / d)),
+        known_xstar=xstar,
+        known_fstar=-0.5 * float(b @ xstar),
         name=f"quad(n={n})",
     )
 
@@ -170,6 +175,8 @@ def dct_row_operator(
     a = c * np.exp(-0.5j * math.pi / n * k)
     # irfft weighs bin k by 2/n, the zero and Nyquist bins by 1/n
     a_t = np.conj(a) * np.where((k == 0) | (2 * k == n), float(n), 0.5 * n)
+    for array in (k, a, a_t):
+        array.flags.writeable = False
     h = (n + 1) // 2
 
     def apply(x: Vector) -> Vector:
@@ -224,6 +231,7 @@ def make_abpdn(n: int, lam: float = 1e-3, delta: float = 1e-4) -> ObjectiveProbl
     apply, apply_t = dct_row_operator(first_primes(m), n)
     i = np.arange(1, m + 1, dtype=float)
     b = np.sin(i**2)
+    b.flags.writeable = False
 
     def evaluate(x):
         r = apply(x) - b
@@ -314,6 +322,7 @@ def make_logistic(
     A = _standard_normal(rng, (m, n))
     A *= sigma
     A += 1.0 / math.sqrt(n)
+    A.flags.writeable = False
     sig_max = 1.01 * estimate_spectral_norm(lambda x: A @ x, lambda y: A.T @ y, n)
 
     def evaluate(x):
@@ -351,6 +360,11 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
     zeta'' <= 2 and sigma_max(A) <= 2 for the stencil, so L = 8 is a cheap
     certified bound; the linear tails make ell = 0.
 
+    With tau <= 1 the start x0 = 0 is an exact minimiser: every residual
+    -b_i lies at or beyond -tau, so zeta' = -2 tau on every row and
+    A^T (-2 tau 1) = 0.  ``make_huber(10, 1.0)`` has ||g(0)|| = 0 and a solver
+    stops at its first evaluation; ``make_huber(11, 1.1)`` has ||g(0)|| ~ 0.2.
+
     evaluate makes three passes over fresh buffers: the residual t; zeta(t)
     over a = |t| (the tail a * 2tau - tau^2, then t * t where a <= tau),
     summed pairwise as np.sum does; zeta'(t) = 2 clip(t, -tau, tau) over t.
@@ -359,6 +373,7 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
     """
     _check_huber(n, tau)
     b = np.arange(1, n + 2, dtype=float)
+    b.flags.writeable = False
 
     def evaluate(x):
         t = np.empty(n + 1)
@@ -397,9 +412,14 @@ _FAMILIES = {
     "abpdn": _Family(make_abpdn, _check_abpdn, lambda n: {"lam": 1e-3, "delta": 1e-4}),
     "logistic": _Family(make_logistic, _check_logistic,
                         lambda n: {"m": 2 * n, "lam": 1e-4, "sigma": 0.4, "seed": 0}),
+    # tau = n/10 <= 1 at n <= 10 makes x0 = 0 a minimiser (see make_huber)
     "huber": _Family(make_huber, _check_huber, lambda n: {"tau": n / 10.0}),
 }
 FAMILIES = tuple(_FAMILIES)
+
+# The instance ProblemSpec.build made last, keyed by family and resolved
+# arguments, or None.
+_built: tuple[tuple, ObjectiveProblem] | None = None
 
 
 @dataclass(frozen=True)
@@ -444,7 +464,21 @@ class ProblemSpec:
         return args
 
     def build(self) -> ObjectiveProblem:
-        return _FAMILIES[self.family].make(**self._args())
+        """The instance, built once for consecutive calls that resolve to the
+        same arguments: runs of several solvers on one instance share it.
+
+        One instance is held.  A call with other arguments drops it before
+        building the next, so two instances are never alive here at once.
+        Sharing is safe because every family's ``evaluate`` is a pure closure
+        over read-only arrays that returns fresh ones.
+        """
+        global _built
+        args = self._args()
+        key = (self.family, tuple(args.items()))
+        if _built is None or _built[0] != key:
+            _built = None  # free the held instance before the build, not after
+            _built = (key, _FAMILIES[self.family].make(**args))
+        return _built[1]
 
     def label(self) -> str:
         """Name in the suite table, every argument resolved and floats in %g

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cagopt.problems
 from cagopt import (
     InvalidSpec,
     QuadraticProblem,
@@ -49,11 +50,32 @@ def finite_diff_gradient(problem, x, h):
     return g
 
 
+def count_builds(monkeypatch, family):
+    """The list of argument dicts ``family``'s constructor is called with from
+    now on, one per call; the constructor is wrapped in ``_FAMILIES``."""
+    calls = []
+    entry = cagopt.problems._FAMILIES[family]
+
+    def make(**args):
+        calls.append(args)
+        return entry.make(**args)
+
+    monkeypatch.setitem(cagopt.problems._FAMILIES, family, entry._replace(make=make))
+    return calls
+
+
 def minimize(solver, prob, x0, gtol=1e-8, max_evals=10**6, record_iterates=False):
     """Run cag, ncg or ag on ``prob`` with the problem's own L and ell."""
     config = SolverConfig(prob.default_L, prob.default_ell, gtol, max_evals)
     solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[solver]
     return solve(prob, x0, config, record_iterates=record_iterates)
+
+
+@pytest.fixture(autouse=True)
+def no_built_instance():
+    """Drop the instance ``ProblemSpec.build`` holds, so that no test sees
+    one an earlier test built."""
+    cagopt.problems._built = None
 
 
 @pytest.fixture

@@ -20,6 +20,8 @@ from cagopt import (
 )
 from cagopt.harness import run_config_from_tokens
 
+from conftest import count_builds
+
 
 class TestRun:
     def test_tiny_quadratic_all_solvers(self):
@@ -159,6 +161,20 @@ class TestSuite:
         assert rows[0].problem == rows[1].problem == "huber(n=60,tau=6)"
         assert all(r.status is Status.CONVERGED for r in rows)
         assert sum(r.best for r in rows) == 1
+
+    def test_rows_on_one_instance_build_it_once(self, monkeypatch):
+        configs = [RunConfig(problem=ProblemSpec("huber", 60), solver=s, gtol=1e-6)
+                   for s in ("cag", "ncg", "ag")]
+        fresh = []
+        for config in configs:
+            cagopt.problems._built = None
+            fresh.append(run(config))
+        cagopt.problems._built = None
+        calls = count_builds(monkeypatch, "huber")
+        rows = run_suite(configs)
+        assert len(calls) == 1
+        assert ([(r.status, r.iterations, r.evaluations, r.f_final) for r in rows]
+                == [(r.status, r.iterations, r.evaluations, r.f_final) for r in fresh])
 
     def test_conjugate_z_rows_are_named_cag_plus_z(self, tmp_path):
         spec = ProblemSpec("huber", 60)

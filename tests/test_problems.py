@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ from cagopt.problems import (
     first_primes,
 )
 
-from conftest import finite_diff_gradient
+from conftest import count_builds, finite_diff_gradient
 
 
 def dct_rows(row_indices, n):
@@ -66,6 +67,20 @@ def huber_reference(n, tau, x):
     f = float(np.sum(np.where(inner, t * t, -tau * tau + 2.0 * tau * np.abs(t))))
     zp = np.where(inner, 2.0 * t, 2.0 * tau * np.sign(t))
     return f, zp[:n] - zp[1:]
+
+
+def closed_over_arrays(fn):
+    """Every array ``fn`` closes over, directly or through the functions it
+    closes over."""
+    arrays, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif callable(value) and getattr(value, "__closure__", None):
+                todo.append(value)
+    return arrays
 
 
 def standard_normal_reference(rng, shape):
@@ -339,6 +354,13 @@ class TestHuber:
             zeta2 = t2 * t2 if abs(t2) <= tau else -tau * tau + 2 * tau * abs(t2)
             assert abs((f - zeta2) - 3.0 * tau * tau) <= 1e-12 * max(1.0, f)
 
+    @pytest.mark.parametrize("n,start_is_minimiser", [(10, True), (20, False)])
+    def test_default_tau_starts_at_the_minimiser_up_to_n_10(self, n, start_is_minimiser):
+        # tau = n/10 <= 1 puts every residual of x0 = 0 on the lower tail,
+        # where the stencil's column sums cancel the slopes
+        g = ProblemSpec("huber", n).build().evaluate(np.zeros(n))[1]
+        assert (np.linalg.norm(g) == 0.0) == start_is_minimiser
+
     def test_small_case_against_brute_force(self, rng):
         # oracle: explicit 4x3 stencil and the piecewise formula, summed term
         # by term
@@ -463,16 +485,31 @@ def test_gradient_shares_no_memory(family, kwargs, rng):
     x, y = rng.standard_normal(prob.n), rng.standard_normal(prob.n)
     g1 = prob.evaluate(x)[1]
     g2 = prob.evaluate(y)[1]
+    assert g1.flags.writeable  # not a view of the read-only instance arrays
     assert not np.shares_memory(g1, x)
     assert not np.shares_memory(g2, y)
     assert not np.shares_memory(g1, g2)
 
 
 @pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
+def test_instance_arrays_are_read_only(family, kwargs):
+    # runs of several solvers share one built instance, so none may change it
+    prob = ProblemSpec(family=family, **kwargs).build()
+    arrays = closed_over_arrays(prob.evaluate)
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    if prob.known_xstar is not None:
+        with pytest.raises(ValueError):
+            prob.known_xstar[0] = 0.0
+
+
+@pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
 def test_construction_determinism(family, kwargs, rng):
-    spec = ProblemSpec(family=family, **kwargs)
-    p1 = spec.build()
-    p2 = spec.build()
+    # the family constructor itself, since ProblemSpec.build returns its
+    # held instance on the second call
+    make = cagopt.problems._FAMILIES[family].make
+    args = ProblemSpec(family=family, **kwargs)._args()
+    p1 = make(**args)
+    p2 = make(**args)
     for _ in range(3):
         x = rng.standard_normal(p1.n)
         f1, g1 = p1.evaluate(x)
@@ -501,3 +538,40 @@ class TestProblemSpec:
     def test_defaults_applied_at_build(self):
         prob = ProblemSpec(family="huber", n=40).build()
         assert "tau=4" in prob.name
+
+
+class TestBuildCache:
+    def test_equal_resolved_arguments_share_one_instance(self):
+        # tau = 4 is huber n=40's default
+        assert ProblemSpec("huber", 40).build() is ProblemSpec("huber", 40, tau=4.0).build()
+
+    def test_each_change_of_instance_builds_again(self, monkeypatch):
+        calls = count_builds(monkeypatch, "huber")
+        a, b = ProblemSpec("huber", 40), ProblemSpec("huber", 40, tau=2.0)
+        first = a.build()
+        b.build()
+        again = a.build()
+        assert [args["tau"] for args in calls] == [4.0, 2.0, 4.0]
+        assert again is not first
+
+    def test_a_replaced_copy_leaves_the_held_instance_alone(self):
+        # how a tracer wraps evaluate: on a copy, never on the held instance
+        spec = ProblemSpec("quad", 10)
+        problem = spec.build()
+        evaluate = problem.evaluate
+        dataclasses.replace(problem, evaluate=lambda x: evaluate(x))
+        assert spec.build() is problem
+        assert problem.evaluate is evaluate
+
+    def test_the_held_instance_is_dropped_before_the_next_build(self):
+        # building seed 1 while seed 0's design were still held would peak
+        # at one design above a single build
+        m, n = 2000, 1000
+        tracemalloc.start()
+        try:
+            ProblemSpec("logistic", n, m=m, seed=0).build()
+            ProblemSpec("logistic", n, m=m, seed=1).build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 8 * m * n

@@ -17,15 +17,16 @@ from .cag import (
     CagIterationState,
     SolverConfig,
     _LineSearchFailed,
-    _evaluate_or_stop,
+    _Run,
     _start_point,
     ag_step,  # bound at import: traced runs count only cag_minimize's ag_step calls
+    check_settings,
     hz_beta,
     run_steps,
     secant_alpha,
 )
 from .errors import InvalidSpec, NotPositiveDefinite
-from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector
+from .oracle import Evaluation, ObjectiveProblem, Vector
 from .problems import QuadraticProblem
 # Unused here, but perfbench/tracing.py wraps these names in this module.
 from .estimate_sequence import advance_estimate, compute_theta_gamma  # noqa: F401
@@ -48,8 +49,10 @@ def lcg_minimize(
     which is exact in exact arithmetic.  At the budget exit the result holds
     the last iterate, not the lowest-f one as ``RunLog`` reports for the
     other solvers: the tracked f stalls at round-off while the residual
-    still falls, so the first lowest-f row has a larger residual.
+    still falls, so the first lowest-f row has a larger residual.  Raises
+    ``InvalidSpec`` unless gtol > 0 and max_iters >= 1 (``check_settings``).
     """
+    check_settings(None, None, gtol, max_iters)
     x = _start_point(x0, qp.n)
     evals = 0
     if np.any(x != 0.0):
@@ -93,28 +96,23 @@ def lcg_minimize(
     )
 
 
-def ncg_step(
-    state: CagIterationState,
-    config: SolverConfig,
-    problem: ObjectiveProblem,
-    counter: EvalCounter,
-) -> tuple[Evaluation, StepKind]:
+def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
     """One plain Hager-Zhang NCG iteration; reads and writes only ``x``,
     ``point``, ``p`` and ``i_cg``, and reads ``g0_norm``."""
     point, p, i_cg = state.point, state.p, state.i_cg
     g = point.g
     if float(g @ p) >= 0.0:
         p, i_cg = -g, 0
-    secant = secant_alpha(problem, counter, point, p, config.L, config.gtol, StepKind.CG)
+    secant = secant_alpha(run, point, p, StepKind.CG)
     # With no secant step (flat or concave along p), take the step that the
     # smoothness bound alone guarantees to decrease f.
-    alpha = secant[0] if secant is not None else -float(g @ p) / (config.L * float(p @ p))
+    alpha = secant[0] if secant is not None else -float(g @ p) / (run.config.L * float(p @ p))
 
     # Near the minimum the true decrease falls below what doubles can
     # represent, so demand decrease only up to a rounding-level slack.
     f_accept = point.f + 1e-12 * (1.0 + abs(point.f))
     for _ in range(31):  # the secant step, then up to 30 halvings
-        new = _evaluate_or_stop(problem, point.x + alpha * p, counter, config.gtol, StepKind.CG)
+        new = run.evaluate(point.x + alpha * p, StepKind.CG)
         if new.f <= f_accept:
             break
         alpha *= 0.5

@@ -29,18 +29,21 @@ default.
 Run contract
 ------------
 ``run_steps`` runs ``cag_minimize``, ``baselines.ncg_minimize`` and
-``baselines.ag_minimize``, each with its own per-iteration step.  It
-evaluates a copy of x0, which must have shape (n,); a non-finite start
-raises ``NumericalFailure``.  The budget is checked between iterations, so
-the count may exceed ``max_evals`` by one iteration's cost less one.  A CG
-chain restarts from steepest descent after ``RESTART_FACTOR`` * n + 1
-steps.  A run is ``converged`` once any evaluated point has
-||grad f|| <= gtol (a secant probe, a candidate, a bar or AG combination
-point, or the iterate or model centre that ``return_to_cg`` evaluates),
-and reports that point in its last trace row; else it ends ``diverged``
-(non-finite value, gradient norm or phi*), ``line_search_failure`` (ncg's
-backtracking) or ``budget_exhausted``, and reports the lowest-f evaluated
-point.  ncg's phi* column is NaN.
+``baselines.ag_minimize``, each with its own per-iteration step, called as
+``step(state, run)``: the step updates the ``CagIterationState`` in place
+and evaluates through the ``_Run``, which holds the problem, the
+``SolverConfig`` and the evaluation counter and applies the gtol test
+(``_Run.evaluate``).  It evaluates a copy of x0, which must have shape
+(n,); a non-finite start raises ``NumericalFailure``.  The budget is
+checked between iterations, so the count may exceed ``max_evals`` by one
+iteration's cost less one.  A CG chain restarts from steepest descent
+after ``RESTART_FACTOR`` * n + 1 steps.  A run is ``converged`` once any
+evaluated point has ||grad f|| <= gtol (a secant probe, a candidate, a bar
+or AG combination point, or the iterate or model centre that
+``return_to_cg`` evaluates), and reports that point in its last trace
+row; else it ends ``diverged`` (non-finite value, gradient norm or phi*),
+``line_search_failure`` (ncg's backtracking) or ``budget_exhausted``, and
+reports the lowest-f evaluated point.  ncg's phi* column is NaN.
 """
 
 from __future__ import annotations
@@ -144,31 +147,34 @@ class _LineSearchFailed(Exception):
     """Internal control flow: a line search found no acceptable step."""
 
 
-def _evaluate_or_stop(
-    problem: ObjectiveProblem, x: Vector, counter: EvalCounter, gtol: float, kind: StepKind
-) -> Evaluation:
-    """Counted evaluation at x that ends the run when ||grad f(x)|| <= gtol.
+@dataclass(frozen=True, slots=True)
+class _Run:
+    """What every step of one run reads and never replaces: the problem, its
+    checked settings and the counter of its evaluations."""
 
-    Raises ``_ConvergedAt`` carrying the evaluation and the step kind of the
-    row that reports it when the test passes, and ``NumericalFailure`` (from
-    ``evaluate_counted``) when the value or the gradient norm is non-finite.
-    """
-    point = evaluate_counted(problem, x, counter)
-    if point.gnorm <= gtol:
-        raise _ConvergedAt(point, kind)
-    return point
+    problem: ObjectiveProblem
+    config: SolverConfig
+    counter: EvalCounter
+
+    def evaluate(self, x: Vector, kind: StepKind) -> Evaluation:
+        """Counted evaluation at x that ends the run when ||grad f(x)|| <= gtol.
+
+        Raises ``_ConvergedAt`` carrying the evaluation and the step kind of
+        the row that reports it when the test passes, and ``NumericalFailure``
+        (from ``evaluate_counted``) when the value or the gradient norm is
+        non-finite.
+        """
+        point = evaluate_counted(self.problem, x, self.counter)
+        if point.gnorm <= self.config.gtol:
+            raise _ConvergedAt(point, kind)
+        return point
 
 
 def secant_alpha(
-    problem: ObjectiveProblem,
-    counter: EvalCounter,
-    point: Evaluation,
-    p: Vector,
-    L: float,
-    gtol: float,
-    kind: StepKind,
+    run: _Run, point: Evaluation, p: Vector, kind: StepKind
 ) -> tuple[float, Vector, float] | None:
-    """Secant step length from a single probe at x + p/L, x = ``point.x``.
+    """Secant step length from a single probe at x + p/L, x = ``point.x`` and
+    L = ``run.config.L``.
 
     The gradient difference gives a generalized curvature product
     Ap = L (grad f(x + p/L) - g); on a quadratic it equals the exact A p, so
@@ -176,9 +182,10 @@ def secant_alpha(
 
     Returns (alpha, Ap, pAp), or None when pAp <= 0.  Costs one counted
     evaluation, and ends the run at the probe (as a ``kind`` row) when its
-    gradient passes ``gtol``.
+    gradient passes gtol.
     """
-    probe = _evaluate_or_stop(problem, point.x + p / L, counter, gtol, kind)
+    L = run.config.L
+    probe = run.evaluate(point.x + p / L, kind)
     Ap = L * (probe.g - point.g)
     pAp = float(p @ Ap)
     if pAp <= 0.0:
@@ -221,33 +228,20 @@ def z_conjugate_update(
     return z_next, zAz_next
 
 
-def bar_augment(
-    new: Evaluation,
-    z_tilde: Vector,
-    zAz: float,
-    problem: ObjectiveProblem,
-    counter: EvalCounter,
-    gtol: float,
-) -> Evaluation:
+def bar_augment(run: _Run, new: Evaluation, z_tilde: Vector, zAz: float) -> Evaluation:
     """Line minimiser along z through the new iterate, evaluated.
 
     alpha_t = -<g_next, z> / zAz with g_next = ``new.g``; returns the
     evaluation at bar_x = x_next + alpha_t z.  Costs one counted evaluation,
     and ends the run there (as a ``bar`` row) when the gradient passes
-    ``gtol``.  The caller ensures zAz > 0.
+    gtol.  The caller ensures zAz > 0.
     """
     alpha_t = -float(new.g @ z_tilde) / zAz
-    return _evaluate_or_stop(
-        problem, new.x + alpha_t * z_tilde, counter, gtol, StepKind.BAR
-    )
+    return run.evaluate(new.x + alpha_t * z_tilde, StepKind.BAR)
 
 
 def cg_attempt(
-    state: CagIterationState,
-    config: SolverConfig,
-    problem: ObjectiveProblem,
-    counter: EvalCounter,
-    use_steepest: bool,
+    state: CagIterationState, run: _Run, use_steepest: bool
 ) -> tuple[bool, CagIterationState]:
     """One conjugate gradient (or steepest-descent retry) attempt.
 
@@ -264,17 +258,18 @@ def cg_attempt(
     only ``z_tilde``/``zAz``, whose recurrences advance unconditionally;
     the other two failures and a run that ends inside the attempt write none.
     """
+    config = run.config
     point = state.point
     p = -point.g if use_steepest else state.p
     i_cg = 0 if use_steepest else state.i_cg
     kind = StepKind.SD if use_steepest else StepKind.CG
 
-    secant = secant_alpha(problem, counter, point, p, config.L, config.gtol, kind)
+    secant = secant_alpha(run, point, p, kind)
     if secant is None:
         return False, state
     alpha, Ap, pAp = secant
 
-    new = _evaluate_or_stop(problem, point.x + alpha * p, counter, config.gtol, kind)
+    new = run.evaluate(point.x + alpha * p, kind)
 
     bar = new
     z_tilde, zAz = state.z_tilde, state.zAz
@@ -285,7 +280,7 @@ def cg_attempt(
             # augmentation and continue with the plain test.
             z_tilde, zAz = None, 0.0
         else:
-            bar = bar_augment(new, z_tilde, zAz, problem, counter, config.gtol)
+            bar = bar_augment(run, new, z_tilde, zAz)
 
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, state.estimate.gamma)
     # The model update is anchored at the previous bar point; the fresh bar
@@ -310,12 +305,7 @@ def cg_attempt(
     return True, state
 
 
-def ag_step(
-    state: CagIterationState,
-    config: SolverConfig,
-    problem: ObjectiveProblem,
-    counter: EvalCounter,
-) -> tuple[Evaluation, StepKind]:
+def ag_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
     """One accelerated-gradient iteration, of cag's AG blocks and of ``ag_minimize``.
 
     Forms the combination point bar_x = (theta gamma v + gamma_next x) /
@@ -325,12 +315,13 @@ def ag_step(
     at bar_x) and returns the row ``(bar, AG)``.  The new iterate is
     deliberately left unevaluated: ``point`` is stale until the block exits.
     """
+    config = run.config
     est = state.estimate
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, est.gamma)
     bar_x = (theta * est.gamma * est.v + gamma_next * state.x) / (
         est.gamma + theta * config.ell
     )
-    bar = _evaluate_or_stop(problem, bar_x, counter, config.gtol, StepKind.AG)
+    bar = run.evaluate(bar_x, StepKind.AG)
     state.estimate = advance_estimate(est, theta, gamma_next, config.ell, bar)
     state.x = bar.x - bar.g / config.L
     state.bar = bar
@@ -342,12 +333,7 @@ def ag_block_exit_test(state: CagIterationState) -> bool:
     return state.bar.gnorm <= state.ag_ref_gnorm / AG_EXIT_FACTOR
 
 
-def return_to_cg(
-    state: CagIterationState,
-    config: SolverConfig,
-    problem: ObjectiveProblem,
-    counter: EvalCounter,
-) -> None:
+def return_to_cg(state: CagIterationState, run: _Run) -> None:
     """Leave the AG block: evaluate the pending iterate and reset the CG chain.
 
     Costs one counted evaluation at the iterate, plus one more at the model
@@ -355,41 +341,36 @@ def return_to_cg(
     with zAz = <grad f(v) - grad f(x), z> (exact z^T A z on a quadratic).
     A nonpositive or vanishing zAz disables the augmentation for this block.
     Writes every field but ``x``, ``estimate`` and ``g0_norm``.  Either
-    evaluation ends the run, as an ``ag`` row, when it passes ``gtol``.
+    evaluation ends the run, as an ``ag`` row, when it passes gtol.
     """
-    point = _evaluate_or_stop(problem, state.x, counter, config.gtol, StepKind.AG)
+    point = run.evaluate(state.x, StepKind.AG)
     state.point = state.bar = point
     state.p, state.i_cg = -point.g, 0
     state.ag_ref_gnorm = None
     state.z_tilde, state.zAz = None, 0.0
-    if config.conjugate_z:
+    if run.config.conjugate_z:
         z = state.estimate.v - state.x
-        g_v = _evaluate_or_stop(problem, state.estimate.v, counter, config.gtol, StepKind.AG).g
+        g_v = run.evaluate(state.estimate.v, StepKind.AG).g
         zAz = float(z @ (g_v - point.g))
         if zAz > 0.0 and float(z @ z) > 0.0:
             state.z_tilde, state.zAz = z, zAz
 
 
-def cag_step(
-    state: CagIterationState,
-    config: SolverConfig,
-    problem: ObjectiveProblem,
-    counter: EvalCounter,
-) -> tuple[Evaluation, StepKind]:
+def cag_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
     """One iteration of the fallback ladder: a CG attempt; on a failed
     progress test a steepest-descent retry; if both fail (or a block is
     already running) an AG step, with the block entered here and left once
     the gradient norm has dropped by ``AG_EXIT_FACTOR``.  Returns the row."""
     if state.ag_ref_gnorm is None:
-        if cg_attempt(state, config, problem, counter, use_steepest=False)[0]:
+        if cg_attempt(state, run, use_steepest=False)[0]:
             return state.point, StepKind.CG if state.z_tilde is None else StepKind.BAR
-        if cg_attempt(state, config, problem, counter, use_steepest=True)[0]:
+        if cg_attempt(state, run, use_steepest=True)[0]:
             return state.point, StepKind.SD
-    row, kind = ag_step(state, config, problem, counter)
+    row, kind = ag_step(state, run)
     if state.ag_ref_gnorm is None:
         state.ag_ref_gnorm = row.gnorm
     if ag_block_exit_test(state):
-        return_to_cg(state, config, problem, counter)
+        return_to_cg(state, run)
     return row, kind
 
 
@@ -412,7 +393,7 @@ def _initial_state(
 
 @np.errstate(over="ignore")
 def run_steps(
-    step: Callable[..., tuple[Evaluation, StepKind]],
+    step: Callable[[CagIterationState, _Run], tuple[Evaluation, StepKind]],
     problem: ObjectiveProblem,
     x0: Vector,
     config: SolverConfig,
@@ -420,10 +401,11 @@ def run_steps(
     phi_star0: float | None = None,
 ) -> SolverResult:
     """Run from ``x0`` under the run contract above.  Each call
-    ``step(state, config, problem, counter)`` is one iteration: it updates
-    the state in place and returns the (point, kind) of its trace row, whose
-    iterate is ``state.x``.  ``phi_star0`` replaces phi*_0 = f(x0)."""
+    ``step(state, run)`` is one iteration: it updates ``state`` in place and
+    returns the (point, kind) of its trace row, whose iterate is
+    ``state.x``.  ``phi_star0`` replaces phi*_0 = f(x0)."""
     counter = EvalCounter()
+    run = _Run(problem, config, counter)
     start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
     state = _initial_state(start, config, phi_star0)
     log = RunLog(counter, start, state.estimate.phi_star, record_iterates)
@@ -435,7 +417,7 @@ def run_steps(
         while counter.count < config.max_evals:
             if state.i_cg >= restart_at:
                 state.p, state.i_cg = -state.point.g, 0
-            row, kind = step(state, config, problem, counter)
+            row, kind = step(state, run)
             log.record(row, state.estimate.phi_star, kind, state.x)
     except _ConvergedAt as c:
         return log.converged(c.point, state.estimate.phi_star, c.kind)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,8 +85,14 @@ def run(config: RunConfig) -> SolverResult:
 
     An lcg row builds only the quadratic's operator, since lcg reads neither
     L nor ell; its JSON summary writes both as null.  Raises ``InvalidSpec``
-    when the resolved moduli violate 0 <= ell <= L.
+    before anything is built when a trace or json path is a directory or its
+    directory is missing or not writable, and when the resolved moduli
+    violate 0 <= ell <= L.
     """
+    for path in filter(None, (config.trace_path, config.json_path)):
+        folder = Path(path).parent
+        if Path(path).is_dir() or not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
+            raise InvalidSpec(f"cannot write {path}: not a file in a writable directory")
     if config.solver == "lcg":
         qp = quad_diag_system(config.problem.n)
         result = lcg_minimize(qp, np.zeros(qp.n), config.gtol, config.max_evals)
@@ -151,11 +158,11 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
 
     A failed run becomes a row with its terminal status; the suite never
     aborts.  Bad rows are rejected when their ``RunConfig`` is built, except
-    an ``ell`` override above the family's default L (``quad n=10 ell=200``,
-    L = 100), which ``run`` rejects once the problem is built: that row gets
-    status ``invalid`` with no evaluations, and the suite goes on.  The
-    ``best`` flag marks, within each problem, the converged run with the
-    fewest evaluations.
+    an output path that cannot be written and an ``ell`` override above the
+    family's default L (``quad n=10 ell=200``, L = 100), which ``run``
+    rejects: that row gets status ``invalid`` with no evaluations, and the
+    suite goes on.  The ``best`` flag marks, within each problem, the
+    converged run with the fewest evaluations.
 
     Consecutive rows on one instance build it once (``ProblemSpec.build``),
     so group rows by instance: only the first row of a group pays for the

@@ -3,13 +3,16 @@ import pytest
 
 import cagopt.problems
 from cagopt import (
+    EvalCounter,
     InvalidSpec,
     QuadraticProblem,
     SolverConfig,
     ag_minimize,
     cag_minimize,
+    evaluate_counted,
     ncg_minimize,
 )
+from cagopt.cag import _initial_state, _Run
 
 
 def random_spd_quadratic(rng, n, log_eig_lo=0.0, log_eig_hi=4.0):
@@ -69,6 +72,13 @@ def minimize(solver, prob, x0, gtol=1e-8, max_evals=10**6, record_iterates=False
     config = SolverConfig(prob.default_L, prob.default_ell, gtol, max_evals)
     solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[solver]
     return solve(prob, x0, config, record_iterates=record_iterates)
+
+
+def start_run(prob, x0, config):
+    """The ``(state, run)`` that a step-level test passes to a solver step:
+    x0 evaluated and counted once in ``run.counter``, as ``run_steps`` starts."""
+    run = _Run(prob, config, EvalCounter())
+    return _initial_state(evaluate_counted(prob, x0, run.counter), config), run
 
 
 @pytest.fixture(autouse=True)

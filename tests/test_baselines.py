@@ -3,7 +3,6 @@ import pytest
 
 import cagopt.baselines
 from cagopt import (
-    EvalCounter,
     InvalidSpec,
     NotPositiveDefinite,
     NumericalFailure,
@@ -19,16 +18,14 @@ from cagopt import (
     lcg_minimize,
     make_huber,
     make_quad_diag,
-    evaluate_counted,
     ncg_minimize,
     quad_diag_system,
     run,
 )
 from cagopt.baselines import ncg_step
-from cagopt.cag import _initial_state
 from cagopt.estimate_sequence import nesterov_bound
 
-from conftest import minimize, random_spd_quadratic
+from conftest import minimize, random_spd_quadratic, start_run
 
 
 class TestQuadraticProblem:
@@ -131,30 +128,42 @@ class TestLcg:
         assert (res.iterations, res.evaluations, len(res.trace)) == (0, 0, 1)
         assert np.array_equal(res.x_final, np.zeros(5))
 
+    @pytest.mark.parametrize("gtol, max_iters, message", [
+        (-1.0, 10, "gtol must be positive"),
+        (0.0, 10, "gtol must be positive"),
+        (float("nan"), 10, "gtol must be positive"),
+        (1e-8, 0, "max_evals must be at least 1"),
+        (1e-8, -5, "max_evals must be at least 1"),
+    ])
+    def test_rejects_a_bad_tolerance_or_budget(self, gtol, max_iters, message):
+        # the settings check of cag, ncg and ag; before it, a budget of 0 or
+        # -5 returned budget_exhausted and a gtol of -1 or nan never converged
+        with pytest.raises(InvalidSpec, match=message):
+            lcg_minimize(quad_diag_system(5), np.zeros(5), gtol=gtol, max_iters=max_iters)
+
 
 class TestNcgStep:
     def _state(self, x0):
         prob = make_quad_diag(4)
         config = SolverConfig(L=16.0, gtol=1e-12, max_evals=100)
-        counter = EvalCounter()
-        return prob, config, counter, _initial_state(evaluate_counted(prob, x0, counter), config)
+        return start_run(prob, x0, config)
 
     def test_non_descent_direction_restarts_from_steepest_descent(self):
         x0 = np.array([1.0, -1.0, 0.5, 2.0])
-        prob, config, counter, uphill = self._state(x0)
+        uphill, uphill_run = self._state(x0)
         uphill.p, uphill.i_cg = uphill.point.g.copy(), 7
-        _, _, _, steepest = self._state(x0)
-        ncg_step(uphill, config, prob, counter)
-        ncg_step(steepest, config, prob, EvalCounter())
+        steepest, steepest_run = self._state(x0)
+        ncg_step(uphill, uphill_run)
+        ncg_step(steepest, steepest_run)
         assert np.array_equal(uphill.x, steepest.x)
         assert np.array_equal(uphill.p, steepest.p)
         assert uphill.i_cg == steepest.i_cg == 1
 
     def test_degenerate_beta_restarts_the_chain(self, monkeypatch):
         monkeypatch.setattr(cagopt.baselines, "hz_beta", lambda *args: None)
-        prob, config, counter, state = self._state(np.array([1.0, -1.0, 0.5, 2.0]))
+        state, run = self._state(np.array([1.0, -1.0, 0.5, 2.0]))
         state.i_cg = 3
-        new, kind = ncg_step(state, config, prob, counter)
+        new, kind = ncg_step(state, run)
         assert kind is StepKind.CG and state.point is new
         assert np.array_equal(state.p, -new.g)
         assert state.i_cg == 0

@@ -8,7 +8,7 @@ import cagopt.cag
 from cagopt import EvalCounter, ObjectiveProblem, SolverConfig, StepKind, evaluate_counted
 from cagopt.cag import (
     _ConvergedAt,
-    _initial_state,
+    _Run,
     bar_augment,
     cag_step,
     cg_attempt,
@@ -18,7 +18,7 @@ from cagopt.cag import (
 )
 from cagopt.oracle import Evaluation
 
-from conftest import random_spd_quadratic
+from conftest import random_spd_quadratic, start_run
 
 
 def explicit_quadratic(A, b, L, ell, name="explicit"):
@@ -33,6 +33,12 @@ def explicit_quadratic(A, b, L, ell, name="explicit"):
 def evaluated(prob, x):
     """The record of an evaluation at x, counted outside the counter under test."""
     return evaluate_counted(prob, x, EvalCounter())
+
+
+def probe_run(prob, counter, L=None):
+    """A run on ``prob`` at gtol 1e-12 that counts in ``counter``, for the
+    evaluating helpers; L defaults to the problem's own."""
+    return _Run(prob, SolverConfig(prob.default_L if L is None else L, gtol=1e-12), counter)
 
 
 def gradient_record(g):
@@ -67,7 +73,7 @@ class TestSecantAlpha:
         counter = EvalCounter()
         x = np.array([1.0, 1.0])
         p = np.array([-1.0, -2.0])
-        alpha, Ap, pAp = secant_alpha(prob, counter, evaluated(prob, x), p, 2.0, 1e-12, StepKind.CG)
+        alpha, Ap, pAp = secant_alpha(probe_run(prob, counter), evaluated(prob, x), p, StepKind.CG)
         assert counter.count == 1
         assert pAp == 9.0
         assert abs(alpha - 5.0 / 9.0) <= 1e-15
@@ -81,7 +87,7 @@ class TestSecantAlpha:
         counter = EvalCounter()
         point = evaluated(prob, np.array([1.0, 0.0]))
         # probe scale 2 keeps the probe off the minimiser, where the run would end
-        alpha, _, _ = secant_alpha(prob, counter, point, -point.g, 2.0, 1e-12, StepKind.CG)
+        alpha, _, _ = secant_alpha(probe_run(prob, counter, 2.0), point, -point.g, StepKind.CG)
         assert abs(alpha - 1.0) <= 1e-15
         assert np.allclose(point.x - alpha * point.g, np.zeros(2), atol=1e-15)
 
@@ -91,7 +97,7 @@ class TestSecantAlpha:
         counter = EvalCounter()
         point = evaluated(prob, rng.standard_normal(6))
         p = rng.standard_normal(6)
-        _, Ap, _ = secant_alpha(prob, counter, point, p, L, 1e-12, StepKind.CG)
+        _, Ap, _ = secant_alpha(probe_run(prob, counter), point, p, StepKind.CG)
         assert np.allclose(Ap, A @ p, rtol=1e-9, atol=1e-9 * np.linalg.norm(A @ p))
 
     def test_nonpositive_curvature_raises_with_probe(self):
@@ -102,12 +108,13 @@ class TestSecantAlpha:
         )
         counter = EvalCounter()
         point = evaluated(prob, np.array([1.0]))
-        assert secant_alpha(prob, counter, point, np.array([1.0]), 1.0, 1e-12, StepKind.CG) is None
+        run = probe_run(prob, counter)
+        assert secant_alpha(run, point, np.array([1.0]), StepKind.CG) is None
         assert counter.count == 1
         # the probe x + p/L = 0 has a zero gradient: the run ends there
         # although pAp <= 0 along p = -1
         with pytest.raises(_ConvergedAt) as info:
-            secant_alpha(prob, counter, point, np.array([-1.0]), 1.0, 1e-12, StepKind.SD)
+            secant_alpha(run, point, np.array([-1.0]), StepKind.SD)
         assert info.value.point.x[0] == 0.0
         assert info.value.kind is StepKind.SD
         assert counter.count == 2
@@ -207,7 +214,7 @@ class TestBarAugment:
         counter = EvalCounter()
         x = np.array([2.0, 0.0])
         z = np.array([0.0, 1.0])  # g = x is orthogonal to z
-        bar = bar_augment(evaluated(prob, x), z, 1.0, prob, counter, 1e-12)
+        bar = bar_augment(probe_run(prob, counter), evaluated(prob, x), z, 1.0)
         assert np.array_equal(bar.x, x)
         assert counter.count == 1
 
@@ -219,7 +226,7 @@ class TestBarAugment:
             point = evaluated(prob, rng.standard_normal(6))
             z = rng.standard_normal(6)
             zAz = float(z @ (A @ z))
-            bar = bar_augment(point, z, zAz, prob, counter, 1e-12)
+            bar = bar_augment(probe_run(prob, counter), point, z, zAz)
             assert bar.f <= point.f + 1e-12 * (1.0 + abs(point.f))
 
     def test_matches_subspace_minimiser(self, rng):
@@ -239,7 +246,7 @@ class TestBarAugment:
         # conjugate z against p1, then take the augmented point
         Ap1 = A @ p1
         z1, zAz1 = z_conjugate_update(z0, float(z0 @ (A @ z0)), p1, Ap1, float(p1 @ Ap1))
-        bar_x = bar_augment(evaluated(prob, x1), z1, zAz1, prob, counter, 1e-12).x
+        bar_x = bar_augment(probe_run(prob, counter), evaluated(prob, x1), z1, zAz1).x
         # brute force: min over coefficients c of f(x_m + B c), B = [p1, z0]
         B = np.stack([p1, z0], axis=1)
         c = np.linalg.solve(B.T @ A @ B, -B.T @ g_m)
@@ -248,17 +255,13 @@ class TestBarAugment:
 
 
 class TestCgAttempt:
-    def _state_for(self, prob, counter, x0, config):
-        return _initial_state(evaluate_counted(prob, x0, counter), config)
-
     def test_quadratic_attempt_always_accepted(self, rng):
         A, b, L, ell, qp = random_spd_quadratic(rng, 8, 0.0, 2.0)
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=1000)
-        counter = EvalCounter()
-        state = self._state_for(prob, counter, rng.standard_normal(8), config)
+        state, run = start_run(prob, rng.standard_normal(8), config)
         for _ in range(8):
-            accepted, state = cg_attempt(state, config, prob, counter, use_steepest=False)
+            accepted, state = cg_attempt(state, run, use_steepest=False)
             assert accepted
 
     def test_one_dimensional_exact_minimum(self):
@@ -267,12 +270,11 @@ class TestCgAttempt:
             default_L=1.0, default_ell=1.0,
         )
         config = SolverConfig(L=1.0, ell=1.0, gtol=1e-10, max_evals=100)
-        counter = EvalCounter()
-        state = self._state_for(prob, counter, np.array([1.0]), config)
+        state, run = start_run(prob, np.array([1.0]), config)
         # steepest first step with alpha = 1 lands exactly at the minimum,
         # so the termination test fires at the new point
         with pytest.raises(_ConvergedAt) as info:
-            cg_attempt(state, config, prob, counter, use_steepest=False)
+            cg_attempt(state, run, use_steepest=False)
         assert abs(info.value.point.x[0]) <= 1e-12
 
     def _quartic_overshoot(self):
@@ -285,13 +287,13 @@ class TestCgAttempt:
             default_L=1.2,
         )
         config = SolverConfig(L=1.2, ell=0.0, gtol=1e-10, max_evals=100)
-        counter = EvalCounter()
-        return prob, config, counter, self._state_for(prob, counter, np.array([1.0]), config)
+        return start_run(prob, np.array([1.0]), config)
 
     def test_engineered_overshoot_is_rejected(self):
-        prob, config, counter, state = self._quartic_overshoot()
+        state, run = self._quartic_overshoot()
+        counter = run.counter
         before = snapshot(state)
-        accepted, state_after = cg_attempt(state, config, prob, counter, use_steepest=False)
+        accepted, state_after = cg_attempt(state, run, use_steepest=False)
         assert not accepted
         assert state_after is state
         assert moved_fields(state, before) == set()
@@ -300,10 +302,10 @@ class TestCgAttempt:
     def test_failed_progress_test_moves_only_z(self):
         # in 1-d, re-conjugating z against p leaves z = 0 and zAz < 0 here,
         # so the augmentation is dropped; nothing else may move
-        prob, config, counter, state = self._quartic_overshoot()
+        state, run = self._quartic_overshoot()
         state.z_tilde, state.zAz = np.array([0.5]), 1.0
         before = snapshot(state)
-        accepted, _ = cg_attempt(state, config, prob, counter, use_steepest=False)
+        accepted, _ = cg_attempt(state, run, use_steepest=False)
         assert not accepted
         assert moved_fields(state, before) == {"z_tilde", "zAz"}
         assert state.z_tilde is None and state.zAz == 0.0
@@ -316,11 +318,11 @@ class TestCgAttempt:
             default_L=1.0,
         )
         config = SolverConfig(L=1.0, gtol=1e-10, max_evals=100)
-        counter = EvalCounter()
-        state = self._state_for(prob, counter, np.array([1.0]), config)
+        state, run = start_run(prob, np.array([1.0]), config)
+        counter = run.counter
         state.z_tilde, state.zAz = np.array([1.0]), 1.0
         before = snapshot(state)
-        accepted, _ = cg_attempt(state, config, prob, counter, use_steepest=True)
+        accepted, _ = cg_attempt(state, run, use_steepest=True)
         assert not accepted
         assert moved_fields(state, before) == set()
         assert counter.count == 2  # start, probe
@@ -338,12 +340,12 @@ class TestCgAttempt:
         A, b, L, ell, _ = random_spd_quadratic(rng, 4, 0.0, 1.0)
         prob = explicit_quadratic(A, b, L, ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=100, conjugate_z=True)
-        counter = EvalCounter()
-        state = self._state_for(prob, counter, rng.standard_normal(4), config)
+        state, run = start_run(prob, rng.standard_normal(4), config)
+        counter = run.counter
         z = rng.standard_normal(4)
         state.z_tilde, state.zAz = z, float(z @ (A @ z))
         before = snapshot(state)
-        accepted, _ = cg_attempt(state, config, prob, counter, use_steepest=False)
+        accepted, _ = cg_attempt(state, run, use_steepest=False)
         assert not accepted and len(calls) == 1
         assert moved_fields(state, before) == set()
         assert counter.count == 4  # start, probe, candidate, bar point
@@ -354,9 +356,8 @@ class TestCgAttempt:
         A, b, L, ell, qp = random_spd_quadratic(rng, 5, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=1000)
-        counter = EvalCounter()
-        state = self._state_for(prob, counter, rng.standard_normal(5), config)
-        accepted, new_state = cg_attempt(state, config, prob, counter, use_steepest=False)
+        state, run = start_run(prob, rng.standard_normal(5), config)
+        accepted, new_state = cg_attempt(state, run, use_steepest=False)
         assert accepted
         assert min(new_state.point.f, new_state.bar.f) <= new_state.estimate.phi_star
 
@@ -368,11 +369,11 @@ class TestCagStep:
         d = np.array([1.0, 100.0])
         prob = explicit_quadratic(np.diag(d), np.zeros(2), L=100.0, ell=1.0)
         config = SolverConfig(L=100.0, ell=1.0, gtol=1e-12, max_evals=100)
-        counter = EvalCounter()
-        state = _initial_state(evaluate_counted(prob, np.ones(2), counter), config)
+        state, run = start_run(prob, np.ones(2), config)
+        counter = run.counter
         f0, g = state.point.f, state.point.g
         state.p = np.array([-g[1], g[0]])
-        row, kind = cag_step(state, config, prob, counter)
+        row, kind = cag_step(state, run)
         assert kind is StepKind.SD
         assert row is state.point and row.f < f0
         assert counter.count == 5  # start, then probe and candidate twice

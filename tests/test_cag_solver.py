@@ -8,23 +8,22 @@ from hypothesis import strategies as st
 
 import cagopt.cag
 from cagopt import (
-    EvalCounter,
     InvalidSpec,
     ObjectiveProblem,
     SolverConfig,
     Status,
     StepKind,
     cag_minimize,
-    evaluate_counted,
     lcg_minimize,
+    make_abpdn,
     make_huber,
+    make_logistic,
     make_quad_diag,
     ncg_minimize,
 )
 from cagopt.cag import (
     CagIterationState,
     _ConvergedAt,
-    _initial_state,
     ag_block_exit_test,
     ag_step,
     return_to_cg,
@@ -32,7 +31,7 @@ from cagopt.cag import (
 from cagopt.estimate_sequence import init_estimate, nesterov_bound
 from cagopt.oracle import Evaluation
 
-from conftest import minimize, random_spd_quadratic
+from conftest import minimize, random_spd_quadratic, start_run
 
 
 def step_counts(result):
@@ -47,9 +46,8 @@ class TestAgStep:
             default_L=1.0, default_ell=1.0,
         )
         config = SolverConfig(L=1.0, ell=1.0, gtol=1e-30, max_evals=10)
-        counter = EvalCounter()
-        state = _initial_state(evaluate_counted(prob, np.array([1.0]), counter), config)
-        row, kind = ag_step(state, config, prob, counter)
+        state, run = start_run(prob, np.array([1.0]), config)
+        row, kind = ag_step(state, run)
         assert row is state.bar and kind is StepKind.AG  # the iteration's trace row
         assert abs(state.bar.x[0] - 1.0) <= 1e-15  # combination of equal points
         assert abs(state.x[0]) <= 1e-15            # gradient step lands at 0
@@ -59,10 +57,9 @@ class TestAgStep:
         A, b, L, _, qp = random_spd_quadratic(rng, 4, 0.0, 1.0)
         prob = qp.objective(L=L, ell=0.0)
         config = SolverConfig(L=L, ell=0.0, gtol=1e-30, max_evals=10)
-        counter = EvalCounter()
-        start = evaluate_counted(prob, rng.standard_normal(4), counter)
-        state = _initial_state(start, config)
-        ag_step(state, config, prob, counter)
+        state, run = start_run(prob, rng.standard_normal(4), config)
+        start = state.point
+        ag_step(state, run)
         assert np.allclose(state.bar.x, start.x, atol=1e-14)
         assert np.allclose(state.x, start.x - start.g / L, atol=1e-14)
 
@@ -76,14 +73,13 @@ class TestAgStep:
             default_L=100.0, default_ell=1.0,
         )
         config = SolverConfig(L=100.0, ell=1.0, gtol=1e-12, max_evals=10000)
-        counter = EvalCounter()
         x0 = np.array([1.0, 1.0])
-        state = _initial_state(evaluate_counted(prob, x0, counter), config)
+        state, run = start_run(prob, x0, config)
         state.ag_ref_gnorm = state.point.gnorm
         dist0 = float(x0 @ x0)
         for k in range(1, 300):
             try:
-                ag_step(state, config, prob, counter)
+                ag_step(state, run)
             except _ConvergedAt:
                 break
             fk = prob.evaluate(state.x)[0]
@@ -114,12 +110,12 @@ class TestReturnToCg:
         A, b, L, ell, qp = random_spd_quadratic(rng, 4, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100)
-        counter = EvalCounter()
-        state = _initial_state(evaluate_counted(prob, rng.standard_normal(4), counter), config)
+        state, run = start_run(prob, rng.standard_normal(4), config)
+        counter = run.counter
         state.ag_ref_gnorm = state.point.gnorm
-        ag_step(state, config, prob, counter)
+        ag_step(state, run)
         before = counter.count
-        return_to_cg(state, config, prob, counter)
+        return_to_cg(state, run)
         assert counter.count == before + 1
         assert state.ag_ref_gnorm is None
         assert state.i_cg == 0
@@ -132,12 +128,12 @@ class TestReturnToCg:
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
                               conjugate_z=True)
-        counter = EvalCounter()
-        state = _initial_state(evaluate_counted(prob, rng.standard_normal(5), counter), config)
+        state, run = start_run(prob, rng.standard_normal(5), config)
+        counter = run.counter
         state.ag_ref_gnorm = state.point.gnorm
-        ag_step(state, config, prob, counter)
+        ag_step(state, run)
         before = counter.count
-        return_to_cg(state, config, prob, counter)
+        return_to_cg(state, run)
         assert counter.count == before + 2  # iterate plus model centre
         z = state.z_tilde
         assert z is not None
@@ -150,11 +146,10 @@ class TestReturnToCg:
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
                               conjugate_z=True)
-        counter = EvalCounter()
-        state = _initial_state(evaluate_counted(prob, rng.standard_normal(3), counter), config)
+        state, run = start_run(prob, rng.standard_normal(3), config)
         assert np.array_equal(state.estimate.v, state.x)  # the initial model's centre
         state.ag_ref_gnorm = state.point.gnorm
-        return_to_cg(state, config, prob, counter)
+        return_to_cg(state, run)
         assert state.z_tilde is None
 
     def test_ends_the_run_at_a_passing_centre(self):
@@ -165,11 +160,11 @@ class TestReturnToCg:
             default_L=1.0,
         )
         config = SolverConfig(L=1.0, gtol=1e-12, conjugate_z=True)
-        counter = EvalCounter()
-        state = _initial_state(evaluate_counted(prob, np.ones(2), counter), config)
+        state, run = start_run(prob, np.ones(2), config)
+        counter = run.counter
         state.estimate = init_estimate(0.0, np.zeros(2), 1.0)
         with pytest.raises(_ConvergedAt) as info:
-            return_to_cg(state, config, prob, counter)
+            return_to_cg(state, run)
         assert info.value.kind is StepKind.AG
         assert np.array_equal(info.value.point.x, np.zeros(2))
         assert counter.count == 3  # start, iterate, centre
@@ -377,3 +372,56 @@ def test_cag_reduces_to_linear_cg_on_quadratics(n, seed):
     scale = np.linalg.norm(np.linalg.solve(A, b))
     for x_cag, x_lcg in zip(res.iterates, ref.iterates, strict=True):
         assert np.linalg.norm(x_cag - x_lcg) <= 1e-8 * scale
+
+
+# Relative round-off slack of the certificate checks below.  f and phi* are
+# each a sum of a few rounded terms.  Over cag and ag on 64 drawn logistic,
+# huber and abpdn instances (gtol 1e-9, budget 400), every row past the init
+# row, where f = phi*_0 exactly, had f - phi* <= -8e-10 * max(1, |f|).
+CERT_RTOL = 1e-12
+
+
+def certified_run(solver, prob):
+    """Run ``solver`` from 0 with the problem's own L and ell and a capped
+    budget, and check f(x_k) <= phi*_k on every row, evaluating each recorded
+    iterate outside the run's counter."""
+    res = minimize(solver, prob, np.zeros(prob.n), gtol=1e-9, max_evals=300,
+                   record_iterates=True)
+    for rec, x in zip(res.trace, res.iterates, strict=True):
+        f = float(prob.evaluate(x)[0])
+        assert f <= rec.phi_star + CERT_RTOL * max(1.0, abs(f)), (rec, f)
+    return res
+
+
+@pytest.mark.parametrize("solver", ["cag", "ag"])
+class TestCertificate:
+    """The paper's certificate f(x_k) <= phi*_k on drawn small instances, and
+    on quad the rate ``nesterov_bound`` that it implies."""
+
+    @settings(derandomize=True, deadline=None, max_examples=6)
+    @given(m=st.integers(1, 40), n=st.integers(1, 20), seed=st.integers(0, 2**16),
+           lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
+    def test_logistic(self, solver, m, n, seed, lam):
+        certified_run(solver, make_logistic(m, n, lam, seed=seed))
+
+    @settings(derandomize=True, deadline=None, max_examples=6)
+    @given(n=st.integers(2, 40), tau=st.floats(0.05, 10.0))
+    def test_huber(self, solver, n, tau):
+        certified_run(solver, make_huber(n, tau))
+
+    @settings(derandomize=True, deadline=None, max_examples=4)
+    @given(n=st.sampled_from([4, 9, 16, 25]))
+    def test_abpdn(self, solver, n):
+        certified_run(solver, make_abpdn(n))
+
+    @settings(derandomize=True, deadline=None, max_examples=6)
+    @given(n=st.integers(2, 30))
+    def test_quad_gap_within_nesterov_bound(self, solver, n):
+        prob = make_quad_diag(n)
+        res = certified_run(solver, prob)
+        dist0_sq = float(prob.known_xstar @ prob.known_xstar)  # x0 = 0
+        slack = CERT_RTOL * max(1.0, abs(prob.known_fstar))
+        for rec, x in zip(res.trace, res.iterates):
+            gap = float(prob.evaluate(x)[0]) - prob.known_fstar
+            bound = nesterov_bound(prob.default_L, prob.default_ell, rec.iteration, dist0_sq)
+            assert gap <= bound + slack, (rec, gap, bound)

@@ -137,6 +137,29 @@ def test_run_writes_the_trace_and_summary_that_harness_run_writes(tmp_path):
         assert written and written == (tmp_path / f"run.{suffix}").read_bytes()
 
 
+def test_run_with_an_unwritable_output_path_is_a_usage_error(tmp_path):
+    path = tmp_path / "missing" / "j.json"
+    result = CliRunner().invoke(main, ["run", "family=quad", "n=10", "solver=cag", f"json={path}"])
+    assert result.exit_code == 2, result.output
+    assert f"cannot write {path}" in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_suite_row_with_an_unwritable_trace_path_is_invalid_and_the_next_row_runs(tmp_path):
+    config = tmp_path / "suite.txt"
+    config.write_text(
+        f"family=quad n=10 solver=cag trace={tmp_path / 'missing' / 't.csv'}\n"
+        "family=quad n=10 solver=ncg\n"
+    )
+    out = tmp_path / "summary.csv"
+    result = CliRunner().invoke(main, ["suite", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["solver"], r["status"]) for r in rows] == [("cag", "invalid"), ("ncg", "converged")]
+
+
 def test_run_help_names_every_key():
     text = CliRunner().invoke(main, ["run", "--help"]).output
     for key in PROBLEM_KEYS | RUN_KEYS:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cagopt.errors import NumericalFailure
+from cagopt.errors import InvalidState, NumericalFailure
 from cagopt.estimate_sequence import (
     advance_estimate,
     compute_theta_gamma,
@@ -143,3 +143,9 @@ class TestNesterovBound:
     def test_monotone_nonincreasing_in_k(self):
         vals = [nesterov_bound(10.0, 0.5, k, 2.0) for k in range(200)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("L, ell", [(1.0, 2.0), (0.0, 0.0), (-1.0, 0.0), (1.0, -0.5)])
+    def test_rejects_moduli_outside_0_ell_L(self, L, ell):
+        # ell = 2 > L = 1 used to return -0.071 at k = 3, a negative gap
+        with pytest.raises(InvalidState, match="0 <= ell <= L"):
+            nesterov_bound(L, ell, 3, 1.0)

@@ -218,6 +218,29 @@ class TestSuite:
         assert not rows[1].best
         assert "invalid" in format_suite_table(rows)
 
+    @pytest.mark.parametrize("key", ["trace_path", "json_path"])
+    def test_unwritable_output_path_does_not_abort_the_suite(self, tmp_path, monkeypatch, key):
+        # the path is rejected before the row builds or solves anything
+        builds = count_builds(monkeypatch, "quad")
+        bad = RunConfig(problem=ProblemSpec("quad", 10), solver="cag",
+                        **{key: str(tmp_path / "missing" / "out")})
+        good = RunConfig(problem=ProblemSpec("quad", 10), solver="ncg")
+        rows = run_suite([bad, good])
+        assert [r.status for r in rows] == [Status.INVALID, Status.CONVERGED]
+        assert rows[0].evaluations == 0 and len(builds) == 1
+
+    def test_output_path_that_is_a_directory_is_invalid(self, tmp_path):
+        with pytest.raises(InvalidSpec, match="cannot write"):
+            run(RunConfig(problem=ProblemSpec("quad", 10), solver="lcg",
+                          trace_path=str(tmp_path)))
+
+    def test_writable_output_paths_get_both_files(self, tmp_path):
+        trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        run(RunConfig(problem=ProblemSpec("quad", 10), solver="cag",
+                      trace_path=str(trace), json_path=str(summary)))
+        assert trace.read_text().startswith("iter,evals,f,gnorm,phistar,step")
+        assert json.loads(summary.read_text())["status"] == "converged"
+
     def test_mini_table_runs_end_to_end(self, tmp_path):
         # eight-row miniature of the comparison table, mixed families
         configs = []

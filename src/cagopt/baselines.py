@@ -34,13 +34,7 @@ from .oracle import evaluate_counted  # noqa: F401
 from .results import SolverResult, Status, StepKind, TraceRecord
 
 
-def lcg_minimize(
-    qp: QuadraticProblem,
-    x0: Vector,
-    gtol: float,
-    max_iters: int,
-    record_iterates: bool = False,
-) -> SolverResult:
+def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) -> SolverResult:
     """Linear conjugate gradient with the classical residual recurrences.
 
     One A-application per iteration, counted as one evaluation; the initial
@@ -50,8 +44,10 @@ def lcg_minimize(
     the last iterate, not the lowest-f one as ``RunLog`` reports for the
     other solvers: the tracked f stalls at round-off while the residual
     still falls, so the first lowest-f row has a larger residual.  Raises
-    ``InvalidSpec`` unless gtol > 0 and max_iters >= 1 (``check_settings``).
+    ``InvalidSpec`` unless max_iters >= 1 and gtol > 0 (``check_settings``).
     """
+    if not max_iters >= 1:
+        raise InvalidSpec(f"max_iters must be at least 1, got {max_iters}")
     check_settings(None, None, gtol, max_iters)
     x = _start_point(x0, qp.n)
     evals = 0
@@ -66,9 +62,8 @@ def lcg_minimize(
     rr = float(r @ r)
     rnorm = math.sqrt(rr)
     trace = [TraceRecord(0, evals, f, rnorm, math.nan, StepKind.INIT)]
-    iterates = [x.copy()] if record_iterates else None
     if rnorm <= gtol:
-        return SolverResult(Status.CONVERGED, x, f, rnorm, 0, evals, trace, iterates)
+        return SolverResult(Status.CONVERGED, x, f, rnorm, 0, evals, trace)
 
     p = r.copy()
     for k in range(1, max_iters + 1):
@@ -84,21 +79,17 @@ def lcg_minimize(
         rr_new = float(r @ r)
         rnorm = math.sqrt(rr_new)
         trace.append(TraceRecord(k, evals, f, rnorm, math.nan, StepKind.LCG))
-        if iterates is not None:
-            iterates.append(x.copy())
         if rnorm <= gtol:
-            return SolverResult(Status.CONVERGED, x, f, rnorm, k, evals, trace, iterates)
+            return SolverResult(Status.CONVERGED, x, f, rnorm, k, evals, trace)
         p = r + (rr_new / rr) * p
         rr = rr_new
 
-    return SolverResult(
-        Status.BUDGET_EXHAUSTED, x, f, rnorm, max_iters, evals, trace, iterates
-    )
+    return SolverResult(Status.BUDGET_EXHAUSTED, x, f, rnorm, max_iters, evals, trace)
 
 
 def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
     """One plain Hager-Zhang NCG iteration; reads and writes only ``x``,
-    ``point``, ``p`` and ``i_cg``, and reads ``g0_norm``."""
+    ``point``, ``p`` and ``i_cg``."""
     point, p, i_cg = state.point, state.p, state.i_cg
     g = point.g
     if float(g @ p) >= 0.0:
@@ -119,7 +110,7 @@ def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]
     else:
         raise _LineSearchFailed
 
-    beta = hz_beta(g, new, p, state.g0_norm)
+    beta = hz_beta(g, new, p, run.g0_norm)
     if beta is None:
         beta = 0.0
     state.x, state.point = new.x, new
@@ -128,12 +119,7 @@ def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]
     return new, StepKind.CG
 
 
-def ncg_minimize(
-    problem: ObjectiveProblem,
-    x0: Vector,
-    config: SolverConfig,
-    record_iterates: bool = False,
-) -> SolverResult:
+def ncg_minimize(problem: ObjectiveProblem, x0: Vector, config: SolverConfig) -> SolverResult:
     """Plain Hager-Zhang NCG with the secant line search and a backtracking safeguard.
 
     No progress test and no fallback: the secant step (probe scale 1/L) is
@@ -143,18 +129,13 @@ def ncg_minimize(
     """
     if config.conjugate_z:
         raise InvalidSpec("conjugate_z applies only to the cag solver")
-    return run_steps(ncg_step, problem, x0, config, record_iterates, phi_star0=math.nan)
+    return run_steps(ncg_step, problem, x0, config, phi_star0=math.nan)
 
 
-def ag_minimize(
-    problem: ObjectiveProblem,
-    x0: Vector,
-    config: SolverConfig,
-    record_iterates: bool = False,
-) -> SolverResult:
+def ag_minimize(problem: ObjectiveProblem, x0: Vector, config: SolverConfig) -> SolverResult:
     """Accelerated gradient: ``cag.ag_step`` repeated from the start point, one
     evaluation per iteration, at the combination point (where termination is
     therefore tested).  Rejects ``config.conjugate_z``, a cag-only test."""
     if config.conjugate_z:
         raise InvalidSpec("conjugate_z applies only to the cag solver")
-    return run_steps(ag_step, problem, x0, config, record_iterates)
+    return run_steps(ag_step, problem, x0, config)

@@ -32,7 +32,7 @@ Run contract
 ``baselines.ag_minimize``, each with its own per-iteration step, called as
 ``step(state, run)``: the step updates the ``CagIterationState`` in place
 and evaluates through the ``_Run``, which holds the problem, the
-``SolverConfig`` and the evaluation counter and applies the gtol test
+``SolverConfig``, the counter and ||g(x0)||, and applies the gtol test
 (``_Run.evaluate``).  It evaluates a copy of x0, which must have shape
 (n,); a non-finite start raises ``NumericalFailure``.  The budget is
 checked between iterations, so the count may exceed ``max_evals`` by one
@@ -131,7 +131,6 @@ class CagIterationState:
     bar: Evaluation
     z_tilde: Vector | None
     zAz: float
-    g0_norm: float  # gradient norm at the starting point, for the beta safeguard
 
 
 class _ConvergedAt(Exception):
@@ -150,11 +149,13 @@ class _LineSearchFailed(Exception):
 @dataclass(frozen=True, slots=True)
 class _Run:
     """What every step of one run reads and never replaces: the problem, its
-    checked settings and the counter of its evaluations."""
+    checked settings, the counter of its evaluations and the gradient norm
+    at the start, which ``hz_beta``'s safeguard reads."""
 
     problem: ObjectiveProblem
     config: SolverConfig
     counter: EvalCounter
+    g0_norm: float
 
     def evaluate(self, x: Vector, kind: StepKind) -> Evaluation:
         """Counted evaluation at x that ends the run when ||grad f(x)|| <= gtol.
@@ -254,8 +255,8 @@ def cg_attempt(
     attempt fails (False) on nonpositive curvature pAp <= 0 at the probe,
     on a failed progress test, or on a degenerate direction update
     <y, p> = 0 after a passed one.  An accepted attempt writes every field
-    but ``ag_ref_gnorm`` and ``g0_norm``.  A failed progress test writes
-    only ``z_tilde``/``zAz``, whose recurrences advance unconditionally;
+    but ``ag_ref_gnorm``.  A failed progress test writes only
+    ``z_tilde``/``zAz``, whose recurrences advance unconditionally;
     the other two failures and a run that ends inside the attempt write none.
     """
     config = run.config
@@ -291,7 +292,7 @@ def cg_attempt(
         state.z_tilde, state.zAz = z_tilde, zAz
         return False, state
 
-    beta = hz_beta(point.g, new, p, state.g0_norm)
+    beta = hz_beta(point.g, new, p, run.g0_norm)
     if beta is None:
         return False, state
 
@@ -340,8 +341,8 @@ def return_to_cg(state: CagIterationState, run: _Run) -> None:
     centre v in conjugate-z mode, where z = v - x is initialised together
     with zAz = <grad f(v) - grad f(x), z> (exact z^T A z on a quadratic).
     A nonpositive or vanishing zAz disables the augmentation for this block.
-    Writes every field but ``x``, ``estimate`` and ``g0_norm``.  Either
-    evaluation ends the run, as an ``ag`` row, when it passes gtol.
+    Writes every field but ``x`` and ``estimate``.  Either evaluation ends
+    the run, as an ``ag`` row, when it passes gtol.
     """
     point = run.evaluate(state.x, StepKind.AG)
     state.point = state.bar = point
@@ -387,7 +388,6 @@ def _initial_state(
         bar=start,
         z_tilde=None,
         zAz=0.0,
-        g0_norm=start.gnorm,
     )
 
 
@@ -397,18 +397,17 @@ def run_steps(
     problem: ObjectiveProblem,
     x0: Vector,
     config: SolverConfig,
-    record_iterates: bool,
     phi_star0: float | None = None,
 ) -> SolverResult:
     """Run from ``x0`` under the run contract above.  Each call
     ``step(state, run)`` is one iteration: it updates ``state`` in place and
-    returns the (point, kind) of its trace row, whose iterate is
-    ``state.x``.  ``phi_star0`` replaces phi*_0 = f(x0)."""
+    returns the (point, kind) of its trace row.  ``phi_star0`` replaces
+    phi*_0 = f(x0)."""
     counter = EvalCounter()
-    run = _Run(problem, config, counter)
     start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
+    run = _Run(problem, config, counter, start.gnorm)
     state = _initial_state(start, config, phi_star0)
-    log = RunLog(counter, start, state.estimate.phi_star, record_iterates)
+    log = RunLog(counter, start, state.estimate.phi_star)
     if start.gnorm <= config.gtol:
         return log.finish(Status.CONVERGED)
 
@@ -418,7 +417,7 @@ def run_steps(
             if state.i_cg >= restart_at:
                 state.p, state.i_cg = -state.point.g, 0
             row, kind = step(state, run)
-            log.record(row, state.estimate.phi_star, kind, state.x)
+            log.record(row, state.estimate.phi_star, kind)
     except _ConvergedAt as c:
         return log.converged(c.point, state.estimate.phi_star, c.kind)
     except NumericalFailure:
@@ -428,11 +427,6 @@ def run_steps(
     return log.finish(Status.BUDGET_EXHAUSTED)
 
 
-def cag_minimize(
-    problem: ObjectiveProblem,
-    x0: Vector,
-    config: SolverConfig,
-    record_iterates: bool = False,
-) -> SolverResult:
+def cag_minimize(problem: ObjectiveProblem, x0: Vector, config: SolverConfig) -> SolverResult:
     """Minimise ``problem`` from ``x0`` by ``cag_step`` iterations until ||grad f|| <= gtol."""
-    return run_steps(cag_step, problem, x0, config, record_iterates)
+    return run_steps(cag_step, problem, x0, config)

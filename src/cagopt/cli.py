@@ -9,6 +9,7 @@ import click
 
 from .errors import InvalidSpec
 from .harness import (
+    _check_writable,
     format_suite_table,
     parse_suite_config,
     run as run_one,
@@ -62,6 +63,8 @@ def suite_cmd(config_path, out_path):
     first of them counts the build in its time_s: group lines by instance.
     """
     try:
+        if out_path:
+            _check_writable(out_path)
         configs = parse_suite_config(config_path)
     except InvalidSpec as e:
         raise click.UsageError(str(e)) from e

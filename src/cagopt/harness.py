@@ -79,6 +79,13 @@ def write_trace_csv(path: str | Path, trace: list[TraceRecord]) -> None:
             )
 
 
+def _check_writable(path: str | Path) -> None:
+    """Raise ``InvalidSpec`` unless ``path`` names a file in a writable directory."""
+    folder = Path(path).parent
+    if Path(path).is_dir() or not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
+        raise InvalidSpec(f"cannot write {path}: not a file in a writable directory")
+
+
 def run(config: RunConfig) -> SolverResult:
     """Build the problem, resolve L/ell (override beats family default) into
     a ``SolverConfig``, dispatch the solver and write any requested outputs.
@@ -90,9 +97,7 @@ def run(config: RunConfig) -> SolverResult:
     violate 0 <= ell <= L.
     """
     for path in filter(None, (config.trace_path, config.json_path)):
-        folder = Path(path).parent
-        if Path(path).is_dir() or not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
-            raise InvalidSpec(f"cannot write {path}: not a file in a writable directory")
+        _check_writable(path)
     if config.solver == "lcg":
         qp = quad_diag_system(config.problem.n)
         result = lcg_minimize(qp, np.zeros(qp.n), config.gtol, config.max_evals)
@@ -274,9 +279,13 @@ def run_config_from_tokens(tokens: Iterable[str]) -> RunConfig:
 def parse_suite_config(path: str | Path) -> list[RunConfig]:
     """One ``run_config_from_tokens`` run per line, skipping blank lines and
     '#' comments.  Any error in a line raises ``InvalidSpec`` prefixed with
-    ``path:lineno``."""
+    ``path:lineno``; a file that cannot be read as text raises it too."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InvalidSpec(f"cannot read {path}: {e}") from e
     configs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -50,9 +50,7 @@ class SolverResult:
     """Outcome of one solver run.
 
     ``x_final`` is the converged point on success; on any other status it is
-    the best (lowest-f) evaluated point seen.  ``iterates`` is populated only
-    when iterate recording was requested and holds the iterate after each
-    iteration, starting with the initial point.
+    the best (lowest-f) evaluated point seen (lcg: the last iterate).
     """
 
     status: Status
@@ -62,7 +60,6 @@ class SolverResult:
     iterations: int
     evaluations: int
     trace: list[TraceRecord]
-    iterates: list[np.ndarray] | None = None
 
     @property
     def converged(self) -> bool:
@@ -70,44 +67,28 @@ class SolverResult:
 
 
 class RunLog:
-    """Trace, optional iterates and lowest-f point of one run, and its result.
+    """Trace and lowest-f point of one run, and its result.
 
     Opens with the ``init`` row for the starting point.  Each ``record``
     appends one iteration's row for an evaluated point, with the evaluation
     count read from the run's counter, and keeps the lowest-f point seen as
-    ``best``; ``iterate`` is the point stored in ``iterates`` when it
-    differs from the row's point.  ``converged`` and ``finish`` build the
-    result as the run contract in ``cag`` states it.
+    ``best``.  ``converged`` and ``finish`` build the result as the run
+    contract in ``cag`` states it.
     """
 
-    def __init__(
-        self,
-        counter: EvalCounter,
-        start: Evaluation,
-        phi_star0: float,
-        record_iterates: bool,
-    ):
+    def __init__(self, counter: EvalCounter, start: Evaluation, phi_star0: float):
         self.counter = counter
         self.trace = [
             TraceRecord(0, counter.count, start.f, start.gnorm, phi_star0, StepKind.INIT)
         ]
-        self.iterates: list[np.ndarray] | None = [start.x] if record_iterates else None
         self.best = start
         self.iterations = 0
 
-    def record(
-        self,
-        point: Evaluation,
-        phi_star: float,
-        step: StepKind,
-        iterate: np.ndarray | None = None,
-    ) -> None:
+    def record(self, point: Evaluation, phi_star: float, step: StepKind) -> None:
         self.iterations += 1
         self.trace.append(
             TraceRecord(self.iterations, self.counter.count, point.f, point.gnorm, phi_star, step)
         )
-        if self.iterates is not None:
-            self.iterates.append(point.x if iterate is None else iterate)
         if point.f < self.best.f:
             self.best = point
 
@@ -118,6 +99,4 @@ class RunLog:
 
     def finish(self, status: Status) -> SolverResult:
         x, f, _, gnorm, _ = self.best
-        return SolverResult(
-            status, x, f, gnorm, self.iterations, self.counter.count, self.trace, self.iterates
-        )
+        return SolverResult(status, x, f, gnorm, self.iterations, self.counter.count, self.trace)

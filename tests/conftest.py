@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from cagopt import (
     ag_minimize,
     cag_minimize,
     evaluate_counted,
+    lcg_minimize,
     ncg_minimize,
 )
-from cagopt.cag import _initial_state, _Run
+from cagopt.baselines import ncg_step
+from cagopt.cag import _ConvergedAt, _initial_state, _Run, ag_step, cag_step, run_steps
 
 
 def random_spd_quadratic(rng, n, log_eig_lo=0.0, log_eig_hi=4.0):
@@ -67,18 +71,57 @@ def count_builds(monkeypatch, family):
     return calls
 
 
-def minimize(solver, prob, x0, gtol=1e-8, max_evals=10**6, record_iterates=False):
+def minimize(solver, prob, x0, gtol=1e-8, max_evals=10**6):
     """Run cag, ncg or ag on ``prob`` with the problem's own L and ell."""
     config = SolverConfig(prob.default_L, prob.default_ell, gtol, max_evals)
     solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[solver]
-    return solve(prob, x0, config, record_iterates=record_iterates)
+    return solve(prob, x0, config)
+
+
+# The step and phi*_0 that cag_minimize, ncg_minimize and ag_minimize pass to run_steps.
+STEPS = {"cag": (cag_step, None), "ncg": (ncg_step, math.nan), "ag": (ag_step, None)}
+
+
+def minimize_with_iterates(solver, prob, x0, gtol=1e-8, max_evals=10**6):
+    """``minimize``'s run, with the solver's step wrapped to record iterates.
+
+    Returns ``(result, iterates)``, ``iterates[k]`` being the iterate of
+    trace row k: the start, then ``state.x`` after each step, or the point
+    that ends a converged run.
+    """
+    step, phi_star0 = STEPS[solver]
+    iterates = []
+
+    def recording(state, run):
+        if not iterates:
+            iterates.append(state.x)
+        try:
+            row = step(state, run)
+        except _ConvergedAt as c:
+            iterates.append(c.point.x)
+            raise
+        iterates.append(state.x)
+        return row
+
+    config = SolverConfig(prob.default_L, prob.default_ell, gtol, max_evals)
+    result = run_steps(recording, prob, x0, config, phi_star0)
+    return result, iterates or [result.x_final]
+
+
+def lcg_iterates(qp, x0, gtol, iterations):
+    """lcg's iterates x_0, ..., x_iterations: x_k is ``x_final`` of a rerun
+    with ``max_iters`` = k, since lcg is deterministic and returns its last
+    iterate."""
+    reruns = [lcg_minimize(qp, x0, gtol, k).x_final for k in range(1, iterations + 1)]
+    return [np.array(x0, dtype=float)] + reruns
 
 
 def start_run(prob, x0, config):
     """The ``(state, run)`` that a step-level test passes to a solver step:
     x0 evaluated and counted once in ``run.counter``, as ``run_steps`` starts."""
-    run = _Run(prob, config, EvalCounter())
-    return _initial_state(evaluate_counted(prob, x0, run.counter), config), run
+    counter = EvalCounter()
+    start = evaluate_counted(prob, x0, counter)
+    return _initial_state(start, config), _Run(prob, config, counter, start.gnorm)
 
 
 @pytest.fixture(autouse=True)

@@ -25,7 +25,13 @@ from cagopt import (
 from cagopt.baselines import ncg_step
 from cagopt.estimate_sequence import nesterov_bound
 
-from conftest import minimize, random_spd_quadratic, start_run
+from conftest import (
+    lcg_iterates,
+    minimize,
+    minimize_with_iterates,
+    random_spd_quadratic,
+    start_run,
+)
 
 
 class TestQuadraticProblem:
@@ -84,9 +90,8 @@ class TestLcg:
         # conditioning chosen so that 30 iterations neither converge to noise
         # nor amplify rounding: orthogonality then survives at 1e-8
         A, b, L, ell, qp = random_spd_quadratic(rng, 60, 0.0, 1.5)
-        res = lcg_minimize(qp, np.zeros(60), gtol=1e-14, max_iters=30,
-                           record_iterates=True)
-        residuals = [b - A @ x for x in res.iterates]
+        res = lcg_minimize(qp, np.zeros(60), gtol=1e-14, max_iters=30)
+        residuals = [b - A @ x for x in lcg_iterates(qp, np.zeros(60), 1e-14, res.iterations)]
         upto = min(30, len(residuals) - 1)
         for k in range(upto + 1):
             for j in range(k):
@@ -111,15 +116,16 @@ class TestLcg:
         # f stays flat at round-off from row 10 on while the residual falls
         # from 5e-13 to 4e-36: the first lowest-f row is not the one returned
         qp = quad_diag_system(10)
-        res = lcg_minimize(qp, np.zeros(10), gtol=1e-300, max_iters=30, record_iterates=True)
+        res = lcg_minimize(qp, np.zeros(10), gtol=1e-300, max_iters=30)
         assert res.status is Status.BUDGET_EXHAUSTED
         fs = [rec.f for rec in res.trace]
         first_lowest = fs.index(min(fs))
         assert first_lowest == 10 and res.trace[first_lowest].gnorm > 1e-13
         assert res.f_final == res.trace[-1].f == fs[first_lowest]
         assert res.gnorm_final == res.trace[-1].gnorm < 1e-35
-        assert np.array_equal(res.x_final, res.iterates[-1])
-        assert not np.array_equal(res.x_final, res.iterates[first_lowest])
+        # a rerun that stops at the first lowest-f row returns that row's iterate
+        x_lowest = lcg_iterates(qp, np.zeros(10), 1e-300, first_lowest)[-1]
+        assert not np.array_equal(res.x_final, x_lowest)
 
     def test_converged_at_start(self):
         qp = quad_diag_system(5)
@@ -132,8 +138,8 @@ class TestLcg:
         (-1.0, 10, "gtol must be positive"),
         (0.0, 10, "gtol must be positive"),
         (float("nan"), 10, "gtol must be positive"),
-        (1e-8, 0, "max_evals must be at least 1"),
-        (1e-8, -5, "max_evals must be at least 1"),
+        (1e-8, 0, "max_iters must be at least 1"),
+        (1e-8, -5, "max_iters must be at least 1"),
     ])
     def test_rejects_a_bad_tolerance_or_budget(self, gtol, max_iters, message):
         # the settings check of cag, ncg and ag; before it, a budget of 0 or
@@ -227,24 +233,22 @@ class TestAg:
         qp = QuadraticProblem(apply_A=apply_A, b=np.zeros(2))
         prob = qp.objective(L=1.0, ell=0.0)
         x0 = np.array([3.0, 1.0])
-        res = ag_minimize(prob, x0, SolverConfig(L=1.0, ell=0.0, gtol=1e-9, max_evals=10**5),
-                          record_iterates=True)
+        res, iterates = minimize_with_iterates("ag", prob, x0, gtol=1e-9, max_evals=10**5)
         assert res.converged
         xstar = np.array([0.0, 1.0])  # nearest minimiser to the start
         dist0 = float((x0 - xstar) @ (x0 - xstar))
-        for k, xk in enumerate(res.iterates):
+        for k, xk in enumerate(iterates):
             fk = prob.evaluate(xk)[0]
             assert fk <= nesterov_bound(1.0, 0.0, k, dist0) + 1e-12
 
     def test_iterates_stay_below_model_minimum(self, rng):
         A, b, L, ell, qp = random_spd_quadratic(rng, 10, 0.0, 2.0)
         prob = qp.objective(L=L, ell=ell)
-        res = ag_minimize(prob, rng.standard_normal(10),
-                          SolverConfig(L=L, ell=ell, gtol=1e-8, max_evals=10**5),
-                          record_iterates=True)
+        res, iterates = minimize_with_iterates("ag", prob, rng.standard_normal(10),
+                                               max_evals=10**5)
         assert res.converged
         f0 = res.trace[0].f
-        for xk, rec in zip(res.iterates, res.trace):
+        for xk, rec in zip(iterates, res.trace, strict=True):
             fk = prob.evaluate(xk)[0]
             assert fk <= rec.phi_star + 1e-9 * (1.0 + abs(f0))
 
@@ -321,15 +325,14 @@ def test_result_never_aliases_the_callers_start(solver):
     # ends after the start evaluation both report a point of their own
     prob = make_quad_diag(5)
     converged_x0 = prob.known_xstar
-    converged = minimize(solver, prob, converged_x0, gtol=1e-6, record_iterates=True)
+    converged = minimize(solver, prob, converged_x0, gtol=1e-6)
     capped_x0 = np.ones(5)
-    capped = minimize(solver, prob, capped_x0, max_evals=1, record_iterates=True)
+    capped = minimize(solver, prob, capped_x0, max_evals=1)
     assert converged.converged and converged.iterations == 0
     assert capped.status is Status.BUDGET_EXHAUSTED and capped.iterations == 0
     for res, x0 in ((converged, converged_x0), (capped, capped_x0)):
         assert np.array_equal(res.x_final, x0)
         assert not np.shares_memory(res.x_final, x0)
-        assert not np.shares_memory(res.iterates[0], x0)
 
 
 @pytest.mark.parametrize("solver", [ncg_minimize, ag_minimize], ids=["ncg", "ag"])

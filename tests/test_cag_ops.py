@@ -37,8 +37,8 @@ def evaluated(prob, x):
 
 def probe_run(prob, counter, L=None):
     """A run on ``prob`` at gtol 1e-12 that counts in ``counter``, for the
-    evaluating helpers; L defaults to the problem's own."""
-    return _Run(prob, SolverConfig(prob.default_L if L is None else L, gtol=1e-12), counter)
+    evaluating helpers, none of which reads g0_norm; L defaults to the problem's own."""
+    return _Run(prob, SolverConfig(prob.default_L if L is None else L, gtol=1e-12), counter, 1.0)
 
 
 def gradient_record(g):

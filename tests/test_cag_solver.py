@@ -14,7 +14,6 @@ from cagopt import (
     Status,
     StepKind,
     cag_minimize,
-    lcg_minimize,
     make_abpdn,
     make_huber,
     make_logistic,
@@ -31,7 +30,13 @@ from cagopt.cag import (
 from cagopt.estimate_sequence import init_estimate, nesterov_bound
 from cagopt.oracle import Evaluation
 
-from conftest import minimize, random_spd_quadratic, start_run
+from conftest import (
+    lcg_iterates,
+    minimize,
+    minimize_with_iterates,
+    random_spd_quadratic,
+    start_run,
+)
 
 
 def step_counts(result):
@@ -93,7 +98,7 @@ class TestAgBlockExit:
         return CagIterationState(
             x=np.zeros(2), point=bar, p=np.zeros(2),
             estimate=init_estimate(0.0, np.zeros(2), 1.0),
-            i_cg=0, ag_ref_gnorm=ref, bar=bar, z_tilde=None, zAz=0.0, g0_norm=1.0,
+            i_cg=0, ag_ref_gnorm=ref, bar=bar, z_tilde=None, zAz=0.0,
         )
 
     def test_fires_at_quarter(self):
@@ -306,13 +311,19 @@ class TestCagMinimize:
 
     @pytest.mark.parametrize("solver,n", [("cag", 10), ("ncg", 10), ("ag", 10), ("ncg", 1000)])
     def test_record_iterates_aligns_with_trace(self, solver, n):
-        # ncg on quad n=1000 ends at a line-search probe, whose point is the
-        # last iterate
-        res = minimize(solver, make_quad_diag(n), np.zeros(n), record_iterates=True)
+        # the recording run is the solver's own run, and ncg on quad n=1000
+        # ends at a line-search probe, whose point is the last iterate
+        prob = make_quad_diag(n)
+        res, iterates = minimize_with_iterates(solver, prob, np.zeros(n))
+        ref = minimize(solver, prob, np.zeros(n))
+        assert [(r.evals, r.f, r.step) for r in res.trace] == [
+            (r.evals, r.f, r.step) for r in ref.trace
+        ]
+        assert np.array_equal(res.x_final, ref.x_final)
         assert res.converged
-        assert len(res.iterates) == len(res.trace) == res.iterations + 1
-        assert np.array_equal(res.iterates[0], np.zeros(n))
-        assert np.array_equal(res.iterates[-1], res.x_final)
+        assert len(iterates) == len(res.trace) == res.iterations + 1
+        assert np.array_equal(iterates[0], np.zeros(n))
+        assert np.array_equal(iterates[-1], res.x_final)
 
     @pytest.mark.parametrize("z_mode,cost", [(False, 5), (True, 7)])
     def test_budget_overshoot_is_one_iteration_cost_less_one(self, z_mode, cost):
@@ -363,14 +374,13 @@ def test_cag_reduces_to_linear_cg_on_quadratics(n, seed):
     # 10^3).  A budget of 2n + 1 evaluations stops cag
     # after exactly n iterations, and gtol never stops either solver early.
     A, b, L, ell, qp = random_spd_quadratic(np.random.default_rng(seed), n, 0.0, 1.0)
-    res = cag_minimize(qp.objective(L=L, ell=ell), np.zeros(n),
-                       SolverConfig(L=L, ell=ell, gtol=1e-300, max_evals=2 * n + 1),
-                       record_iterates=True)
-    ref = lcg_minimize(qp, np.zeros(n), gtol=1e-300, max_iters=n, record_iterates=True)
+    res, iterates = minimize_with_iterates("cag", qp.objective(L=L, ell=ell), np.zeros(n),
+                                           gtol=1e-300, max_evals=2 * n + 1)
     assert [rec.step for rec in res.trace[1:]] == [StepKind.CG] * n
     assert all(rec.f <= rec.phi_star for rec in res.trace)
     scale = np.linalg.norm(np.linalg.solve(A, b))
-    for x_cag, x_lcg in zip(res.iterates, ref.iterates, strict=True):
+    ref = lcg_iterates(qp, np.zeros(n), 1e-300, n)
+    for x_cag, x_lcg in zip(iterates, ref, strict=True):
         assert np.linalg.norm(x_cag - x_lcg) <= 1e-8 * scale
 
 
@@ -384,13 +394,13 @@ CERT_RTOL = 1e-12
 def certified_run(solver, prob):
     """Run ``solver`` from 0 with the problem's own L and ell and a capped
     budget, and check f(x_k) <= phi*_k on every row, evaluating each recorded
-    iterate outside the run's counter."""
-    res = minimize(solver, prob, np.zeros(prob.n), gtol=1e-9, max_evals=300,
-                   record_iterates=True)
-    for rec, x in zip(res.trace, res.iterates, strict=True):
+    iterate outside the run's counter.  Returns ``(result, iterates)``."""
+    res, iterates = minimize_with_iterates(solver, prob, np.zeros(prob.n), gtol=1e-9,
+                                           max_evals=300)
+    for rec, x in zip(res.trace, iterates, strict=True):
         f = float(prob.evaluate(x)[0])
         assert f <= rec.phi_star + CERT_RTOL * max(1.0, abs(f)), (rec, f)
-    return res
+    return res, iterates
 
 
 @pytest.mark.parametrize("solver", ["cag", "ag"])
@@ -418,10 +428,10 @@ class TestCertificate:
     @given(n=st.integers(2, 30))
     def test_quad_gap_within_nesterov_bound(self, solver, n):
         prob = make_quad_diag(n)
-        res = certified_run(solver, prob)
+        res, iterates = certified_run(solver, prob)
         dist0_sq = float(prob.known_xstar @ prob.known_xstar)  # x0 = 0
         slack = CERT_RTOL * max(1.0, abs(prob.known_fstar))
-        for rec, x in zip(res.trace, res.iterates):
+        for rec, x in zip(res.trace, iterates, strict=True):
             gap = float(prob.evaluate(x)[0]) - prob.known_fstar
             bound = nesterov_bound(prob.default_L, prob.default_ell, rec.iteration, dist0_sq)
             assert gap <= bound + slack, (rec, gap, bound)

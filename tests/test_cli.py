@@ -9,6 +9,8 @@ from cagopt.cli import main
 from cagopt.harness import RUN_KEYS
 from cagopt.problems import PROBLEM_KEYS
 
+from conftest import count_builds
+
 
 def test_run_prints_converged_status():
     result = CliRunner().invoke(main, ["run", "family=quad", "n=10", "solver=cag"])
@@ -158,6 +160,35 @@ def test_suite_row_with_an_unwritable_trace_path_is_invalid_and_the_next_row_run
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["solver"], r["status"]) for r in rows] == [("cag", "invalid"), ("ncg", "converged")]
+
+
+@pytest.mark.parametrize(
+    "config,out,message",
+    [
+        ("suite.txt", "missing/summary.csv", "cannot write"),
+        ("suite.txt", ".", "cannot write"),
+        (".", None, "cannot read"),
+        ("binary.txt", None, "cannot read"),
+    ],
+    ids=["out-in-a-missing-directory", "out-is-a-directory", "config-is-a-directory",
+         "config-is-not-text"],
+)
+def test_suite_with_a_bad_path_is_a_usage_error_before_any_row_runs(
+    tmp_path, monkeypatch, config, out, message
+):
+    (tmp_path / "suite.txt").write_text("family=quad n=10 solver=cag\n")
+    (tmp_path / "binary.txt").write_bytes(b"\xfffamily=quad n=10 solver=cag\n")
+    builds = count_builds(monkeypatch, "quad")
+    bad = tmp_path / (out or config)
+    args = ["suite", "--config", str(tmp_path / config)]
+    if out:
+        args += ["--out", str(tmp_path / out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"{message} {bad}" in result.output
+    assert builds == []
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_run_help_names_every_key():

@@ -57,7 +57,7 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         r = qp.b - Ax0
         f = 0.5 * float(x @ Ax0) - float(qp.b @ x)
     else:
-        r = qp.b.copy()
+        r = qp.b.astype(float)  # a float copy: r and p are updated in place
         f = 0.0
     rr = float(r @ r)
     rnorm = math.sqrt(rr)
@@ -65,7 +65,9 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     if rnorm <= gtol:
         return SolverResult(Status.CONVERGED, x, f, rnorm, 0, evals, trace)
 
+    # x, r and p are updated in place; step holds alpha p, then alpha Ap.
     p = r.copy()
+    step = np.empty_like(p)
     for k in range(1, max_iters + 1):
         Ap = qp.apply_A(p)
         evals += 1
@@ -73,15 +75,16 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         if pAp <= 0.0:
             raise NotPositiveDefinite(f"p^T A p = {pAp!r} <= 0")
         alpha = rr / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=step)
         f = f - 0.5 * alpha * rr
         rr_new = float(r @ r)
         rnorm = math.sqrt(rr_new)
         trace.append(TraceRecord(k, evals, f, rnorm, math.nan, StepKind.LCG))
         if rnorm <= gtol:
             return SolverResult(Status.CONVERGED, x, f, rnorm, k, evals, trace)
-        p = r + (rr_new / rr) * p
+        p *= rr_new / rr
+        p += r
         rr = rr_new
 
     return SolverResult(Status.BUDGET_EXHAUSTED, x, f, rnorm, max_iters, evals, trace)
@@ -103,7 +106,9 @@ def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]
     # represent, so demand decrease only up to a rounding-level slack.
     f_accept = point.f + 1e-12 * (1.0 + abs(point.f))
     for _ in range(31):  # the secant step, then up to 30 halvings
-        new = run.evaluate(point.x + alpha * p, StepKind.CG)
+        x_next = np.multiply(alpha, p)
+        x_next += point.x
+        new = run.evaluate(x_next, StepKind.CG)
         if new.f <= f_accept:
             break
         alpha *= 0.5
@@ -114,7 +119,8 @@ def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]
     if beta is None:
         beta = 0.0
     state.x, state.point = new.x, new
-    state.p = -new.g + beta * p
+    state.p = np.multiply(beta, p)
+    state.p -= new.g
     state.i_cg = 0 if beta == 0.0 else i_cg + 1
     return new, StepKind.CG
 

@@ -186,8 +186,11 @@ def secant_alpha(
     gradient passes gtol.
     """
     L = run.config.L
-    probe = run.evaluate(point.x + p / L, kind)
-    Ap = L * (probe.g - point.g)
+    x_probe = p / L
+    x_probe += point.x
+    probe = run.evaluate(x_probe, kind)
+    Ap = np.subtract(probe.g, point.g)
+    Ap *= L
     pAp = float(p @ Ap)
     if pAp <= 0.0:
         return None
@@ -208,7 +211,8 @@ def hz_beta(g: Vector, new: Evaluation, p: Vector, g0_norm: float) -> float | No
     yp = float(y @ p)
     if yp == 0.0:
         return None
-    beta1 = float((y - p * (2.0 * float(y @ y) / yp)) @ g_next) / yp
+    w = p * (2.0 * float(y @ y) / yp)
+    beta1 = float(np.subtract(y, w, out=w) @ g_next) / yp
     beta2 = -1.0 / (math.sqrt(float(p @ p)) * min(0.01 * g0_norm, new.gnorm))
     return max(beta1, beta2)
 
@@ -224,7 +228,8 @@ def z_conjugate_update(
     """
     zAp = float(z_tilde @ Ap)
     delta = zAp / pAp
-    z_next = z_tilde - delta * p
+    z_next = np.multiply(delta, p)
+    np.subtract(z_tilde, z_next, out=z_next)
     zAz_next = zAz - 2.0 * delta * zAp + delta * delta * pAp
     return z_next, zAz_next
 
@@ -238,7 +243,9 @@ def bar_augment(run: _Run, new: Evaluation, z_tilde: Vector, zAz: float) -> Eval
     gtol.  The caller ensures zAz > 0.
     """
     alpha_t = -float(new.g @ z_tilde) / zAz
-    return run.evaluate(new.x + alpha_t * z_tilde, StepKind.BAR)
+    bar_x = np.multiply(alpha_t, z_tilde)
+    bar_x += new.x
+    return run.evaluate(bar_x, StepKind.BAR)
 
 
 def cg_attempt(
@@ -270,7 +277,9 @@ def cg_attempt(
         return False, state
     alpha, Ap, pAp = secant
 
-    new = run.evaluate(point.x + alpha * p, kind)
+    x_next = np.multiply(alpha, p)
+    x_next += point.x
+    new = run.evaluate(x_next, kind)
 
     bar = new
     z_tilde, zAz = state.z_tilde, state.zAz
@@ -298,7 +307,8 @@ def cg_attempt(
 
     state.x = new.x
     state.point = new
-    state.p = -new.g + beta * p
+    state.p = np.multiply(beta, p)
+    state.p -= new.g
     state.estimate = est_next
     state.i_cg = 0 if beta == 0.0 else i_cg + 1
     state.bar = bar
@@ -319,12 +329,15 @@ def ag_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
     config = run.config
     est = state.estimate
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, est.gamma)
-    bar_x = (theta * est.gamma * est.v + gamma_next * state.x) / (
-        est.gamma + theta * config.ell
-    )
+    # x_next holds gamma_next x until bar_x is formed
+    bar_x = np.multiply(theta * est.gamma, est.v)
+    x_next = np.multiply(gamma_next, state.x)
+    bar_x += x_next
+    bar_x /= est.gamma + theta * config.ell
     bar = run.evaluate(bar_x, StepKind.AG)
     state.estimate = advance_estimate(est, theta, gamma_next, config.ell, bar)
-    state.x = bar.x - bar.g / config.L
+    np.divide(bar.g, config.L, out=x_next)
+    state.x = np.subtract(bar.x, x_next, out=x_next)
     state.bar = bar
     return bar, StepKind.AG
 

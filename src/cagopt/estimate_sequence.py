@@ -106,16 +106,21 @@ def advance_estimate(
               + theta (1-theta) gamma / gamma_next
                   * ( ell ||bar_x - v||^2 / 2 + <bar_g, v - bar_x> )
 
+    Allocates two n-vectors, v_next and dv = v - bar_x: once dv's two dot
+    products are taken, dv holds the terms of v_next, which is built in
+    place by the same operations in the same order as the formula with
+    fresh arrays, so it equals that formula byte for byte.
     Raises ``NumericalFailure`` when phi*_next is not finite (a non-finite
     v_next makes phi* non-finite at the next update).
     """
     bar_x, bar_f, bar_g, _, bar_gg = anchor
     gamma = state.gamma
     dv = state.v - bar_x
-    v_next = (
-        (1.0 - theta) * gamma * state.v + (theta * ell) * bar_x - theta * bar_g
-    ) / gamma_next
     cross = 0.5 * ell * float(dv @ dv) + float(bar_g @ dv)
+    v_next = np.multiply((1.0 - theta) * gamma, state.v)
+    v_next += np.multiply(theta * ell, bar_x, out=dv)
+    v_next -= np.multiply(theta, bar_g, out=dv)
+    v_next /= gamma_next
     phi_next = (
         (1.0 - theta) * state.phi_star
         + theta * bar_f

@@ -260,6 +260,9 @@ def _logistic_loss_prime(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, -ev / (1.0 + ev), -1.0 / (1.0 + ev))
 
 
+_DRAW_CHUNK = 2**15  # entries of r that _standard_normal's Box-Muller pass holds at once
+
+
 def _standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Box-Muller normals from the counter-based generator's uniform stream.
 
@@ -268,11 +271,13 @@ def _standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     library versions: with U1, U2 two successive blocks of ``half``
     uniforms, r = sqrt(-2 log(1 - U1)) and z = (r cos(2 pi U2), r sin(2 pi U2)).
 
-    The draw works in place, in one output buffer (the uniforms, then the
-    normals) plus one half-size temporary for r.  Every entry goes through
-    the same IEEE operations on the same operands as the spelled-out
-    formula with fresh arrays, which ``tests/test_problems.py`` keeps as
-    the reference, so the output is byte-identical to it.
+    The draw works in place in one output buffer: both uniform blocks are
+    drawn in full, then the transform runs over ``_DRAW_CHUNK`` entries at
+    a time, with r in one chunk-size buffer, so the draw peaks at the
+    output plus 256 KB.  Every entry goes through the same IEEE operations
+    on the same operands as the spelled-out formula with fresh arrays,
+    which ``tests/test_problems.py`` keeps as the reference, so the output
+    is byte-identical to it.
     """
     total = int(np.prod(shape))
     half = (total + 1) // 2
@@ -280,16 +285,20 @@ def _standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     u1, u2 = z[:half], z[half:]
     rng.random(out=u1)
     rng.random(out=u2)
-    # 1 - U keeps the argument of log strictly positive.
-    radius = np.subtract(1.0, u1)
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    u2 *= 2.0 * np.pi
-    np.cos(u2, out=u1)
-    u1 *= radius
-    np.sin(u2, out=u2)
-    u2 *= radius
+    buffer = np.empty(min(half, _DRAW_CHUNK))
+    for start in range(0, half, _DRAW_CHUNK):
+        c1, c2 = u1[start:start + _DRAW_CHUNK], u2[start:start + _DRAW_CHUNK]
+        radius = buffer[:c1.size]
+        # 1 - U keeps the argument of log strictly positive.
+        np.subtract(1.0, c1, out=radius)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        c2 *= 2.0 * np.pi
+        np.cos(c2, out=c1)
+        c1 *= radius
+        np.sin(c2, out=c2)
+        c2 *= radius
     return z[:total].reshape(shape)
 
 
@@ -313,9 +322,9 @@ def make_logistic(
     power iteration (30 rounds, inflated by 1%); the ridge gives ell = lam.
 
     A is the buffer of the normal draw, scaled by sigma and shifted by
-    1/sqrt(n) in place, so the build peaks at A plus a half-size temporary;
-    multiply and add commute exactly, so A equals 1/sqrt(n) + sigma z byte
-    for byte.
+    1/sqrt(n) in place, so the build peaks at A plus the draw's 256 KB
+    chunk buffer; multiply and add commute exactly, so A equals
+    1/sqrt(n) + sigma z byte for byte.
     """
     _check_logistic(m, n, lam, sigma, seed)
     rng = np.random.Generator(np.random.Philox(seed))

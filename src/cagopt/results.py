@@ -23,8 +23,11 @@ class Status(str, Enum):
 class StepKind(str, Enum):
     """Label attached to each trace row.
 
-    ``init`` tags the row for the starting point, so that the evaluation
-    deltas between consecutive rows partition the final counter exactly.
+    ``init`` tags the row for the starting point, so that on a converged or
+    budget exit the evaluation deltas between consecutive rows partition the
+    final counter exactly.  A diverged or line-search-failure exit records no
+    row for the iteration that ends the run, whose evaluations the last row
+    therefore leaves out.
     """
 
     INIT = "init"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from cagopt import (
     ag_minimize,
     cag_minimize,
     lcg_minimize,
+    make_abpdn,
     make_huber,
     make_quad_diag,
     ncg_minimize,
@@ -333,6 +336,54 @@ def test_result_never_aliases_the_callers_start(solver):
     for res, x0 in ((converged, converged_x0), (capped, capped_x0)):
         assert np.array_equal(res.x_final, x0)
         assert not np.shares_memory(res.x_final, x0)
+
+
+def snapshotting(prob):
+    """``prob`` with ``evaluate`` wrapped to keep each point it is called at and
+    each gradient it returns, each with a copy taken at the call."""
+    seen = []
+
+    def evaluate(x):
+        f, g = prob.evaluate(x)
+        seen.append((x, x.copy(), g, g.copy()))
+        return f, g
+
+    return dataclasses.replace(prob, evaluate=evaluate), seen
+
+
+@pytest.mark.parametrize("solver, conjugate_z, kinds", [
+    ("cag", False, "init cg sd ag"),
+    ("cag", True, "init cg sd ag bar"),
+    ("ncg", False, "init cg"),
+    ("ag", False, "init ag"),
+], ids=["cag", "cag+z", "ncg", "ag"])
+def test_steps_never_write_into_an_evaluated_point_or_the_start(solver, conjugate_z, kinds):
+    # the steps build their points and directions in place: none of them may
+    # be an array that an Evaluation (RunLog.best among them) or x0 holds
+    prob, seen = snapshotting(make_abpdn(36))
+    x0 = np.linspace(-0.1, 0.1, 36)
+    x0_then = x0.copy()
+    solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[solver]
+    res = solve(prob, x0, SolverConfig(prob.default_L, prob.default_ell, 1e-8, 5000, conjugate_z))
+    assert {rec.step.value for rec in res.trace} == set(kinds.split())
+    assert len(seen) == res.evaluations
+    for x, x_then, g, g_then in seen:
+        assert x.tobytes() == x_then.tobytes()
+        assert g.tobytes() == g_then.tobytes()
+    assert x0.tobytes() == x0_then.tobytes()
+
+
+@pytest.mark.parametrize("start", ["zero", "nonzero"])
+def test_lcg_never_writes_into_the_start_or_b(rng, start):
+    # at x0 = 0 the residual starts as a copy of b; x, r and p update in place
+    _, b, _, _, qp = random_spd_quadratic(rng, 8)
+    x0 = np.zeros(8) if start == "zero" else rng.standard_normal(8)
+    x0_then, b_then = x0.copy(), b.copy()
+    res = lcg_minimize(qp, x0, gtol=1e-10, max_iters=50)
+    assert res.converged
+    assert x0.tobytes() == x0_then.tobytes()
+    assert b.tobytes() == b_then.tobytes()
+    assert not np.shares_memory(res.x_final, x0)
 
 
 @pytest.mark.parametrize("solver", [ncg_minimize, ag_minimize], ids=["ncg", "ag"])

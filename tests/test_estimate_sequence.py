@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cagopt.errors import InvalidState, NumericalFailure
 from cagopt.estimate_sequence import (
+    EstimateState,
     advance_estimate,
     compute_theta_gamma,
     init_estimate,
@@ -18,6 +21,44 @@ def anchor(bar_x, bar_f, bar_g):
     ``evaluate_counted`` records it."""
     gg = float(bar_g @ bar_g)
     return Evaluation(bar_x, bar_f, bar_g, math.sqrt(gg), gg)
+
+
+def advance_estimate_reference(state, theta, gamma_next, ell, anchor):
+    """``advance_estimate``'s (v_next, phi*_next), spelled out with fresh arrays
+    as its docstring's formulas read; the in-place update must equal it byte
+    for byte."""
+    bar_x, bar_f, bar_g, _, bar_gg = anchor
+    gamma = state.gamma
+    dv = state.v - bar_x
+    v_next = (
+        (1.0 - theta) * gamma * state.v + (theta * ell) * bar_x - theta * bar_g
+    ) / gamma_next
+    cross = 0.5 * ell * float(dv @ dv) + float(bar_g @ dv)
+    phi_next = (
+        (1.0 - theta) * state.phi_star
+        + theta * bar_f
+        - (theta * theta / (2.0 * gamma_next)) * bar_gg
+        + (theta * (1.0 - theta) * gamma / gamma_next) * cross
+    )
+    return v_next, phi_next
+
+
+@st.composite
+def estimate_updates(draw):
+    """(state, theta, gamma_next, ell, anchor) of one model update: ell is 0 or
+    in (0, L], gamma in [ell, L] and vector entries +-0.0 or of either sign
+    over twelve decades."""
+    n = draw(st.integers(1, 12))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(-1e6, 1e6, allow_subnormal=False))
+    vector = st.lists(entries, min_size=n, max_size=n).map(np.array)
+    L = draw(st.floats(1e-3, 1e6))
+    ell = draw(st.one_of(st.just(0.0), st.floats(1e-9, 1.0).map(lambda t: t * L)))
+    gamma = draw(st.floats(max(ell, 1e-3 * L), L))
+    theta, gamma_next = compute_theta_gamma(L, ell, gamma)
+    state = EstimateState(gamma, draw(vector), draw(st.floats(-1e6, 1e6)))
+    point = anchor(draw(vector), draw(st.floats(-1e6, 1e6)), draw(vector))
+    return state, theta, gamma_next, ell, point
 
 
 def quadratic_formula_root(L, ell, gamma):
@@ -125,6 +166,20 @@ class TestAdvanceEstimate:
         # as inside the solvers, which keep numpy's overflow warning quiet
         with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
             advance_estimate(state, theta, gamma_next, 0.0, anchor(np.ones(2), bar_f, bar_g))
+
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(update=estimate_updates())
+    def test_update_equals_the_fresh_array_formula_byte_for_byte(self, update):
+        state, theta, gamma_next, ell, point = update
+        v_before = state.v.copy()
+        out = advance_estimate(state, theta, gamma_next, ell, point)
+        v_ref, phi_ref = advance_estimate_reference(state, theta, gamma_next, ell, point)
+        assert out.v.tobytes() == v_ref.tobytes()
+        assert out.phi_star.hex() == phi_ref.hex()
+        assert out.gamma == gamma_next
+        assert state.v.tobytes() == v_before.tobytes()
+        assert not np.shares_memory(out.v, state.v) and not np.shares_memory(out.v, point.x)
 
 
 class TestNesterovBound:

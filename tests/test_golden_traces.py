@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cagopt import ProblemSpec, RunConfig, run
+from cagopt import ProblemSpec, RunConfig, Status, run
 from cagopt.baselines import ag_minimize, ncg_minimize
 from cagopt.cag import SolverConfig, cag_minimize
 from cagopt.oracle import ObjectiveProblem
@@ -129,6 +129,21 @@ def test_run_matches_golden_trace(name, golden):
         assert got[key] == expected[key], key
     for key in ("f_final", "gnorm_final"):
         assert got[key] == pytest.approx(expected[key], rel=RTOL, abs=0.0), key
+
+
+@pytest.mark.parametrize("name", ["quad-100-cag", "quad-100-cag-budget20"])
+def test_trace_deltas_partition_the_count_on_converged_and_budget_exits(name):
+    result = RUNS[name]()
+    evals = [0] + [rec.evals for rec in result.trace]
+    assert all(later - earlier >= 1 for earlier, later in zip(evals, evals[1:]))
+    assert evals[-1] == result.evaluations
+
+
+def test_a_diverged_run_records_no_row_for_the_iteration_that_ends_it():
+    # the AG step whose evaluation is not finite adds no row: 130 of 131 evaluations
+    result = RUNS["quad-100-cag-L1000"]()
+    assert result.status is Status.DIVERGED
+    assert (result.trace[-1].evals, result.evaluations) == (130, 131)
 
 
 if __name__ == "__main__":

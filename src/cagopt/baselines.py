@@ -41,7 +41,7 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     residual is free for x0 = 0 and costs one application otherwise.  The
     objective value is tracked by the update f_{k+1} = f_k - (alpha/2) r^T r,
     which is exact in exact arithmetic.  At the budget exit the result holds
-    the last iterate, not the lowest-f one as ``RunLog`` reports for the
+    the last iterate, not the lowest-f one that the run contract in ``cag`` gives the
     other solvers: the tracked f stalls at round-off while the residual
     still falls, so the first lowest-f row has a larger residual.  Raises
     ``InvalidSpec`` unless max_iters >= 1 and gtol > 0 (``check_settings``).

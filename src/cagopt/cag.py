@@ -32,18 +32,25 @@ Run contract
 ``baselines.ag_minimize``, each with its own per-iteration step, called as
 ``step(state, run)``: the step updates the ``CagIterationState`` in place
 and evaluates through the ``_Run``, which holds the problem, the
-``SolverConfig``, the counter and ||g(x0)||, and applies the gtol test
-(``_Run.evaluate``).  It evaluates a copy of x0, which must have shape
-(n,); a non-finite start raises ``NumericalFailure``.  The budget is
-checked between iterations, so the count may exceed ``max_evals`` by one
-iteration's cost less one.  A CG chain restarts from steepest descent
-after ``RESTART_FACTOR`` * n + 1 steps.  A run is ``converged`` once any
-evaluated point has ||grad f|| <= gtol (a secant probe, a candidate, a bar
-or AG combination point, or the iterate or model centre that
-``return_to_cg`` evaluates), and reports that point in its last trace
+``SolverConfig``, the counter and ||g(x0)||, applies the gtol test
+(``_Run.evaluate``), records the trace and builds the result.  It
+evaluates a copy of x0, which must have shape (n,); a non-finite start
+raises ``NumericalFailure``.  The budget is checked between iterations, so
+the count may exceed ``max_evals`` by one iteration's cost less one.  A CG
+chain restarts from steepest descent after ``RESTART_FACTOR`` * n + 1
+steps.  The trace opens with an ``init`` row for x0 and adds one row per
+iteration, so ``iterations == len(trace) - 1``.  A run is ``converged``
+once any evaluated point has ||grad f|| <= gtol (a secant probe, a
+candidate, a bar or AG combination point, or the iterate or model centre
+that ``return_to_cg`` evaluates), and reports that point in its last trace
 row; else it ends ``diverged`` (non-finite value, gradient norm or phi*),
 ``line_search_failure`` (ncg's backtracking) or ``budget_exhausted``, and
-reports the lowest-f evaluated point.  ncg's phi* column is NaN.
+reports the lowest-f point among its trace rows (a probe or another point
+that no row reports does not count).  On a converged or budget exit the
+evaluation deltas between consecutive rows partition the final count
+exactly; a diverged or line-search-failure exit records no row for the
+iteration that ends the run, whose evaluations the last row therefore
+leaves out.  ncg's phi* column is NaN.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from .estimate_sequence import (
 )
 from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector, evaluate_counted
 from .oracle import check_moduli
-from .results import RunLog, SolverResult, Status, StepKind
+from .results import SolverResult, Status, StepKind, TraceRecord
 
 DEFAULT_GTOL = 1e-8
 # AG spends one evaluation per iteration and the CG-type solvers about two,
@@ -146,16 +153,19 @@ class _LineSearchFailed(Exception):
     """Internal control flow: a line search found no acceptable step."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Run:
-    """What every step of one run reads and never replaces: the problem, its
-    checked settings, the counter of its evaluations and the gradient norm
-    at the start, which ``hz_beta``'s safeguard reads."""
+    """One run: what every step reads (the problem, its checked settings, the
+    counter of its evaluations and the gradient norm at the start, which
+    ``hz_beta``'s safeguard reads) and what it reports (the trace and
+    ``best``, the lowest-f point among the trace's rows)."""
 
     problem: ObjectiveProblem
     config: SolverConfig
     counter: EvalCounter
     g0_norm: float
+    trace: list[TraceRecord]
+    best: Evaluation
 
     def evaluate(self, x: Vector, kind: StepKind) -> Evaluation:
         """Counted evaluation at x that ends the run when ||grad f(x)|| <= gtol.
@@ -169,6 +179,22 @@ class _Run:
         if point.gnorm <= self.config.gtol:
             raise _ConvergedAt(point, kind)
         return point
+
+    def record(self, point: Evaluation, phi_star: float, kind: StepKind) -> None:
+        """Append the next iteration's row for the evaluated ``point``, with the
+        count read from the counter, and keep the lowest-f point as ``best``."""
+        self.trace.append(TraceRecord(
+            len(self.trace), self.counter.count, point.f, point.gnorm, phi_star, kind
+        ))
+        if point.f < self.best.f:
+            self.best = point
+
+    def finish(self, status: Status) -> SolverResult:
+        """The result that reports ``best``, the point of a converged run's last row."""
+        x, f, _, gnorm, _ = self.best
+        return SolverResult(
+            status, x, f, gnorm, len(self.trace) - 1, self.counter.count, self.trace
+        )
 
 
 def secant_alpha(
@@ -418,11 +444,11 @@ def run_steps(
     phi*_0 = f(x0)."""
     counter = EvalCounter()
     start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
-    run = _Run(problem, config, counter, start.gnorm)
     state = _initial_state(start, config, phi_star0)
-    log = RunLog(counter, start, state.estimate.phi_star)
+    run = _Run(problem, config, counter, start.gnorm, [], start)
+    run.record(start, state.estimate.phi_star, StepKind.INIT)
     if start.gnorm <= config.gtol:
-        return log.finish(Status.CONVERGED)
+        return run.finish(Status.CONVERGED)
 
     restart_at = RESTART_FACTOR * problem.n + 1
     try:
@@ -430,14 +456,16 @@ def run_steps(
             if state.i_cg >= restart_at:
                 state.p, state.i_cg = -state.point.g, 0
             row, kind = step(state, run)
-            log.record(row, state.estimate.phi_star, kind)
+            run.record(row, state.estimate.phi_star, kind)
     except _ConvergedAt as c:
-        return log.converged(c.point, state.estimate.phi_star, c.kind)
+        run.record(c.point, state.estimate.phi_star, c.kind)
+        run.best = c.point
+        return run.finish(Status.CONVERGED)
     except NumericalFailure:
-        return log.finish(Status.DIVERGED)
+        return run.finish(Status.DIVERGED)
     except _LineSearchFailed:
-        return log.finish(Status.LINE_SEARCH_FAILURE)
-    return log.finish(Status.BUDGET_EXHAUSTED)
+        return run.finish(Status.LINE_SEARCH_FAILURE)
+    return run.finish(Status.BUDGET_EXHAUSTED)
 
 
 def cag_minimize(problem: ObjectiveProblem, x0: Vector, config: SolverConfig) -> SolverResult:

@@ -121,7 +121,7 @@ def start_run(prob, x0, config):
     x0 evaluated and counted once in ``run.counter``, as ``run_steps`` starts."""
     counter = EvalCounter()
     start = evaluate_counted(prob, x0, counter)
-    return _initial_state(start, config), _Run(prob, config, counter, start.gnorm)
+    return _initial_state(start, config), _Run(prob, config, counter, start.gnorm, [], start)
 
 
 @pytest.fixture(autouse=True)

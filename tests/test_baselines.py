@@ -359,7 +359,7 @@ def snapshotting(prob):
 ], ids=["cag", "cag+z", "ncg", "ag"])
 def test_steps_never_write_into_an_evaluated_point_or_the_start(solver, conjugate_z, kinds):
     # the steps build their points and directions in place: none of them may
-    # be an array that an Evaluation (RunLog.best among them) or x0 holds
+    # be an array that an Evaluation (_Run.best among them) or x0 holds
     prob, seen = snapshotting(make_abpdn(36))
     x0 = np.linspace(-0.1, 0.1, 36)
     x0_then = x0.copy()

@@ -37,8 +37,10 @@ def evaluated(prob, x):
 
 def probe_run(prob, counter, L=None):
     """A run on ``prob`` at gtol 1e-12 that counts in ``counter``, for the
-    evaluating helpers, none of which reads g0_norm; L defaults to the problem's own."""
-    return _Run(prob, SolverConfig(prob.default_L if L is None else L, gtol=1e-12), counter, 1.0)
+    evaluating helpers, none of which reads g0_norm, the trace or best; L
+    defaults to the problem's own."""
+    config = SolverConfig(prob.default_L if L is None else L, gtol=1e-12)
+    return _Run(prob, config, counter, 1.0, [], gradient_record(np.ones(1)))
 
 
 def gradient_record(g):

@@ -483,7 +483,7 @@ def test_convexity_along_random_segments(family, kwargs, rng):
 
 @pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
 def test_gradient_shares_no_memory(family, kwargs, rng):
-    # solvers keep gradients across iterations (state.point, RunLog.best), so
+    # solvers keep gradients across iterations (state.point, _Run.best), so
     # evaluate must never return a view of x or of a buffer it reuses
     prob = ProblemSpec(family=family, **kwargs).build()
     x, y = rng.standard_normal(prob.n), rng.standard_normal(prob.n)

@@ -6,7 +6,10 @@ Each solver run prints its status, counts and one SHA-256 over the trace
 rows, the status, f_final, gnorm_final, the counts and the bytes of
 x_final.  It covers every benchmark cell (``perfbench/workloads.py``) and
 cag, cag+z, ncg and ag at budgets 50 and 5,000, at each problem's default
-L and at L/10.  Each ``ProblemSpec`` of a grid over every family, with each
+L and at L/10.  The golden fixture's synthetic runs end diverged (explosive
+cag and ag, concave ncg) and in a line-search failure (uphill ncg), and
+lcg runs from x0 = 0 and x0 = ones, at budget 5 and to convergence, so
+that every exit status is covered.  Each ``ProblemSpec`` of a grid over every family, with each
 optional parameter unset and set, prints its label, default L and ell and
 a SHA-256 of its evaluation at a fixed point; each rejected spec prints
 its message.  Hand-built suite rows print the SHA-256 of the suite table
@@ -33,12 +36,15 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from cagopt import InvalidSpec, ProblemSpec, RunConfig, Status, run
+from cagopt import (
+    InvalidSpec, ProblemSpec, RunConfig, Status, lcg_minimize, quad_diag_system, run,
+)
 from cagopt.cli import main as cli_main
 from cagopt.harness import SuiteRow, format_suite_table, parse_suite_config, write_suite_csv
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, cells_for  # noqa: E402
+from test_golden_traces import RUNS as GOLDEN_RUNS  # noqa: E402
 
 SOLVERS = (("cag", False), ("cag", True), ("ncg", False), ("ag", False))
 BUDGETS = (50, 5000)
@@ -130,7 +136,10 @@ def run_digest(result) -> str:
 
 
 def print_run(name: str, config: RunConfig) -> None:
-    result = run(config)
+    print_result(name, run(config))
+
+
+def print_result(name: str, result) -> None:
     print(f"run {name}: {result.status.value} {result.iterations} {result.evaluations} "
           f"{run_digest(result)}")
 
@@ -151,6 +160,17 @@ def direct_runs() -> None:
             config = RunConfig(spec, solver, max_evals=budget, L=default_L / scale,
                                conjugate_z=z)
             print_run(f"{spec.label()} {config.solver_name} budget={budget} L/{scale}", config)
+
+
+def exit_runs() -> None:
+    for name in ("explosive-cag", "explosive-ag", "concave-ncg", "uphill-ncg"):
+        print_result(name, GOLDEN_RUNS[name]())
+    qp = quad_diag_system(100)
+    for (start, x0), budget in itertools.product(
+        (("zeros", np.zeros(qp.n)), ("ones", np.ones(qp.n))), (5, 10_000)
+    ):
+        print_result(f"lcg {qp.name} x0={start} max_iters={budget}",
+                     lcg_minimize(qp, x0, 1e-8, budget))
 
 
 def spec_grid() -> None:
@@ -219,6 +239,7 @@ def main() -> None:
     suite_parse()
     bench_cells()
     direct_runs()
+    exit_runs()
 
 
 if __name__ == "__main__":

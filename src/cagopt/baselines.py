@@ -25,7 +25,7 @@ from .cag import (
     run_steps,
     secant_alpha,
 )
-from .errors import InvalidSpec, NotPositiveDefinite
+from .errors import InvalidSpec, NotPositiveDefinite, NumericalFailure
 from .oracle import Evaluation, ObjectiveProblem, Vector
 from .problems import QuadraticProblem
 # Unused here, but perfbench/tracing.py wraps these names in this module.
@@ -34,6 +34,7 @@ from .oracle import evaluate_counted  # noqa: F401
 from .results import SolverResult, Status, StepKind, TraceRecord
 
 
+@np.errstate(over="ignore")
 def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) -> SolverResult:
     """Linear conjugate gradient with the classical residual recurrences.
 
@@ -41,10 +42,14 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     residual is free for x0 = 0 and costs one application otherwise.  The
     objective value is tracked by the update f_{k+1} = f_k - (alpha/2) r^T r,
     which is exact in exact arithmetic.  At the budget exit the result holds
-    the last iterate, not the lowest-f one that the run contract in ``cag`` gives the
-    other solvers: the tracked f stalls at round-off while the residual
-    still falls, so the first lowest-f row has a larger residual.  Raises
-    ``InvalidSpec`` unless max_iters >= 1 and gtol > 0 (``check_settings``).
+    the last iterate, not the lowest-f row that ``cag``'s run contract
+    reports for the other solvers: the tracked f stalls at round-off while
+    the residual still falls, so the first lowest-f row has a larger residual.  Raises
+    ``InvalidSpec`` unless max_iters >= 1 and gtol > 0 (``check_settings``),
+    and ``NumericalFailure`` when x0, f(x0) or the initial residual norm is
+    not finite.  A residual norm or f that turns non-finite later ends the
+    run ``diverged`` with the last row's iterate, recording no row for the
+    iteration that ends it.
     """
     if not max_iters >= 1:
         raise InvalidSpec(f"max_iters must be at least 1, got {max_iters}")
@@ -61,11 +66,15 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         f = 0.0
     rr = float(r @ r)
     rnorm = math.sqrt(rr)
+    if not (math.isfinite(f) and math.isfinite(rnorm)):
+        raise NumericalFailure(f"non-finite start in problem {qp.name!r}")
     trace = [TraceRecord(0, evals, f, rnorm, math.nan, StepKind.INIT)]
     if rnorm <= gtol:
         return SolverResult(Status.CONVERGED, x, f, rnorm, 0, evals, trace)
 
-    # x, r and p are updated in place; step holds alpha p, then alpha Ap.
+    # x and p are updated in place.  The next residual is formed in step, so
+    # that a non-finite one leaves x and r as the last row has them; step and
+    # r then swap, and step holds alpha p.
     p = r.copy()
     step = np.empty_like(p)
     for k in range(1, max_iters + 1):
@@ -75,11 +84,15 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         if pAp <= 0.0:
             raise NotPositiveDefinite(f"p^T A p = {pAp!r} <= 0")
         alpha = rr / pAp
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, Ap, out=step)
+        np.subtract(r, np.multiply(alpha, Ap, out=step), out=step)
         f = f - 0.5 * alpha * rr
-        rr_new = float(r @ r)
+        rr_new = float(step @ step)
         rnorm = math.sqrt(rr_new)
+        if not (math.isfinite(f) and math.isfinite(rnorm)):
+            last = trace[-1]
+            return SolverResult(Status.DIVERGED, x, last.f, last.gnorm, k - 1, evals, trace)
+        r, step = step, r
+        x += np.multiply(alpha, p, out=step)
         trace.append(TraceRecord(k, evals, f, rnorm, math.nan, StepKind.LCG))
         if rnorm <= gtol:
             return SolverResult(Status.CONVERGED, x, f, rnorm, k, evals, trace)

@@ -109,10 +109,13 @@ class SolverConfig:
 
 
 def _start_point(x0: Vector, n: int) -> Vector:
-    """A float copy of ``x0``, which must have shape (n,); else ``InvalidSpec``."""
+    """A float copy of ``x0``, which must have shape (n,), else ``InvalidSpec``,
+    and finite entries, else ``NumericalFailure``."""
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise InvalidSpec(f"x0 must have shape ({n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise NumericalFailure("x0 has a non-finite entry")
     return x
 
 

@@ -105,19 +105,22 @@ def estimate_spectral_norm(
     of power iteration on A^T A.
 
     Starts from the all-ones vector (fixed, so the estimate is
-    deterministic) and returns ||A x|| for the final unit iterate x.
+    deterministic) and returns ||A x|| for the final unit iterate x.  A norm
+    on the way that is 0, or that overflowed to inf or NaN, is returned
+    as it is: scaling by an overflowed norm would turn x into zeros and the
+    estimate into 0.
     """
     x = np.ones(n)
     x /= np.linalg.norm(x)
     for _ in range(POWER_ITERS):
         y = apply(x)
         ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return 0.0
+        if not 0.0 < ny < math.inf:
+            return ny
         x = apply_t(y)
         nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            return 0.0
+        if not 0.0 < nx < math.inf:
+            return nx
         x /= nx
     return float(np.linalg.norm(apply(x)))
 
@@ -329,10 +332,13 @@ def make_logistic(
     _check_logistic(m, n, lam, sigma, seed)
     rng = np.random.Generator(np.random.Philox(seed))
     A = _standard_normal(rng, (m, n))
-    A *= sigma
-    A += 1.0 / math.sqrt(n)
-    A.flags.writeable = False
-    sig_max = 1.01 * estimate_spectral_norm(lambda x: A @ x, lambda y: A.T @ y, n)
+    # A sigma too large for doubles overflows A or its norm without a
+    # warning; L then comes out inf or NaN, which ObjectiveProblem rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A *= sigma
+        A += 1.0 / math.sqrt(n)
+        A.flags.writeable = False
+        sig_max = 1.01 * estimate_spectral_norm(lambda x: A @ x, lambda y: A.T @ y, n)
 
     def evaluate(x):
         v = A @ x

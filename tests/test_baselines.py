@@ -130,6 +130,32 @@ class TestLcg:
         x_lowest = lcg_iterates(qp, np.zeros(10), 1e-300, first_lowest)[-1]
         assert not np.array_equal(res.x_final, x_lowest)
 
+    def test_non_finite_residual_ends_the_run_diverged(self):
+        # the operator returns NaN at its fourth application: the run ends
+        # with the third row's iterate, which a clean run of budget 3 returns
+        base = quad_diag_system(10)
+        calls = []
+
+        def apply_A(x):
+            calls.append(None)
+            return base.apply_A(x) * (np.nan if len(calls) == 4 else 1.0)
+
+        res = lcg_minimize(QuadraticProblem(apply_A, base.b), np.zeros(10), 1e-12, 50)
+        clean = lcg_minimize(base, np.zeros(10), 1e-12, 3)
+        assert res.status is Status.DIVERGED
+        assert (res.iterations, res.evaluations, len(res.trace)) == (3, 4, 4)
+        assert np.array_equal(res.x_final, clean.x_final)
+        assert (res.f_final, res.gnorm_final) == (clean.f_final, clean.gnorm_final)
+
+    def test_overflowing_f_ends_the_run_diverged(self):
+        # f* = -1e310 is not a double: the first step's f overflows, so the
+        # run ends at the start's row, without an overflow warning
+        qp = QuadraticProblem(apply_A=lambda x: 1e-300 * x, b=np.full(2, 1e5))
+        res = lcg_minimize(qp, np.zeros(2), 1e-8, 10)
+        assert res.status is Status.DIVERGED
+        assert (res.iterations, res.evaluations, len(res.trace)) == (0, 1, 1)
+        assert np.array_equal(res.x_final, np.zeros(2)) and res.f_final == 0.0
+
     def test_converged_at_start(self):
         qp = quad_diag_system(5)
         res = lcg_minimize(qp, np.zeros(5), gtol=float(np.linalg.norm(qp.b)), max_iters=10)
@@ -287,6 +313,19 @@ def test_nonfinite_start_raises_numerical_failure(solver):
                             default_L=1.0)
     with pytest.raises(NumericalFailure):
         minimize(solver, prob, np.ones(2))
+
+
+@pytest.mark.parametrize("solver", ["cag", "ncg", "ag", "lcg"])
+@pytest.mark.parametrize("x0", [[np.nan, 0, 0, 0, 0], [np.inf] * 5, [1e200] * 5],
+                         ids=["nan", "inf", "1e200"])
+def test_nonfinite_start_point_raises_numerical_failure(solver, x0):
+    # without a warning: an inf entry made every solver warn of an invalid
+    # value, and lcg ran a NaN or overflowing start to budget_exhausted
+    with pytest.raises(NumericalFailure):
+        if solver == "lcg":
+            lcg_minimize(quad_diag_system(5), np.array(x0), 1e-8, 50)
+        else:
+            minimize(solver, make_quad_diag(5), np.array(x0))
 
 
 @pytest.mark.parametrize("solver", ["cag", "ncg", "ag"])

@@ -317,6 +317,17 @@ class TestLogistic:
         assert f == f_ref
         assert g.tobytes() == g_ref.tobytes()
 
+    @pytest.mark.parametrize("m, n, lam, sigma", [
+        (1, 5, 1e-4, 1e300), (6, 3, 0.0, 1e200), (6, 3, 1e-4, 1e100), (40, 5, 1e-4, 1e308),
+    ])
+    def test_a_design_too_large_for_doubles_is_rejected_without_a_warning(
+        self, m, n, lam, sigma
+    ):
+        # A or its norm overflows, so L is inf or NaN; the build warned
+        # first, and at sigma 1e100 the estimate fell to 0 and L to lam
+        with pytest.raises(InvalidSpec, match="L must be positive and finite"):
+            make_logistic(m, n, lam=lam, sigma=sigma)
+
     def test_build_peak_memory_is_the_design_plus_one_chunk(self):
         # the draw fills A in place next to one chunk-size buffer (256 KB,
         # 1.6% of A); the spelled-out formula with fresh arrays peaks at
@@ -446,6 +457,12 @@ class TestSpectralNorm:
     def test_zero_operator(self):
         got = estimate_spectral_norm(lambda x: 0.0 * x, lambda y: 0.0 * y, 3)
         assert got == 0.0
+
+    def test_an_overflowing_norm_is_returned_not_read_as_zero(self):
+        # ||A^T A x|| = 1e400 overflows; scaling x by it gave 0
+        with np.errstate(over="ignore"):
+            got = estimate_spectral_norm(lambda x: 1e200 * x, lambda y: 1e200 * y, 3)
+        assert got == math.inf
 
 
 FAMILY_CASES = [

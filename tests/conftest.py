@@ -7,6 +7,7 @@ import cagopt.problems
 from cagopt import (
     EvalCounter,
     InvalidSpec,
+    ObjectiveProblem,
     QuadraticProblem,
     SolverConfig,
     ag_minimize,
@@ -55,6 +56,27 @@ def finite_diff_gradient(problem, x, h):
         fm, _ = problem.evaluate(x - e)
         g[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+def explosive_problem():
+    """f = e^x + x^4 on R^1 with L = 0.01 far below its curvature: from x0 = 2
+    the AG fallback flings the iterate out until exp overflows."""
+    def explosive(x):
+        with np.errstate(over="ignore"):
+            v = float(np.exp(x[0]) + x[0] ** 4)
+            g = np.array([np.exp(x[0]) + 4.0 * x[0] ** 3])
+        return v, g
+
+    return ObjectiveProblem(name="explosive", n=1, evaluate=explosive, default_L=0.01)
+
+
+def concave_problem():
+    """f = -||x||^2/2 + sum(x) on R^5, unbounded below: a solver from x0 = 0
+    follows it until f overflows."""
+    return ObjectiveProblem(
+        name="concave", n=5, evaluate=lambda x: (-0.5 * float(x @ x) + float(x.sum()), 1.0 - x),
+        default_L=1.0,
+    )
 
 
 def count_builds(monkeypatch, family):

@@ -10,9 +10,11 @@ import cagopt.cag
 from cagopt import (
     InvalidSpec,
     ObjectiveProblem,
+    ProblemSpec,
     SolverConfig,
     Status,
     StepKind,
+    ag_minimize,
     cag_minimize,
     make_abpdn,
     make_huber,
@@ -31,6 +33,8 @@ from cagopt.estimate_sequence import init_estimate, nesterov_bound
 from cagopt.oracle import Evaluation
 
 from conftest import (
+    concave_problem,
+    explosive_problem,
     lcg_iterates,
     minimize,
     minimize_with_iterates,
@@ -233,15 +237,7 @@ class TestCagMinimize:
         assert res.f_final == min(rec.f for rec in res.trace)
 
     def test_divergence_status_on_overflow(self):
-        # exp overflows once the AG fallback flings the iterate far out
-        def explosive(x):
-            with np.errstate(over="ignore"):
-                v = float(np.exp(x[0]) + x[0] ** 4)
-                g = np.array([np.exp(x[0]) + 4.0 * x[0] ** 3])
-            return v, g
-
-        prob = ObjectiveProblem(name="explosive", n=1, evaluate=explosive, default_L=0.01)
-        res = cag_minimize(prob, np.array([2.0]),
+        res = cag_minimize(explosive_problem(), np.array([2.0]),
                            SolverConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
         assert res.status is Status.DIVERGED
         assert np.isfinite(res.f_final)
@@ -435,3 +431,59 @@ class TestCertificate:
             gap = float(prob.evaluate(x)[0]) - prob.known_fstar
             bound = nesterov_bound(prob.default_L, prob.default_ell, rec.iteration, dist0_sq)
             assert gap <= bound + slack, (rec, gap, bound)
+
+
+# The most evaluations one trace row may cost: cag's CG attempt and
+# steepest-descent retry (probe and step each) and an AG step, conjugate-z
+# mode's bar point in each attempt, and ncg's probe and 31 tries.
+ROW_COST = {"cag": 5, "cag+z": 7, "ncg": 32, "ag": 1}
+SOLVE = {"cag": cag_minimize, "cag+z": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    case=st.one_of(
+        st.integers(2, 20).map(lambda n: ProblemSpec("quad", n)),
+        # huber's default tau <= 1 at n <= 10 starts at the minimiser
+        st.integers(11, 30).map(lambda n: ProblemSpec("huber", n)),
+        st.integers(1, 15).map(lambda n: ProblemSpec("logistic", n)),
+        st.sampled_from([4, 9, 16, 25]).map(lambda n: ProblemSpec("abpdn", n)),
+        st.sampled_from(["explosive", "concave"]),
+    ),
+    solver=st.sampled_from(sorted(ROW_COST)),
+    scale=st.sampled_from([1.0, 0.1, 0.01, 10.0]),
+    budget=st.sampled_from([3, 17, 60, 400]),
+)
+def test_every_run_keeps_the_run_contract(case, solver, scale, budget):
+    # the run contract in cag, at the problem's own L times ``scale``; a
+    # warning fails the test too
+    if case == "explosive":
+        prob, x0 = explosive_problem(), np.array([2.0])
+    elif case == "concave":
+        prob, x0 = concave_problem(), np.zeros(5)
+    else:
+        prob = case.build()
+        x0 = np.zeros(prob.n)
+    L, gtol = prob.default_L * scale, 1e-9
+    config = SolverConfig(L, min(prob.default_ell, L), gtol, budget, solver == "cag+z")
+    res = SOLVE[solver](prob, x0, config)
+    trace, cost = res.trace, ROW_COST[solver]
+
+    assert res.iterations == len(trace) - 1
+    assert trace[0].step is StepKind.INIT and trace[0].evals == 1
+    assert all(1 <= b.evals - a.evals <= cost for a, b in zip(trace, trace[1:]))
+    assert res.evaluations <= budget + cost - 1
+    assert all(math.isfinite(r.f) and math.isfinite(r.gnorm) for r in trace)
+    assert np.isfinite(res.x_final).all()
+    assert float(prob.evaluate(res.x_final)[0]) == res.f_final
+    if res.status is Status.CONVERGED:
+        assert (res.f_final, res.gnorm_final) == (trace[-1].f, trace[-1].gnorm)
+        assert res.gnorm_final <= gtol
+    else:
+        fs = [r.f for r in trace]
+        lowest = trace[fs.index(min(fs))]
+        assert (res.f_final, res.gnorm_final) == (lowest.f, lowest.gnorm)
+    if res.status in (Status.CONVERGED, Status.BUDGET_EXHAUSTED):
+        assert trace[-1].evals == res.evaluations
+    else:
+        assert trace[-1].evals < res.evaluations

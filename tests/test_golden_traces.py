@@ -20,6 +20,8 @@ from cagopt.baselines import ag_minimize, ncg_minimize
 from cagopt.cag import SolverConfig, cag_minimize
 from cagopt.oracle import ObjectiveProblem
 
+from conftest import concave_problem, explosive_problem
+
 FIXTURE = Path(__file__).with_name("golden_traces.json")
 RTOL = 1e-12
 
@@ -41,25 +43,13 @@ def _understated_L_run(family, n, L=None):
 
 
 def _explosive_run(solve=cag_minimize):
-    # the diverging objective of test_divergence_status_on_overflow
-    def explosive(x):
-        with np.errstate(over="ignore"):
-            v = float(np.exp(x[0]) + x[0] ** 4)
-            g = np.array([np.exp(x[0]) + 4.0 * x[0] ** 3])
-        return v, g
-
-    prob = ObjectiveProblem(name="explosive", n=1, evaluate=explosive, default_L=0.01)
-    return solve(prob, np.array([2.0]),
+    return solve(explosive_problem(), np.array([2.0]),
                  SolverConfig(L=0.01, ell=0.0, gtol=1e-12, max_evals=5000))
 
 
 def _concave_ncg_run():
-    # f = -||x||^2/2 + sum(x) is unbounded below; ncg follows it until f overflows
-    prob = ObjectiveProblem(
-        name="concave", n=5, evaluate=lambda x: (-0.5 * float(x @ x) + float(x.sum()), 1.0 - x),
-        default_L=1.0,
-    )
-    return ncg_minimize(prob, np.zeros(5), SolverConfig(L=1.0, gtol=1e-12, max_evals=5000))
+    return ncg_minimize(concave_problem(), np.zeros(5),
+                        SolverConfig(L=1.0, gtol=1e-12, max_evals=5000))
 
 
 def _uphill_ncg_run():

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cagopt.harness
 import cagopt.problems
@@ -386,3 +388,63 @@ def test_L_at_the_ends_of_its_range_ends_every_run_with_a_status(L):
     rows = run_suite(configs)
     assert all(r.status is not Status.INVALID for r in rows)
     assert all(r.evaluations > 0 for r in rows)
+
+
+
+
+def _decades(*odd):
+    """The powers of ten across the whole double range, 1e-310 to 1e308, as
+    a suite line spells them, or one of the ``odd`` values."""
+    return st.sampled_from([f"1e{e}" for e in range(-310, 309)] + list(odd))
+
+
+# Values of the optional keys of a suite line, some out of range or not
+# numbers at all.
+_VALUES = {
+    "m": st.sampled_from([str(m) for m in range(1, 41)] + ["0", "-1"]),
+    "lambda": _decades("0", "-1", "nan", "inf"),
+    "delta": _decades("0", "nan"),
+    "sigma": _decades("0", "inf"),
+    "tau": _decades("0", "-2", "inf"),
+    "seed": st.integers(0, 2**40).map(str),
+    "gtol": _decades("0"),
+    "L": _decades("0", "-1", "nan"),
+    "ell": st.one_of(st.just("0"), _decades("-1")),
+    "conjugate_z": st.sampled_from(["1", "no", "true", "maybe"]),
+}
+_TAKES = {"quad": [], "huber": ["tau"], "logistic": ["m", "lambda", "sigma", "seed"],
+          "abpdn": ["lambda", "delta"]}
+# Tokens that break a line: no key, no value, an unknown key, values that
+# are not numbers, and a repeated key.
+_MALFORMED = ["=5", "n", "max_evals=", "bogus=1", "L=abc", "seed=1.5", "family=quad"]
+
+
+@st.composite
+def suite_lines(draw, family):
+    """The tokens of one suite line of ``family``: n, a solver and a small
+    budget, a drawn subset of the other keys that the family and the solver
+    take, and perhaps a malformed token, in a drawn order."""
+    solver = draw(st.sampled_from(["cag", "ag", "ncg"] + (["lcg"] if family == "quad" else [])))
+    n = draw(st.sampled_from([4, 9, 16, 25]) if family == "abpdn" else st.integers(1, 30))
+    keys = _TAKES[family] + ["gtol"] + ([] if solver == "lcg" else ["L", "ell"])
+    keys += ["conjugate_z"] if solver == "cag" else []
+    chosen = draw(st.fixed_dictionaries({}, optional={key: _VALUES[key] for key in keys}))
+    tokens = [f"family={family}", f"n={n}", f"solver={solver}",
+              f"max_evals={draw(st.integers(1, 40))}"]
+    tokens += [f"{key}={value}" for key, value in chosen.items()]
+    tokens += filter(None, [draw(st.sampled_from([None] * 8 + _MALFORMED))])
+    return draw(st.permutations(tokens))
+
+
+@pytest.mark.parametrize("family", sorted(_TAKES))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_suite_line_gives_a_value_error_or_a_row_with_a_status(family, data):
+    # never another exception and never a warning: a logistic sigma of 1e77
+    # or more overflowed the build with numpy warnings
+    try:
+        config = run_config_from_tokens(data.draw(suite_lines(family)))
+    except ValueError:  # InvalidSpec is one
+        return
+    [row] = run_suite([config])
+    assert isinstance(row.status, Status)

@@ -44,12 +44,12 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     which is exact in exact arithmetic.  At the budget exit the result holds
     the last iterate, not the lowest-f row that ``cag``'s run contract
     reports for the other solvers: the tracked f stalls at round-off while
-    the residual still falls, so the first lowest-f row has a larger residual.  Raises
-    ``InvalidSpec`` unless max_iters >= 1 and gtol > 0 (``check_settings``),
-    and ``NumericalFailure`` when x0, f(x0) or the initial residual norm is
-    not finite.  A residual norm or f that turns non-finite later ends the
-    run ``diverged`` with the last row's iterate, recording no row for the
-    iteration that ends it.
+    the residual still falls, so the first lowest-f row has a larger
+    residual.  Raises ``InvalidSpec`` unless max_iters >= 1 and gtol > 0
+    (``check_settings``), and ``NumericalFailure`` when x0, f(x0) or the
+    initial residual norm is not finite.  A residual norm or f that turns
+    non-finite later ends the run ``diverged`` with the last row's iterate,
+    recording no row for the iteration that ends it.
     """
     if not max_iters >= 1:
         raise InvalidSpec(f"max_iters must be at least 1, got {max_iters}")
@@ -72,9 +72,8 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     if rnorm <= gtol:
         return SolverResult(Status.CONVERGED, x, f, rnorm, 0, evals, trace)
 
-    # x and p are updated in place.  The next residual is formed in step, so
-    # that a non-finite one leaves x and r as the last row has them; step and
-    # r then swap, and step holds alpha p.
+    # x and p are updated in place.  The next residual is formed in step, which
+    # then swaps with r, so that a non-finite one leaves x and r as they were.
     p = r.copy()
     step = np.empty_like(p)
     for k in range(1, max_iters + 1):

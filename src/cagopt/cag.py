@@ -45,12 +45,12 @@ candidate, a bar or AG combination point, or the iterate or model centre
 that ``return_to_cg`` evaluates), and reports that point in its last trace
 row; else it ends ``diverged`` (non-finite value, gradient norm or phi*),
 ``line_search_failure`` (ncg's backtracking) or ``budget_exhausted``, and
-reports the lowest-f point among its trace rows (a probe or another point
-that no row reports does not count).  On a converged or budget exit the
-evaluation deltas between consecutive rows partition the final count
-exactly; a diverged or line-search-failure exit records no row for the
-iteration that ends the run, whose evaluations the last row therefore
-leaves out.  ncg's phi* column is NaN.
+reports the lowest-f point among its trace rows, not among all evaluated
+points.  On a converged or budget exit the evaluation deltas between
+consecutive rows partition the final count exactly; a diverged or
+line-search-failure exit records no row for the iteration that ends the
+run, whose evaluations the last row therefore leaves out.  ncg's phi*
+column is NaN.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class _Run:
         return point
 
     def record(self, point: Evaluation, phi_star: float, kind: StepKind) -> None:
-        """Append the next iteration's row for the evaluated ``point``, with the
+        """Append the trace's next row, for the evaluated ``point``, with the
         count read from the counter, and keep the lowest-f point as ``best``."""
         self.trace.append(TraceRecord(
             len(self.trace), self.counter.count, point.f, point.gnorm, phi_star, kind

@@ -105,10 +105,8 @@ def estimate_spectral_norm(
     of power iteration on A^T A.
 
     Starts from the all-ones vector (fixed, so the estimate is
-    deterministic) and returns ||A x|| for the final unit iterate x.  A norm
-    on the way that is 0, or that overflowed to inf or NaN, is returned
-    as it is: scaling by an overflowed norm would turn x into zeros and the
-    estimate into 0.
+    deterministic) and returns ||A x|| for the final unit iterate x, or the
+    first norm on the way that is 0 or overflowed (inf or NaN) as it is.
     """
     x = np.ones(n)
     x /= np.linalg.norm(x)

@@ -55,4 +55,3 @@ class SolverResult:
     @property
     def converged(self) -> bool:
         return self.status is Status.CONVERGED
-

@@ -390,8 +390,6 @@ def test_L_at_the_ends_of_its_range_ends_every_run_with_a_status(L):
     assert all(r.evaluations > 0 for r in rows)
 
 
-
-
 def _decades(*odd):
     """The powers of ten across the whole double range, 1e-310 to 1e308, as
     a suite line spells them, or one of the ``odd`` values."""

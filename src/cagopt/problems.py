@@ -335,8 +335,8 @@ def make_logistic(
     with np.errstate(over="ignore", invalid="ignore"):
         A *= sigma
         A += 1.0 / math.sqrt(n)
-        A.flags.writeable = False
         sig_max = 1.01 * estimate_spectral_norm(lambda x: A @ x, lambda y: A.T @ y, n)
+    A.flags.writeable = False
 
     def evaluate(x):
         v = A @ x

@@ -31,7 +31,7 @@ from .problems import QuadraticProblem
 # Unused here, but perfbench/tracing.py wraps these names in this module.
 from .estimate_sequence import advance_estimate, compute_theta_gamma  # noqa: F401
 from .oracle import evaluate_counted  # noqa: F401
-from .results import SolverResult, Status, StepKind, TraceRecord
+from .results import SolverResult, Status, StepKind, Trace
 
 
 @np.errstate(over="ignore")
@@ -47,9 +47,10 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     the residual still falls, so the first lowest-f row has a larger
     residual.  Raises ``InvalidSpec`` unless max_iters >= 1 and gtol > 0
     (``check_settings``), and ``NumericalFailure`` when x0, f(x0) or the
-    initial residual norm is not finite.  A residual norm or f that turns
-    non-finite later ends the run ``diverged`` with the last row's iterate,
-    recording no row for the iteration that ends it.
+    initial residual norm is not finite.  A curvature product p^T A p, f or
+    residual norm that turns non-finite later ends the run ``diverged`` with
+    the last row's iterate, recording no row for the iteration that ends it
+    (whose A-application it counts).
     """
     if not max_iters >= 1:
         raise InvalidSpec(f"max_iters must be at least 1, got {max_iters}")
@@ -68,7 +69,8 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     rnorm = math.sqrt(rr)
     if not (math.isfinite(f) and math.isfinite(rnorm)):
         raise NumericalFailure(f"non-finite start in problem {qp.name!r}")
-    trace = [TraceRecord(0, evals, f, rnorm, math.nan, StepKind.INIT)]
+    trace = Trace()
+    trace.append(evals, f, rnorm, math.nan, StepKind.INIT)
     if rnorm <= gtol:
         return SolverResult(Status.CONVERGED, x, f, rnorm, 0, evals, trace)
 
@@ -82,24 +84,27 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise NotPositiveDefinite(f"p^T A p = {pAp!r} <= 0")
+        if not math.isfinite(pAp):
+            break  # an overflowing pAp would give alpha = 0 and stall x
         alpha = rr / pAp
         np.subtract(r, np.multiply(alpha, Ap, out=step), out=step)
         f = f - 0.5 * alpha * rr
         rr_new = float(step @ step)
         rnorm = math.sqrt(rr_new)
         if not (math.isfinite(f) and math.isfinite(rnorm)):
-            last = trace[-1]
-            return SolverResult(Status.DIVERGED, x, last.f, last.gnorm, k - 1, evals, trace)
+            break
         r, step = step, r
         x += np.multiply(alpha, p, out=step)
-        trace.append(TraceRecord(k, evals, f, rnorm, math.nan, StepKind.LCG))
+        trace.append(evals, f, rnorm, math.nan, StepKind.LCG)
         if rnorm <= gtol:
             return SolverResult(Status.CONVERGED, x, f, rnorm, k, evals, trace)
         p *= rr_new / rr
         p += r
         rr = rr_new
+    else:
+        return SolverResult(Status.BUDGET_EXHAUSTED, x, f, rnorm, max_iters, evals, trace)
 
-    return SolverResult(Status.BUDGET_EXHAUSTED, x, f, rnorm, max_iters, evals, trace)
+    return SolverResult(Status.DIVERGED, x, trace.f[-1], trace.gnorm[-1], k - 1, evals, trace)
 
 
 def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:

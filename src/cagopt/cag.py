@@ -70,7 +70,7 @@ from .estimate_sequence import (
 )
 from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector, evaluate_counted
 from .oracle import check_moduli
-from .results import SolverResult, Status, StepKind, TraceRecord
+from .results import SolverResult, Status, StepKind, Trace
 
 DEFAULT_GTOL = 1e-8
 # AG spends one evaluation per iteration and the CG-type solvers about two,
@@ -167,7 +167,7 @@ class _Run:
     config: SolverConfig
     counter: EvalCounter
     g0_norm: float
-    trace: list[TraceRecord]
+    trace: Trace
     best: Evaluation
 
     def evaluate(self, x: Vector, kind: StepKind) -> Evaluation:
@@ -186,9 +186,7 @@ class _Run:
     def record(self, point: Evaluation, phi_star: float, kind: StepKind) -> None:
         """Append the trace's next row, for the evaluated ``point``, with the
         count read from the counter, and keep the lowest-f point as ``best``."""
-        self.trace.append(TraceRecord(
-            len(self.trace), self.counter.count, point.f, point.gnorm, phi_star, kind
-        ))
+        self.trace.append(self.counter.count, point.f, point.gnorm, phi_star, kind)
         if point.f < self.best.f:
             self.best = point
 
@@ -448,7 +446,7 @@ def run_steps(
     counter = EvalCounter()
     start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
     state = _initial_state(start, config, phi_star0)
-    run = _Run(problem, config, counter, start.gnorm, [], start)
+    run = _Run(problem, config, counter, start.gnorm, Trace(), start)
     run.record(start, state.estimate.phi_star, StepKind.INIT)
     if start.gnorm <= config.gtol:
         return run.finish(Status.CONVERGED)

@@ -7,6 +7,7 @@ line or ``cagopt run``'s arguments: ``family=quad n=100 solver=cag``.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from .baselines import ag_minimize, lcg_minimize, ncg_minimize
 from .cag import DEFAULT_GTOL, DEFAULT_MAX_EVALS, SolverConfig, cag_minimize, check_settings
 from .errors import InvalidSpec
 from .problems import PROBLEM_KEYS, ProblemSpec, quad_diag_system
-from .results import SolverResult, Status, TraceRecord
+from .results import SolverResult, Status, Trace
 
 SOLVERS = ("cag", "ag", "ncg", "lcg")
 
@@ -61,22 +62,20 @@ def _format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_trace_csv(path: str | Path, trace: list[TraceRecord]) -> None:
-    """CSV with header iter,evals,f,gnorm,phistar,step; 17 significant digits."""
+def write_trace_csv(path: str | Path, trace: Trace) -> None:
+    """CSV with header iter,evals,f,gnorm,phistar,step; 17 significant digits.
+    Reads the trace's columns, building no ``TraceRecord``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "evals", "f", "gnorm", "phistar", "step"])
-        for r in trace:
-            writer.writerow(
-                [
-                    r.iteration,
-                    r.evals,
-                    _format_float(r.f),
-                    _format_float(r.gnorm),
-                    _format_float(r.phi_star),
-                    r.step.value,
-                ]
-            )
+        writer.writerows(zip(
+            itertools.count(),
+            trace.evals,
+            map(_format_float, trace.f),
+            map(_format_float, trace.gnorm),
+            map(_format_float, trace.phi_star),
+            (kind.value for kind in trace.kinds()),
+        ))
 
 
 def _check_writable(path: str | Path) -> None:
@@ -178,7 +177,7 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
         try:
             result = run(config)
         except InvalidSpec:
-            result = SolverResult(Status.INVALID, np.empty(0), math.nan, math.nan, 0, 0, [])
+            result = SolverResult(Status.INVALID, np.empty(0), math.nan, math.nan, 0, 0, Trace())
         elapsed = time.perf_counter() - start
         return SuiteRow(
             problem=config.problem.label(),

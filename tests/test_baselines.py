@@ -156,6 +156,16 @@ class TestLcg:
         assert (res.iterations, res.evaluations, len(res.trace)) == (0, 1, 1)
         assert np.array_equal(res.x_final, np.zeros(2)) and res.f_final == 0.0
 
+    def test_overflowing_curvature_product_ends_the_run_diverged(self):
+        # f(x0) = 2.75e305 and the residual are finite, but p^T A p overflows:
+        # it used to give alpha = 0 and spend the budget at the start point
+        x0 = np.full(5, 1e152)
+        res = lcg_minimize(quad_diag_system(5), x0, 1e-8, 50)
+        assert res.status is Status.DIVERGED
+        assert (res.iterations, res.evaluations, len(res.trace)) == (0, 2, 1)
+        assert np.array_equal(res.x_final, x0)
+        assert (res.f_final, res.gnorm_final) == (res.trace[0].f, res.trace[0].gnorm)
+
     def test_converged_at_start(self):
         qp = quad_diag_system(5)
         res = lcg_minimize(qp, np.zeros(5), gtol=float(np.linalg.norm(qp.b)), max_iters=10)

@@ -13,12 +13,19 @@ from cagopt import (
     InvalidSpec,
     ProblemSpec,
     RunConfig,
+    SolverConfig,
     Status,
+    cag_minimize,
     format_suite_table,
+    lcg_minimize,
+    make_abpdn,
+    ncg_minimize,
     parse_suite_config,
+    quad_diag_system,
     run,
     run_suite,
     write_suite_csv,
+    write_trace_csv,
 )
 from cagopt.harness import run_config_from_tokens
 
@@ -134,6 +141,32 @@ class TestTraceCsv:
         run(RunConfig(problem=spec, solver="ag", gtol=1e-4, trace_path=str(p1)))
         run(RunConfig(problem=spec, solver="ag", gtol=1e-4, trace_path=str(p2)))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("solver, kinds", [
+        ("cag+z", "init cg sd ag bar"),  # every phi* finite
+        ("ncg", "init cg"),              # every phi* NaN
+        ("lcg", "init lcg"),
+    ])
+    def test_csv_matches_a_rendering_of_the_rows(self, tmp_path, solver, kinds):
+        # the writer reads the trace's columns; this renders its TraceRecord rows
+        if solver == "lcg":
+            res = lcg_minimize(quad_diag_system(30), np.ones(30), 1e-10, 100)
+        else:
+            prob = make_abpdn(36)
+            solve = cag_minimize if solver == "cag+z" else ncg_minimize
+            res = solve(prob, np.linspace(-0.1, 0.1, 36),
+                        SolverConfig(prob.default_L, prob.default_ell, 1e-8, 5000,
+                                     conjugate_z=solver == "cag+z"))
+        assert {rec.step.value for rec in res.trace} == set(kinds.split())
+        phi_star = np.asarray(res.trace.phi_star)
+        assert (np.isfinite(phi_star) if solver == "cag+z" else np.isnan(phi_star)).all()
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, res.trace)
+        lines = ["iter,evals,f,gnorm,phistar,step"] + [
+            f"{r.iteration},{r.evals},{r.f:.17g},{r.gnorm:.17g},{r.phi_star:.17g},{r.step.value}"
+            for r in res.trace
+        ]
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     def test_trace_sum_matches_counter(self, tmp_path):
         res = run(RunConfig(problem=ProblemSpec("huber", 50, tau=5.0), solver="cag",

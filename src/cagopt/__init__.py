@@ -8,6 +8,8 @@ quadratics and the accelerated worst-case rate in general.  Baselines
 problem families and a reproducible run harness round out the package.
 ``cag_minimize``, ``ncg_minimize`` and ``ag_minimize`` all take their
 settings (L, ell, gtol, max_evals, conjugate_z) as one ``SolverConfig``.
+Every solver returns a ``SolverResult`` whose trace is read through its
+columns: ``res.trace.f[i]`` is f at row i (see ``results.Trace``).
 
 The package namespace holds the solver, problem and harness API; single
 steps, the estimate sequence and other internals live in their submodules.
@@ -36,7 +38,7 @@ from .problems import (
     make_quad_diag,
     quad_diag_system,
 )
-from .results import SolverResult, Status, StepKind, TraceRecord
+from .results import SolverResult, Status, StepKind
 
 __version__ = "0.1.0"
 
@@ -55,7 +57,6 @@ __all__ = [
     "Status",
     "StepKind",
     "SuiteRow",
-    "TraceRecord",
     "ag_minimize",
     "cag_minimize",
     "evaluate_counted",

@@ -72,7 +72,7 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     trace = Trace()
     trace.append(evals, f, rnorm, math.nan, StepKind.INIT)
     if rnorm <= gtol:
-        return SolverResult(Status.CONVERGED, x, f, rnorm, 0, evals, trace)
+        return SolverResult(Status.CONVERGED, x, f, rnorm, evals, trace)
 
     # x and p are updated in place.  The next residual is formed in step, which
     # then swaps with r, so that a non-finite one leaves x and r as they were.
@@ -97,14 +97,14 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         x += np.multiply(alpha, p, out=step)
         trace.append(evals, f, rnorm, math.nan, StepKind.LCG)
         if rnorm <= gtol:
-            return SolverResult(Status.CONVERGED, x, f, rnorm, k, evals, trace)
+            return SolverResult(Status.CONVERGED, x, f, rnorm, evals, trace)
         p *= rr_new / rr
         p += r
         rr = rr_new
     else:
-        return SolverResult(Status.BUDGET_EXHAUSTED, x, f, rnorm, max_iters, evals, trace)
+        return SolverResult(Status.BUDGET_EXHAUSTED, x, f, rnorm, evals, trace)
 
-    return SolverResult(Status.DIVERGED, x, trace.f[-1], trace.gnorm[-1], k - 1, evals, trace)
+    return SolverResult(Status.DIVERGED, x, trace.f[-1], trace.gnorm[-1], evals, trace)
 
 
 def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:

@@ -39,7 +39,7 @@ raises ``NumericalFailure``.  The budget is checked between iterations, so
 the count may exceed ``max_evals`` by one iteration's cost less one.  A CG
 chain restarts from steepest descent after ``RESTART_FACTOR`` * n + 1
 steps.  The trace opens with an ``init`` row for x0 and adds one row per
-iteration, so ``iterations == len(trace) - 1``.  A run is ``converged``
+iteration; ``iterations`` counts the rows after it.  A run is ``converged``
 once any evaluated point has ||grad f|| <= gtol (a secant probe, a
 candidate, a bar or AG combination point, or the iterate or model centre
 that ``return_to_cg`` evaluates), and reports that point in its last trace
@@ -193,9 +193,7 @@ class _Run:
     def finish(self, status: Status) -> SolverResult:
         """The result that reports ``best``, the point of a converged run's last row."""
         x, f, _, gnorm, _ = self.best
-        return SolverResult(
-            status, x, f, gnorm, len(self.trace) - 1, self.counter.count, self.trace
-        )
+        return SolverResult(status, x, f, gnorm, self.counter.count, self.trace)
 
 
 def secant_alpha(

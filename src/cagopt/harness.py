@@ -63,8 +63,8 @@ def _format_float(v: float) -> str:
 
 
 def write_trace_csv(path: str | Path, trace: Trace) -> None:
-    """CSV with header iter,evals,f,gnorm,phistar,step; 17 significant digits.
-    Reads the trace's columns, building no ``TraceRecord``."""
+    """CSV with header iter,evals,f,gnorm,phistar,step, one line per trace
+    row; 17 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "evals", "f", "gnorm", "phistar", "step"])
@@ -165,8 +165,9 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     an output path that cannot be written and an ``ell`` override above the
     family's default L (``quad n=10 ell=200``, L = 100), which ``run``
     rejects: that row gets status ``invalid`` with no evaluations, and the
-    suite goes on.  The ``best`` flag marks, within each problem, the
-    converged run with the fewest evaluations.
+    suite goes on.  The ``best`` flag marks, within each instance (the same
+    family and resolved parameters, not the same label), the converged run
+    with the fewest evaluations.
 
     Consecutive rows on one instance build it once (``ProblemSpec.build``),
     so group rows by instance: only the first row of a group pays for the
@@ -176,25 +177,18 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
         start = time.perf_counter()
         try:
             result = run(config)
+            outcome = (result.status, result.iterations, result.evaluations,
+                       result.f_final, result.gnorm_final)
         except InvalidSpec:
-            result = SolverResult(Status.INVALID, np.empty(0), math.nan, math.nan, 0, 0, Trace())
+            outcome = (Status.INVALID, 0, 0, math.nan, math.nan)
         elapsed = time.perf_counter() - start
-        return SuiteRow(
-            problem=config.problem.label(),
-            solver=config.solver_name,
-            status=result.status,
-            iterations=result.iterations,
-            evaluations=result.evaluations,
-            f_final=result.f_final,
-            gnorm_final=result.gnorm_final,
-            wall_time=elapsed,
-        )
+        return SuiteRow(config.problem.label(), config.solver_name, *outcome, elapsed)
 
     rows = [one(c) for c in configs]
-    by_problem: dict[str, list[SuiteRow]] = {}
-    for row in rows:
-        by_problem.setdefault(row.problem, []).append(row)
-    for group in by_problem.values():
+    by_instance: dict[tuple, list[SuiteRow]] = {}
+    for config, row in zip(configs, rows):
+        by_instance.setdefault(config.problem._key(), []).append(row)
+    for group in by_instance.values():
         converged = [r for r in group if r.status is Status.CONVERGED]
         if converged:
             min(converged, key=lambda r: r.evaluations).best = True

@@ -476,6 +476,11 @@ class ProblemSpec:
             args[field] = default if value is None else value
         return args
 
+    def _key(self) -> tuple:
+        """The family and resolved arguments: equal exactly when two specs
+        build the same instance, whatever their labels."""
+        return self.family, tuple(self._args().items())
+
     def build(self) -> ObjectiveProblem:
         """The instance, built once for consecutive calls that resolve to the
         same arguments: runs of several solvers on one instance share it.
@@ -486,11 +491,10 @@ class ProblemSpec:
         over read-only arrays that returns fresh ones.
         """
         global _built
-        args = self._args()
-        key = (self.family, tuple(args.items()))
+        key = self._key()
         if _built is None or _built[0] != key:
             _built = None  # free the held instance before the build, not after
-            _built = (key, _FAMILIES[self.family].make(**args))
+            _built = (key, _FAMILIES[self.family].make(**dict(key[1])))
         return _built[1]
 
     def label(self) -> str:

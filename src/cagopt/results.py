@@ -4,18 +4,15 @@ A run's trace is stored as columns, not as one object per row: a ``Trace``
 keeps each row's evaluation count in an ``array('q')``, f, ||g|| and phi*
 in three ``array('d')`` and its ``StepKind`` in one byte, and the row's
 iteration is its index.  A row therefore retains 33 bytes, about 35 with
-the arrays' spare capacity, where a ``TraceRecord`` with its int and float
-objects takes about 220.  Readers see a sequence of ``TraceRecord``, built
-as each row is read.
+the arrays' spare capacity.  Readers read the columns.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 
 import numpy as np
 
@@ -41,27 +38,17 @@ class StepKind(str, Enum):
     LCG = "lcg"  # linear conjugate gradient step
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    iteration: int
-    evals: int       # cumulative function-gradient evaluations
-    f: float
-    gnorm: float
-    phi_star: float  # NaN for solvers without an estimate sequence
-    step: StepKind
-
-
 _KINDS = tuple(StepKind)
 _CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 
-class Trace(Sequence[TraceRecord]):
+class Trace:
     """Append-only, columnar per-iteration trace of one run.
 
-    ``len``, indexing (a slice gives a list) and iteration build
-    ``TraceRecord`` rows on read.  The columns ``evals``, ``f``, ``gnorm``
-    and ``phi_star`` and ``kinds()`` give the same values without building
-    a row; only ``append`` may change them.
+    Row i is read as ``evals[i]`` (cumulative function-gradient
+    evaluations), ``f[i]``, ``gnorm[i]``, ``phi_star[i]`` (NaN for solvers
+    without an estimate sequence) and the i-th of ``kinds()``; ``len`` is
+    the number of rows.  Only ``append`` may change the columns.
     """
 
     __slots__ = ("evals", "f", "gnorm", "phi_star", "_codes")
@@ -85,23 +72,8 @@ class Trace(Sequence[TraceRecord]):
         """The rows' step kinds, in row order."""
         return map(_KINDS.__getitem__, self._codes)
 
-    def _row(self, i: int) -> TraceRecord:
-        return TraceRecord(
-            i, self.evals[i], self.f[i], self.gnorm[i], self.phi_star[i], _KINDS[self._codes[i]]
-        )
-
     def __len__(self) -> int:
         return len(self._codes)
-
-    def __getitem__(self, index: int | slice) -> TraceRecord | list[TraceRecord]:
-        rows = range(len(self._codes))[index]  # IndexError when out of range
-        if isinstance(rows, range):
-            return [self._row(i) for i in rows]
-        return self._row(rows)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return map(TraceRecord, count(), self.evals, self.f, self.gnorm, self.phi_star,
-                   self.kinds())
 
 
 @dataclass
@@ -109,15 +81,18 @@ class SolverResult:
     """Outcome of one solver run, as the run contract in ``cag`` states it
     (lcg: as ``baselines.lcg_minimize`` states it).  ``trace`` holds the
     ``init`` row and one row per iteration as columns, about 35 bytes a row
-    (see ``Trace``)."""
+    (see ``Trace``), so ``iterations`` is ``len(trace) - 1``."""
 
     status: Status
     x_final: np.ndarray
     f_final: float
     gnorm_final: float
-    iterations: int
     evaluations: int
     trace: Trace
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace) - 1
 
     @property
     def converged(self) -> bool:

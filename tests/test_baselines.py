@@ -121,11 +121,11 @@ class TestLcg:
         qp = quad_diag_system(10)
         res = lcg_minimize(qp, np.zeros(10), gtol=1e-300, max_iters=30)
         assert res.status is Status.BUDGET_EXHAUSTED
-        fs = [rec.f for rec in res.trace]
+        fs = res.trace.f
         first_lowest = fs.index(min(fs))
-        assert first_lowest == 10 and res.trace[first_lowest].gnorm > 1e-13
-        assert res.f_final == res.trace[-1].f == fs[first_lowest]
-        assert res.gnorm_final == res.trace[-1].gnorm < 1e-35
+        assert first_lowest == 10 and res.trace.gnorm[first_lowest] > 1e-13
+        assert res.f_final == fs[-1] == fs[first_lowest]
+        assert res.gnorm_final == res.trace.gnorm[-1] < 1e-35
         # a rerun that stops at the first lowest-f row returns that row's iterate
         x_lowest = lcg_iterates(qp, np.zeros(10), 1e-300, first_lowest)[-1]
         assert not np.array_equal(res.x_final, x_lowest)
@@ -164,7 +164,7 @@ class TestLcg:
         assert res.status is Status.DIVERGED
         assert (res.iterations, res.evaluations, len(res.trace)) == (0, 2, 1)
         assert np.array_equal(res.x_final, x0)
-        assert (res.f_final, res.gnorm_final) == (res.trace[0].f, res.trace[0].gnorm)
+        assert (res.f_final, res.gnorm_final) == (res.trace.f[0], res.trace.gnorm[0])
 
     def test_converged_at_start(self):
         qp = quad_diag_system(5)
@@ -220,7 +220,7 @@ class TestNcg:
         res = ncg_minimize(prob, np.array([2.0]), SolverConfig(L=1.0, gtol=1e-10, max_evals=100))
         assert res.converged
         assert res.iterations == 1
-        assert np.isnan([rec.phi_star for rec in res.trace]).all()  # no estimate sequence
+        assert np.isnan(res.trace.phi_star).all()  # no estimate sequence
 
     def test_huber_run_is_deterministic(self):
         prob = make_huber(400, tau=10.0)
@@ -245,7 +245,7 @@ class TestNcg:
         prob = make_quad_diag(200)
         res = ncg_minimize(prob, np.zeros(200), SolverConfig(L=40000.0, gtol=1e-14, max_evals=30))
         assert res.status is Status.BUDGET_EXHAUSTED
-        assert np.isnan([rec.phi_star for rec in res.trace]).all()
+        assert np.isnan(res.trace.phi_star).all()
 
 
 class TestAg:
@@ -286,18 +286,17 @@ class TestAg:
         res, iterates = minimize_with_iterates("ag", prob, rng.standard_normal(10),
                                                max_evals=10**5)
         assert res.converged
-        f0 = res.trace[0].f
-        for xk, rec in zip(iterates, res.trace, strict=True):
+        f0 = res.trace.f[0]
+        for xk, phi_star in zip(iterates, res.trace.phi_star, strict=True):
             fk = prob.evaluate(xk)[0]
-            assert fk <= rec.phi_star + 1e-9 * (1.0 + abs(f0))
+            assert fk <= phi_star + 1e-9 * (1.0 + abs(f0))
 
     def test_one_evaluation_per_iteration(self):
         prob = make_quad_diag(50)
         res = ag_minimize(prob, np.zeros(50),
                           SolverConfig(L=2500.0, ell=1.0, gtol=1e-6, max_evals=10**5))
         assert res.converged
-        deltas = [b.evals - a.evals for a, b in zip(res.trace, res.trace[1:])]
-        assert set(deltas) == {1}
+        assert set(np.diff(res.trace.evals)) == {1}
         assert res.evaluations == res.iterations + 1
 
 
@@ -414,7 +413,7 @@ def test_steps_never_write_into_an_evaluated_point_or_the_start(solver, conjugat
     x0_then = x0.copy()
     solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[solver]
     res = solve(prob, x0, SolverConfig(prob.default_L, prob.default_ell, 1e-8, 5000, conjugate_z))
-    assert {rec.step.value for rec in res.trace} == set(kinds.split())
+    assert {kind.value for kind in res.trace.kinds()} == set(kinds.split())
     assert len(seen) == res.evaluations
     for x, x_then, g, g_then in seen:
         assert x.tobytes() == x_then.tobytes()

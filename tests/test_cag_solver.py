@@ -44,7 +44,7 @@ from conftest import (
 
 
 def step_counts(result):
-    return Counter(rec.step.value for rec in result.trace)
+    return Counter(kind.value for kind in result.trace.kinds())
 
 
 class TestAgStep:
@@ -209,9 +209,9 @@ class TestCagMinimize:
         assert res.converged
         kinds = step_counts(res)
         assert kinds.get("ag", 0) == 0 and kinds.get("sd", 0) == 0
-        f0 = res.trace[0].f
-        for rec in res.trace[1:]:
-            assert rec.f <= rec.phi_star + 1e-9 * (1.0 + abs(f0))
+        f0 = res.trace.f[0]
+        for f, phi_star in zip(res.trace.f[1:], res.trace.phi_star[1:]):
+            assert f <= phi_star + 1e-9 * (1.0 + abs(f0))
 
     def test_overshoot_routes_to_fallback(self):
         # understated smoothness bound on a quartic: the CG attempt fails the
@@ -234,7 +234,7 @@ class TestCagMinimize:
         assert res.evaluations >= 20
         assert np.isfinite(res.f_final)
         # best-so-far value matches the minimum over the trace
-        assert res.f_final == min(rec.f for rec in res.trace)
+        assert res.f_final == min(res.trace.f)
 
     def test_divergence_status_on_overflow(self):
         res = cag_minimize(explosive_problem(), np.array([2.0]),
@@ -251,10 +251,8 @@ class TestCagMinimize:
         prob = ObjectiveProblem(name="quartic", n=1, evaluate=quartic, default_L=1.2)
         res = cag_minimize(prob, np.array([1.0]),
                            SolverConfig(L=1.2, ell=0.0, gtol=1e-6, max_evals=60))
-        deltas = [b.evals - a.evals for a, b in zip(res.trace, res.trace[1:])]
-        assert max(deltas) <= 5
-        ag_rows = [rec for rec in res.trace if rec.step is StepKind.AG]
-        assert ag_rows, "expected the fallback ladder to reach an AG step"
+        assert max(np.diff(res.trace.evals)) <= 5
+        assert StepKind.AG in res.trace.kinds(), "expected the fallback ladder to reach an AG step"
 
     def test_forced_restart_resets_direction_period(self, rng, monkeypatch):
         # RESTART_FACTOR = 1 on a 3-d quadratic forces a steepest restart
@@ -285,8 +283,8 @@ class TestCagMinimize:
                            SolverConfig(L=4.0, conjugate_z=z_mode))
         assert res.status is Status.CONVERGED
         assert (res.iterations, res.evaluations) == (631, evals)
-        last = res.trace[-1]
-        assert (last.step, last.gnorm, last.evals) == (StepKind.AG, 0.0, evals)
+        last = (list(res.trace.kinds())[-1], res.trace.gnorm[-1], res.trace.evals[-1])
+        assert last == (StepKind.AG, 0.0, evals)
 
     def test_huber_z_mode_run_accounting(self):
         # end-to-end conjugate-z run with real AG blocks: the trace deltas
@@ -300,10 +298,9 @@ class TestCagMinimize:
         assert res.converged
         kinds = step_counts(res)
         assert kinds.get("ag", 0) >= 1
-        deltas = [b.evals - a.evals for a, b in zip(res.trace, res.trace[1:])]
-        assert res.trace[0].evals == 1
-        assert res.trace[-1].evals == res.evaluations
-        assert max(deltas) <= 7
+        assert res.trace.evals[0] == 1
+        assert res.trace.evals[-1] == res.evaluations
+        assert max(np.diff(res.trace.evals)) <= 7
 
     @pytest.mark.parametrize("solver,n", [("cag", 10), ("ncg", 10), ("ag", 10), ("ncg", 1000)])
     def test_record_iterates_aligns_with_trace(self, solver, n):
@@ -312,9 +309,8 @@ class TestCagMinimize:
         prob = make_quad_diag(n)
         res, iterates = minimize_with_iterates(solver, prob, np.zeros(n))
         ref = minimize(solver, prob, np.zeros(n))
-        assert [(r.evals, r.f, r.step) for r in res.trace] == [
-            (r.evals, r.f, r.step) for r in ref.trace
-        ]
+        assert res.trace.evals == ref.trace.evals and res.trace.f == ref.trace.f
+        assert list(res.trace.kinds()) == list(ref.trace.kinds())
         assert np.array_equal(res.x_final, ref.x_final)
         assert res.converged
         assert len(iterates) == len(res.trace) == res.iterations + 1
@@ -332,9 +328,9 @@ class TestCagMinimize:
 
         full = solve(10**6)
         assert full.converged
-        deltas = [b.evals - a.evals for a, b in zip(full.trace, full.trace[1:])]
+        deltas = np.diff(full.trace.evals).tolist()
         assert max(deltas) == cost
-        start = full.trace[deltas.index(cost)].evals
+        start = full.trace.evals[deltas.index(cost)]
         capped = solve(start + 1)
         assert capped.status is Status.BUDGET_EXHAUSTED
         assert capped.evaluations - (start + 1) == cost - 1
@@ -372,8 +368,8 @@ def test_cag_reduces_to_linear_cg_on_quadratics(n, seed):
     A, b, L, ell, qp = random_spd_quadratic(np.random.default_rng(seed), n, 0.0, 1.0)
     res, iterates = minimize_with_iterates("cag", qp.objective(L=L, ell=ell), np.zeros(n),
                                            gtol=1e-300, max_evals=2 * n + 1)
-    assert [rec.step for rec in res.trace[1:]] == [StepKind.CG] * n
-    assert all(rec.f <= rec.phi_star for rec in res.trace)
+    assert list(res.trace.kinds())[1:] == [StepKind.CG] * n
+    assert (np.asarray(res.trace.f) <= np.asarray(res.trace.phi_star)).all()
     scale = np.linalg.norm(np.linalg.solve(A, b))
     ref = lcg_iterates(qp, np.zeros(n), 1e-300, n)
     for x_cag, x_lcg in zip(iterates, ref, strict=True):
@@ -393,9 +389,9 @@ def certified_run(solver, prob):
     iterate outside the run's counter.  Returns ``(result, iterates)``."""
     res, iterates = minimize_with_iterates(solver, prob, np.zeros(prob.n), gtol=1e-9,
                                            max_evals=300)
-    for rec, x in zip(res.trace, iterates, strict=True):
+    for k, (phi_star, x) in enumerate(zip(res.trace.phi_star, iterates, strict=True)):
         f = float(prob.evaluate(x)[0])
-        assert f <= rec.phi_star + CERT_RTOL * max(1.0, abs(f)), (rec, f)
+        assert f <= phi_star + CERT_RTOL * max(1.0, abs(f)), (k, f, phi_star)
     return res, iterates
 
 
@@ -427,10 +423,10 @@ class TestCertificate:
         res, iterates = certified_run(solver, prob)
         dist0_sq = float(prob.known_xstar @ prob.known_xstar)  # x0 = 0
         slack = CERT_RTOL * max(1.0, abs(prob.known_fstar))
-        for rec, x in zip(res.trace, iterates, strict=True):
+        for k, x in enumerate(iterates):  # certified_run matched them to the rows
             gap = float(prob.evaluate(x)[0]) - prob.known_fstar
-            bound = nesterov_bound(prob.default_L, prob.default_ell, rec.iteration, dist0_sq)
-            assert gap <= bound + slack, (rec, gap, bound)
+            bound = nesterov_bound(prob.default_L, prob.default_ell, k, dist0_sq)
+            assert gap <= bound + slack, (k, gap, bound)
 
 
 # The most evaluations one trace row may cost: cag's CG attempt and
@@ -468,22 +464,22 @@ def test_every_run_keeps_the_run_contract(case, solver, scale, budget):
     config = SolverConfig(L, min(prob.default_ell, L), gtol, budget, solver == "cag+z")
     res = SOLVE[solver](prob, x0, config)
     trace, cost = res.trace, ROW_COST[solver]
+    deltas = np.diff(trace.evals)
 
     assert res.iterations == len(trace) - 1
-    assert trace[0].step is StepKind.INIT and trace[0].evals == 1
-    assert all(1 <= b.evals - a.evals <= cost for a, b in zip(trace, trace[1:]))
+    assert next(trace.kinds()) is StepKind.INIT and trace.evals[0] == 1
+    assert ((1 <= deltas) & (deltas <= cost)).all()
     assert res.evaluations <= budget + cost - 1
-    assert all(math.isfinite(r.f) and math.isfinite(r.gnorm) for r in trace)
+    assert np.isfinite(trace.f).all() and np.isfinite(trace.gnorm).all()
     assert np.isfinite(res.x_final).all()
     assert float(prob.evaluate(res.x_final)[0]) == res.f_final
     if res.status is Status.CONVERGED:
-        assert (res.f_final, res.gnorm_final) == (trace[-1].f, trace[-1].gnorm)
+        assert (res.f_final, res.gnorm_final) == (trace.f[-1], trace.gnorm[-1])
         assert res.gnorm_final <= gtol
     else:
-        fs = [r.f for r in trace]
-        lowest = trace[fs.index(min(fs))]
-        assert (res.f_final, res.gnorm_final) == (lowest.f, lowest.gnorm)
+        lowest = trace.f.index(min(trace.f))
+        assert (res.f_final, res.gnorm_final) == (trace.f[lowest], trace.gnorm[lowest])
     if res.status in (Status.CONVERGED, Status.BUDGET_EXHAUSTED):
-        assert trace[-1].evals == res.evaluations
+        assert trace.evals[-1] == res.evaluations
     else:
-        assert trace[-1].evals < res.evaluations
+        assert trace.evals[-1] < res.evaluations

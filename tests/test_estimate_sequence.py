@@ -204,3 +204,8 @@ class TestNesterovBound:
         # ell = 2 > L = 1 used to return -0.071 at k = 3, a negative gap
         with pytest.raises(InvalidState, match="0 <= ell <= L"):
             nesterov_bound(L, ell, 3, 1.0)
+
+    @pytest.mark.parametrize("k, dist0_sq", [(-1, 1.0), (3, -1.0)])
+    def test_rejects_a_negative_index_or_squared_distance(self, k, dist0_sq):
+        with pytest.raises(InvalidState, match="must be nonnegative"):
+            nesterov_bound(1.0, 0.5, k, dist0_sq)

@@ -89,9 +89,9 @@ RUNS = {
 def summarize(result) -> dict:
     columns: list[list] = []
     previous = 0
-    for rec in result.trace:
-        pair = [rec.evals - previous, rec.step.value]
-        previous = rec.evals
+    for evals, kind in zip(result.trace.evals, result.trace.kinds()):
+        pair = [evals - previous, kind.value]
+        previous = evals
         if columns and columns[-1][:2] == pair:
             columns[-1][2] += 1
         else:
@@ -124,7 +124,7 @@ def test_run_matches_golden_trace(name, golden):
 @pytest.mark.parametrize("name", ["quad-100-cag", "quad-100-cag-budget20"])
 def test_trace_deltas_partition_the_count_on_converged_and_budget_exits(name):
     result = RUNS[name]()
-    evals = [0] + [rec.evals for rec in result.trace]
+    evals = [0, *result.trace.evals]
     assert all(later - earlier >= 1 for earlier, later in zip(evals, evals[1:]))
     assert evals[-1] == result.evaluations
 
@@ -133,7 +133,7 @@ def test_a_diverged_run_records_no_row_for_the_iteration_that_ends_it():
     # the AG step whose evaluation is not finite adds no row: 130 of 131 evaluations
     result = RUNS["quad-100-cag-L1000"]()
     assert result.status is Status.DIVERGED
-    assert (result.trace[-1].evals, result.evaluations) == (130, 131)
+    assert (result.trace.evals[-1], result.evaluations) == (130, 131)
 
 
 if __name__ == "__main__":

@@ -131,9 +131,9 @@ class TestTraceCsv:
         res = run(RunConfig(problem=ProblemSpec("quad", 10), solver="cag",
                             gtol=1e-8, trace_path=str(path)))
         rows = path.read_text().splitlines()[1:]
-        for rec, row in zip(res.trace, rows):
+        for f, row in zip(res.trace.f, rows, strict=True):
             f_text = row.split(",")[2]
-            assert float(f_text) == rec.f
+            assert float(f_text) == f
 
     def test_logistic_trace_is_seed_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -148,7 +148,7 @@ class TestTraceCsv:
         ("lcg", "init lcg"),
     ])
     def test_csv_matches_a_rendering_of_the_rows(self, tmp_path, solver, kinds):
-        # the writer reads the trace's columns; this renders its TraceRecord rows
+        # the writer goes through the csv module; this renders the columns by hand
         if solver == "lcg":
             res = lcg_minimize(quad_diag_system(30), np.ones(30), 1e-10, 100)
         else:
@@ -157,21 +157,22 @@ class TestTraceCsv:
             res = solve(prob, np.linspace(-0.1, 0.1, 36),
                         SolverConfig(prob.default_L, prob.default_ell, 1e-8, 5000,
                                      conjugate_z=solver == "cag+z"))
-        assert {rec.step.value for rec in res.trace} == set(kinds.split())
-        phi_star = np.asarray(res.trace.phi_star)
+        t = res.trace
+        assert {kind.value for kind in t.kinds()} == set(kinds.split())
+        phi_star = np.asarray(t.phi_star)
         assert (np.isfinite(phi_star) if solver == "cag+z" else np.isnan(phi_star)).all()
         path = tmp_path / "t.csv"
-        write_trace_csv(path, res.trace)
+        write_trace_csv(path, t)
         lines = ["iter,evals,f,gnorm,phistar,step"] + [
-            f"{r.iteration},{r.evals},{r.f:.17g},{r.gnorm:.17g},{r.phi_star:.17g},{r.step.value}"
-            for r in res.trace
+            f"{i},{e},{f:.17g},{g:.17g},{p:.17g},{k.value}"
+            for i, (e, f, g, p, k) in enumerate(zip(t.evals, t.f, t.gnorm, t.phi_star, t.kinds()))
         ]
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     def test_trace_sum_matches_counter(self, tmp_path):
         res = run(RunConfig(problem=ProblemSpec("huber", 50, tau=5.0), solver="cag",
                             gtol=1e-6))
-        assert res.trace[-1].evals == res.evaluations
+        assert res.trace.evals[-1] == res.evaluations
 
 
 class TestSuite:
@@ -196,6 +197,16 @@ class TestSuite:
         assert rows[0].problem == rows[1].problem == "huber(n=60,tau=6)"
         assert all(r.status is Status.CONVERGED for r in rows)
         assert sum(r.best for r in rows) == 1
+
+    def test_best_is_flagged_per_instance_not_per_label(self):
+        # tau = 2.0000001 and 2.0000002 both print as tau=2 but build two
+        # instances; the ncg row is the only run of the second, so it wins it
+        rows = run_suite([RunConfig(ProblemSpec("huber", 50, tau=tau), solver)
+                          for tau, solver in ((2.0000001, "cag"), (2.0000002, "ncg"),
+                                              (2.0000001, "ncg"))])
+        assert {r.problem for r in rows} == {"huber(n=50,tau=2)"}
+        assert all(r.status is Status.CONVERGED for r in rows)
+        assert [r.best for r in rows] == [True, True, False]
 
     def test_rows_on_one_instance_build_it_once(self, monkeypatch):
         configs = [RunConfig(problem=ProblemSpec("huber", 60), solver=s, gtol=1e-6)
@@ -346,6 +357,10 @@ class TestSuiteConfigFile:
             "family=quad n=10 solver=ncg conjugate_z=true",  # conjugate z is cag-only
             "family=quad n=10 solver=lcg L=5",  # lcg reads no moduli
             "family=quad n=10 solver=lcg ell=0.5",
+            "family=quad n=0 solver=cag",  # n below 1
+            "family=quad n=10",  # a required key left out
+            "family=quad solver=cag",
+            "n=10 solver=cag",
         ],
     )
     def test_invalid_row_fails_before_any_run(self, tmp_path, row):

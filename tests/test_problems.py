@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from cagopt.problems import (
     dct_row_operator,
     estimate_spectral_norm,
     first_primes,
+    quad_diag_system,
 )
 
 from conftest import count_builds, finite_diff_gradient
@@ -127,6 +129,10 @@ class TestFirstPrimes:
     def test_single(self):
         assert first_primes(1) == [2]
 
+    def test_rejects_m_below_one(self):
+        with pytest.raises(InvalidSpec, match="need m >= 1"):
+            first_primes(0)
+
     def test_matches_sieve_oracle_at_256(self):
         oracle = sieve_of_eratosthenes(2000)[:256]
         got = first_primes(256)
@@ -135,6 +141,10 @@ class TestFirstPrimes:
 
 
 class TestQuadDiag:
+    def test_rejects_n_below_one(self):
+        with pytest.raises(InvalidSpec, match="need n >= 1"):
+            quad_diag_system(0)
+
     def test_metadata(self):
         prob = make_quad_diag(1000)
         assert prob.default_L == 1000.0**2
@@ -555,6 +565,20 @@ class TestProblemSpec:
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):
             ProblemSpec(family="cubic", n=10)
+
+    def test_family_defaults_equal_the_constructors_defaults(self):
+        # _FAMILIES repeats the constructors' keyword defaults; a spec left
+        # unset must build the instance that the constructor builds by default
+        pinned = set()
+        for family, entry in cagopt.problems._FAMILIES.items():
+            signature = inspect.signature(entry.make).parameters
+            for field, default in entry.defaults(16).items():
+                declared = signature[field].default
+                if declared is not inspect.Parameter.empty:
+                    assert default == declared, (family, field)
+                    pinned.add((family, field))
+        assert pinned == {("abpdn", "lam"), ("abpdn", "delta"), ("logistic", "lam"),
+                          ("logistic", "sigma"), ("logistic", "seed")}
 
     def test_defaults_applied_at_build(self):
         prob = ProblemSpec(family="huber", n=40).build()

@@ -1,7 +1,6 @@
 import math
 import struct
 import tracemalloc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from cagopt import (
     SolverConfig,
     StepKind,
-    TraceRecord,
     cag_minimize,
     lcg_minimize,
     make_quad_diag,
@@ -22,51 +20,6 @@ from cagopt.results import Trace
 from conftest import minimize
 
 KINDS = list(StepKind)
-
-
-def filled(n):
-    trace = Trace()
-    for i in range(n):
-        trace.append(10 * i, i + 0.5, 1.0 / (i + 1), -float(i), KINDS[i % len(KINDS)])
-    return trace
-
-
-def expected_row(i):
-    return TraceRecord(i, 10 * i, i + 0.5, 1.0 / (i + 1), -float(i), KINDS[i % len(KINDS)])
-
-
-class TestSequence:
-    def test_length_and_indexing(self):
-        trace = filled(7)
-        assert isinstance(trace, Sequence) and len(trace) == 7
-        assert trace[0] == expected_row(0)
-        assert trace[-1] == trace[6] == expected_row(6)
-        assert trace[-7] == expected_row(0)
-        for index in (7, -8, 100):
-            with pytest.raises(IndexError):
-                trace[index]
-
-    @pytest.mark.parametrize("index", [
-        slice(None), slice(1, None), slice(None, None, 2), slice(1, 6, 3),
-        slice(None, None, -1), slice(5, 1, -2), slice(4, 2), slice(7, None), slice(-100, 100),
-    ])
-    def test_slices_give_lists(self, index):
-        trace = filled(7)
-        assert trace[index] == [expected_row(i) for i in range(7)[index]]
-
-    def test_iteration_and_reversed(self):
-        trace = filled(7)
-        assert list(trace) == [expected_row(i) for i in range(7)]
-        assert list(reversed(trace)) == [expected_row(i) for i in reversed(range(7))]
-        assert list(trace.kinds()) == [row.step for row in trace]
-
-    def test_empty(self):
-        trace = Trace()
-        assert len(trace) == 0 and list(trace) == [] and trace[:] == []
-        with pytest.raises(IndexError):
-            trace[0]
-        with pytest.raises(IndexError):
-            trace[-1]
 
 
 def bits(v):
@@ -87,18 +40,17 @@ def test_appended_rows_read_back_bit_for_bit(drawn):
     trace = Trace()
     for row in drawn:
         trace.append(*row)
-    assert len(trace) == len(drawn)
-    # rows read by iteration and by index; compared by bits, since NaN != NaN
-    for i, (rec, by_index, row) in enumerate(zip(trace, trace[:], drawn, strict=True)):
-        evals, f, gnorm, phi_star, step = row
-        for r in (rec, by_index):
-            assert (r.iteration, r.evals) == (i, evals) and r.step is step
-            assert [bits(v) for v in (r.f, r.gnorm, r.phi_star)] == [
-                bits(v) for v in (f, gnorm, phi_star)]
+    kinds = list(trace.kinds())
+    assert len(trace) == len(drawn) == len(kinds)
+    # each row read from the columns; floats compared by bits, since NaN != NaN
+    for i, (evals, f, gnorm, phi_star, step) in enumerate(drawn):
+        assert trace.evals[i] == evals and kinds[i] is step
+        assert [bits(column[i]) for column in (trace.f, trace.gnorm, trace.phi_star)] == [
+            bits(v) for v in (f, gnorm, phi_star)]
 
 
 def test_a_row_retains_at_most_48_bytes():
-    # a TraceRecord row with its int and float objects retained about 220 B;
+    # one object per row, with its int and float objects, retained about 220 B;
     # each row here brings three fresh float objects, as a solver's row does
     n = 20_000
     tracemalloc.start()
@@ -126,4 +78,4 @@ def test_every_solver_returns_a_trace(solver):
     else:
         res = minimize(solver, make_quad_diag(10), np.ones(10))
     assert res.converged
-    assert type(res.trace) is Trace and len(res.trace) == res.iterations + 1
+    assert type(res.trace) is Trace

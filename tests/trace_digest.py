@@ -125,9 +125,11 @@ SUITE_LINES = (
 
 def run_digest(result) -> str:
     h = hashlib.sha256()
-    for r in result.trace:
-        h.update(struct.pack("<qqddd", r.iteration, r.evals, r.f, r.gnorm, r.phi_star))
-        h.update(r.step.value.encode())
+    t = result.trace
+    rows = zip(t.evals, t.f, t.gnorm, t.phi_star, t.kinds())
+    for i, (evals, f, gnorm, phi_star, kind) in enumerate(rows):
+        h.update(struct.pack("<qqddd", i, evals, f, gnorm, phi_star))
+        h.update(kind.value.encode())
     h.update(result.status.value.encode())
     h.update(struct.pack("<ddqq", result.f_final, result.gnorm_final,
                          result.iterations, result.evaluations))

@@ -22,6 +22,65 @@ from conftest import minimize
 KINDS = list(StepKind)
 
 
+def filled(n):
+    trace = Trace()
+    for i in range(n):
+        trace.append(10 * i, i + 0.5, 1.0 / (i + 1), -float(i), KINDS[i % len(KINDS)])
+    return trace
+
+
+def expected_row(i):
+    return (10 * i, i + 0.5, 1.0 / (i + 1), -float(i), KINDS[i % len(KINDS)])
+
+
+def columns(trace):
+    return (trace.evals, trace.f, trace.gnorm, trace.phi_star, list(trace.kinds()))
+
+
+def row(trace, i):
+    return tuple(column[i] for column in columns(trace))
+
+
+class TestSequence:
+    # each column, and the list of kinds(), is a sequence over the rows
+    def test_length_and_indexing(self):
+        trace = filled(7)
+        assert len(trace) == 7 and all(len(column) == 7 for column in columns(trace))
+        assert row(trace, 0) == expected_row(0)
+        assert row(trace, -1) == row(trace, 6) == expected_row(6)
+        assert row(trace, -7) == expected_row(0)
+        for column in columns(trace):
+            for index in (7, -8, 100):
+                with pytest.raises(IndexError):
+                    column[index]
+
+    @pytest.mark.parametrize("index", [
+        slice(None), slice(1, None), slice(None, None, 2), slice(1, 6, 3),
+        slice(None, None, -1), slice(5, 1, -2), slice(4, 2), slice(7, None), slice(-100, 100),
+    ])
+    def test_slices_give_lists(self, index):
+        trace = filled(7)
+        expected = [expected_row(i) for i in range(7)[index]]
+        for c, column in enumerate(columns(trace)):
+            assert list(column[index]) == [r[c] for r in expected]
+
+    def test_iteration_and_reversed(self):
+        trace = filled(7)
+        assert list(zip(*columns(trace), strict=True)) == [expected_row(i) for i in range(7)]
+        assert list(zip(*map(reversed, columns(trace)), strict=True)) == [
+            expected_row(i) for i in reversed(range(7))]
+
+    def test_empty(self):
+        trace = Trace()
+        assert len(trace) == 0
+        for column in columns(trace):
+            assert list(column) == [] and list(column[:]) == []
+            with pytest.raises(IndexError):
+                column[0]
+            with pytest.raises(IndexError):
+                column[-1]
+
+
 def bits(v):
     return struct.pack("<d", v)
 

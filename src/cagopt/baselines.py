@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .cag import (
-    CagIterationState,
     SolverConfig,
     _LineSearchFailed,
     _Run,
@@ -107,13 +106,14 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     return SolverResult(Status.DIVERGED, x, trace.f[-1], trace.gnorm[-1], evals, trace)
 
 
-def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
+def ncg_step(run: _Run) -> tuple[Evaluation, StepKind]:
     """One plain Hager-Zhang NCG iteration; reads and writes only ``x``,
     ``point``, ``p`` and ``i_cg``."""
-    point, p, i_cg = state.point, state.p, state.i_cg
+    point = run.point
     g = point.g
-    if float(g @ p) >= 0.0:
-        p, i_cg = -g, 0
+    if float(g @ run.p) >= 0.0:
+        run.restart_chain()
+    p = run.p
     secant = secant_alpha(run, point, p, StepKind.CG)
     # With no secant step (flat or concave along p), take the step that the
     # smoothness bound alone guarantees to decrease f.
@@ -133,12 +133,7 @@ def ncg_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]
         raise _LineSearchFailed
 
     beta = hz_beta(g, new, p, run.g0_norm)
-    if beta is None:
-        beta = 0.0
-    state.x, state.point = new.x, new
-    state.p = np.multiply(beta, p)
-    state.p -= new.g
-    state.i_cg = 0 if beta == 0.0 else i_cg + 1
+    run.commit(new, p, run.i_cg, 0.0 if beta is None else beta)
     return new, StepKind.CG
 
 

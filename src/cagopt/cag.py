@@ -30,10 +30,11 @@ Run contract
 ------------
 ``run_steps`` runs ``cag_minimize``, ``baselines.ncg_minimize`` and
 ``baselines.ag_minimize``, each with its own per-iteration step, called as
-``step(state, run)``: the step updates the ``CagIterationState`` in place
-and evaluates through the ``_Run``, which holds the problem, the
-``SolverConfig``, the counter and ||g(x0)||, applies the gtol test
-(``_Run.evaluate``), records the trace and builds the result.  It
+``step(run)`` on the run's one ``_Run``.  That object holds the problem,
+the ``SolverConfig``, the counter, ||g(x0)|| and the iteration state, which
+the step updates in place; it applies the gtol test (``_Run.evaluate``),
+owns the state's two shared transitions (``restart_chain`` and the
+accepted-step ``commit``), records the trace and builds the result.  It
 evaluates a copy of x0, which must have shape (n,); a non-finite start
 raises ``NumericalFailure``.  The budget is checked between iterations, so
 the count may exceed ``max_evals`` by one iteration's cost less one.  A CG
@@ -119,30 +120,6 @@ def _start_point(x0: Vector, n: int) -> Vector:
     return x
 
 
-@dataclass(slots=True)
-class CagIterationState:
-    """Per-iteration state of a run, updated in place by the steps.
-
-    ``point`` is the last evaluated iterate and ``x`` the current one; they
-    differ only during an AG block, whose iterates are not evaluated until
-    the block exits.  ``bar`` is the evaluated anchor of the *next*
-    estimate-sequence update: the z-augmented point in conjugate-z mode, the
-    combination point within an AG block, else ``point``.  The run is in an
-    AG block exactly when ``ag_ref_gnorm`` is set, and the z augmentation is
-    active exactly when ``z_tilde`` is.
-    """
-
-    x: Vector
-    point: Evaluation
-    p: Vector
-    estimate: EstimateState
-    i_cg: int
-    ag_ref_gnorm: float | None  # ||bar g|| at AG-block entry, reference for the exit test
-    bar: Evaluation
-    z_tilde: Vector | None
-    zAz: float
-
-
 class _ConvergedAt(Exception):
     """Internal control flow: a termination test passed at a just-evaluated point."""
 
@@ -156,12 +133,22 @@ class _LineSearchFailed(Exception):
     """Internal control flow: a line search found no acceptable step."""
 
 
-@dataclass(slots=True)
+@dataclass(init=False, slots=True)
 class _Run:
-    """One run: what every step reads (the problem, its checked settings, the
-    counter of its evaluations and the gradient norm at the start, which
-    ``hz_beta``'s safeguard reads) and what it reports (the trace and
-    ``best``, the lowest-f point among the trace's rows)."""
+    """One run: the problem, its checked settings, the counter of its
+    evaluations and ||g(x0)|| (read by ``hz_beta``'s safeguard); the trace and
+    ``best``, the lowest-f point among the trace's rows; and the iteration
+    state, which every step updates in place.
+
+    ``point`` is the last evaluated iterate and ``x`` the current one; they
+    differ only during an AG block, whose iterates are not evaluated until
+    the block exits.  ``p`` is the search direction, ``i_cg`` the number of
+    steps since the CG chain last restarted.  ``bar`` is the evaluated
+    anchor of the *next* estimate-sequence update: the z-augmented point in
+    conjugate-z mode, the combination point within an AG block, else
+    ``point``.  The run is in an AG block exactly when ``ag_ref_gnorm`` is
+    set, and the z augmentation is active exactly when ``z_tilde`` is.
+    """
 
     problem: ObjectiveProblem
     config: SolverConfig
@@ -169,6 +156,42 @@ class _Run:
     g0_norm: float
     trace: Trace
     best: Evaluation
+    x: Vector
+    point: Evaluation
+    p: Vector
+    i_cg: int
+    estimate: EstimateState
+    bar: Evaluation
+    ag_ref_gnorm: float | None  # ||bar g|| at AG-block entry, reference for the exit test
+    z_tilde: Vector | None
+    zAz: float
+
+    def __init__(self, problem: ObjectiveProblem, config: SolverConfig, counter: EvalCounter,
+                 start: Evaluation, phi_star0: float | None = None):
+        """The run at the counted evaluation ``start`` of x0: an empty trace, a
+        fresh CG chain, the model phi_0 centred at x0 with minimum f(x0) (or
+        ``phi_star0``), and neither an AG block nor the z augmentation."""
+        self.problem, self.config, self.counter = problem, config, counter
+        self.g0_norm, self.trace = start.gnorm, Trace()
+        self.x = start.x
+        self.best = self.point = self.bar = start
+        self.restart_chain()
+        phi_star = start.f if phi_star0 is None else phi_star0
+        self.estimate = init_estimate(phi_star, start.x, config.L)
+        self.ag_ref_gnorm, self.z_tilde, self.zAz = None, None, 0.0
+
+    def restart_chain(self) -> None:
+        """Restart the CG chain from steepest descent at ``point``."""
+        self.p, self.i_cg = -self.point.g, 0
+
+    def commit(self, new: Evaluation, p: Vector, i_cg: int, beta: float) -> None:
+        """Accept the step along ``p``, the chain's ``i_cg``-th direction, to
+        ``new``: the next direction is beta p - g_new, and beta = 0 restarts
+        the chain."""
+        self.x, self.point = new.x, new
+        self.p = np.multiply(beta, p)
+        self.p -= new.g
+        self.i_cg = 0 if beta == 0.0 else i_cg + 1
 
     def evaluate(self, x: Vector, kind: StepKind) -> Evaluation:
         """Counted evaluation at x that ends the run when ||grad f(x)|| <= gtol.
@@ -183,10 +206,11 @@ class _Run:
             raise _ConvergedAt(point, kind)
         return point
 
-    def record(self, point: Evaluation, phi_star: float, kind: StepKind) -> None:
+    def record(self, point: Evaluation, kind: StepKind) -> None:
         """Append the trace's next row, for the evaluated ``point``, with the
-        count read from the counter, and keep the lowest-f point as ``best``."""
-        self.trace.append(self.counter.count, point.f, point.gnorm, phi_star, kind)
+        count read from the counter and the model's phi*, and keep the
+        lowest-f point as ``best``."""
+        self.trace.append(self.counter.count, point.f, point.gnorm, self.estimate.phi_star, kind)
         if point.f < self.best.f:
             self.best = point
 
@@ -273,9 +297,7 @@ def bar_augment(run: _Run, new: Evaluation, z_tilde: Vector, zAz: float) -> Eval
     return run.evaluate(bar_x, StepKind.BAR)
 
 
-def cg_attempt(
-    state: CagIterationState, run: _Run, use_steepest: bool
-) -> tuple[bool, CagIterationState]:
+def cg_attempt(run: _Run, use_steepest: bool) -> tuple[bool, _Run]:
     """One conjugate gradient (or steepest-descent retry) attempt.
 
     Evaluates the secant probe and the candidate iterate, forms the bar
@@ -283,23 +305,21 @@ def cg_attempt(
     mode), advances the estimate sequence anchored at the *previous* bar
     point, and accepts iff f_next <= phi*_next or bar_f_next <= phi*_next.
 
-    Returns (accepted, state), ``state`` being the object passed in.  The
+    Returns (accepted, run), ``run`` being the object passed in.  The
     attempt fails (False) on nonpositive curvature pAp <= 0 at the probe,
     on a failed progress test, or on a degenerate direction update
-    <y, p> = 0 after a passed one.  An accepted attempt writes every field
-    but ``ag_ref_gnorm``.  A failed progress test writes only
-    ``z_tilde``/``zAz``, whose recurrences advance unconditionally;
-    the other two failures and a run that ends inside the attempt write none.
+    <y, p> = 0 after a passed one.  An accepted attempt writes every state
+    field but ``ag_ref_gnorm``.  A failed progress test writes only
+    ``z_tilde``/``zAz``, whose recurrences advance unconditionally; the
+    other two failures and a run that ends inside the attempt write none.
     """
     config = run.config
-    point = state.point
-    p = -point.g if use_steepest else state.p
-    i_cg = 0 if use_steepest else state.i_cg
-    kind = StepKind.SD if use_steepest else StepKind.CG
+    point = run.point
+    p, i_cg, kind = (-point.g, 0, StepKind.SD) if use_steepest else (run.p, run.i_cg, StepKind.CG)
 
     secant = secant_alpha(run, point, p, kind)
     if secant is None:
-        return False, state
+        return False, run
     alpha, Ap, pAp = secant
 
     x_next = np.multiply(alpha, p)
@@ -307,7 +327,7 @@ def cg_attempt(
     new = run.evaluate(x_next, kind)
 
     bar = new
-    z_tilde, zAz = state.z_tilde, state.zAz
+    z_tilde, zAz = run.z_tilde, run.zAz
     if z_tilde is not None:
         z_tilde, zAz = z_conjugate_update(z_tilde, zAz, p, Ap, pAp)
         if zAz <= 0.0 or not math.isfinite(zAz):
@@ -317,31 +337,26 @@ def cg_attempt(
         else:
             bar = bar_augment(run, new, z_tilde, zAz)
 
-    theta, gamma_next = compute_theta_gamma(config.L, config.ell, state.estimate.gamma)
+    theta, gamma_next = compute_theta_gamma(config.L, config.ell, run.estimate.gamma)
     # The model update is anchored at the previous bar point; the fresh bar
     # point only enters the acceptance test (and becomes next iteration's anchor).
-    est_next = advance_estimate(state.estimate, theta, gamma_next, config.ell, state.bar)
+    est_next = advance_estimate(run.estimate, theta, gamma_next, config.ell, run.bar)
 
     if not (new.f <= est_next.phi_star or bar.f <= est_next.phi_star):
-        state.z_tilde, state.zAz = z_tilde, zAz
-        return False, state
+        run.z_tilde, run.zAz = z_tilde, zAz
+        return False, run
 
     beta = hz_beta(point.g, new, p, run.g0_norm)
     if beta is None:
-        return False, state
+        return False, run
 
-    state.x = new.x
-    state.point = new
-    state.p = np.multiply(beta, p)
-    state.p -= new.g
-    state.estimate = est_next
-    state.i_cg = 0 if beta == 0.0 else i_cg + 1
-    state.bar = bar
-    state.z_tilde, state.zAz = z_tilde, zAz
-    return True, state
+    run.commit(new, p, i_cg, beta)
+    run.estimate, run.bar = est_next, bar
+    run.z_tilde, run.zAz = z_tilde, zAz
+    return True, run
 
 
-def ag_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
+def ag_step(run: _Run) -> tuple[Evaluation, StepKind]:
     """One accelerated-gradient iteration, of cag's AG blocks and of ``ag_minimize``.
 
     Forms the combination point bar_x = (theta gamma v + gamma_next x) /
@@ -352,112 +367,93 @@ def ag_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
     deliberately left unevaluated: ``point`` is stale until the block exits.
     """
     config = run.config
-    est = state.estimate
+    est = run.estimate
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, est.gamma)
     # x_next holds gamma_next x until bar_x is formed
     bar_x = np.multiply(theta * est.gamma, est.v)
-    x_next = np.multiply(gamma_next, state.x)
+    x_next = np.multiply(gamma_next, run.x)
     bar_x += x_next
     bar_x /= est.gamma + theta * config.ell
     bar = run.evaluate(bar_x, StepKind.AG)
-    state.estimate = advance_estimate(est, theta, gamma_next, config.ell, bar)
+    run.estimate = advance_estimate(est, theta, gamma_next, config.ell, bar)
     np.divide(bar.g, config.L, out=x_next)
-    state.x = np.subtract(bar.x, x_next, out=x_next)
-    state.bar = bar
+    run.x = np.subtract(bar.x, x_next, out=x_next)
+    run.bar = bar
     return bar, StepKind.AG
 
 
-def ag_block_exit_test(state: CagIterationState) -> bool:
+def ag_block_exit_test(run: _Run) -> bool:
     """True once the in-block gradient norm fell to the entry norm / ``AG_EXIT_FACTOR``."""
-    return state.bar.gnorm <= state.ag_ref_gnorm / AG_EXIT_FACTOR
+    return run.bar.gnorm <= run.ag_ref_gnorm / AG_EXIT_FACTOR
 
 
-def return_to_cg(state: CagIterationState, run: _Run) -> None:
+def return_to_cg(run: _Run) -> None:
     """Leave the AG block: evaluate the pending iterate and reset the CG chain.
 
     Costs one counted evaluation at the iterate, plus one more at the model
     centre v in conjugate-z mode, where z = v - x is initialised together
     with zAz = <grad f(v) - grad f(x), z> (exact z^T A z on a quadratic).
     A nonpositive or vanishing zAz disables the augmentation for this block.
-    Writes every field but ``x`` and ``estimate``.  Either evaluation ends
-    the run, as an ``ag`` row, when it passes gtol.
+    Writes every state field but ``x`` and ``estimate``.  Either evaluation
+    ends the run, as an ``ag`` row, when it passes gtol.
     """
-    point = run.evaluate(state.x, StepKind.AG)
-    state.point = state.bar = point
-    state.p, state.i_cg = -point.g, 0
-    state.ag_ref_gnorm = None
-    state.z_tilde, state.zAz = None, 0.0
+    point = run.evaluate(run.x, StepKind.AG)
+    run.point = run.bar = point
+    run.restart_chain()
+    run.ag_ref_gnorm, run.z_tilde, run.zAz = None, None, 0.0
     if run.config.conjugate_z:
-        z = state.estimate.v - state.x
-        g_v = run.evaluate(state.estimate.v, StepKind.AG).g
+        z = run.estimate.v - run.x
+        g_v = run.evaluate(run.estimate.v, StepKind.AG).g
         zAz = float(z @ (g_v - point.g))
         if zAz > 0.0 and float(z @ z) > 0.0:
-            state.z_tilde, state.zAz = z, zAz
+            run.z_tilde, run.zAz = z, zAz
 
 
-def cag_step(state: CagIterationState, run: _Run) -> tuple[Evaluation, StepKind]:
+def cag_step(run: _Run) -> tuple[Evaluation, StepKind]:
     """One iteration of the fallback ladder: a CG attempt; on a failed
     progress test a steepest-descent retry; if both fail (or a block is
     already running) an AG step, with the block entered here and left once
     the gradient norm has dropped by ``AG_EXIT_FACTOR``.  Returns the row."""
-    if state.ag_ref_gnorm is None:
-        if cg_attempt(state, run, use_steepest=False)[0]:
-            return state.point, StepKind.CG if state.z_tilde is None else StepKind.BAR
-        if cg_attempt(state, run, use_steepest=True)[0]:
-            return state.point, StepKind.SD
-    row, kind = ag_step(state, run)
-    if state.ag_ref_gnorm is None:
-        state.ag_ref_gnorm = row.gnorm
-    if ag_block_exit_test(state):
-        return_to_cg(state, run)
+    if run.ag_ref_gnorm is None:
+        if cg_attempt(run, use_steepest=False)[0]:
+            return run.point, StepKind.CG if run.z_tilde is None else StepKind.BAR
+        if cg_attempt(run, use_steepest=True)[0]:
+            return run.point, StepKind.SD
+    row, kind = ag_step(run)
+    if run.ag_ref_gnorm is None:
+        run.ag_ref_gnorm = row.gnorm
+    if ag_block_exit_test(run):
+        return_to_cg(run)
     return row, kind
-
-
-def _initial_state(
-    start: Evaluation, config: SolverConfig, phi_star0: float | None = None
-) -> CagIterationState:
-    return CagIterationState(
-        x=start.x,
-        point=start,
-        p=-start.g,
-        estimate=init_estimate(start.f if phi_star0 is None else phi_star0, start.x, config.L),
-        i_cg=0,
-        ag_ref_gnorm=None,
-        bar=start,
-        z_tilde=None,
-        zAz=0.0,
-    )
 
 
 @np.errstate(over="ignore")
 def run_steps(
-    step: Callable[[CagIterationState, _Run], tuple[Evaluation, StepKind]],
+    step: Callable[[_Run], tuple[Evaluation, StepKind]],
     problem: ObjectiveProblem,
     x0: Vector,
     config: SolverConfig,
     phi_star0: float | None = None,
 ) -> SolverResult:
-    """Run from ``x0`` under the run contract above.  Each call
-    ``step(state, run)`` is one iteration: it updates ``state`` in place and
+    """Run from ``x0`` under the run contract above.  Each call ``step(run)``
+    is one iteration: it updates the run's iteration state in place and
     returns the (point, kind) of its trace row.  ``phi_star0`` replaces
     phi*_0 = f(x0)."""
     counter = EvalCounter()
     start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
-    state = _initial_state(start, config, phi_star0)
-    run = _Run(problem, config, counter, start.gnorm, Trace(), start)
-    run.record(start, state.estimate.phi_star, StepKind.INIT)
+    run = _Run(problem, config, counter, start, phi_star0)
+    run.record(start, StepKind.INIT)
     if start.gnorm <= config.gtol:
         return run.finish(Status.CONVERGED)
 
     restart_at = RESTART_FACTOR * problem.n + 1
     try:
         while counter.count < config.max_evals:
-            if state.i_cg >= restart_at:
-                state.p, state.i_cg = -state.point.g, 0
-            row, kind = step(state, run)
-            run.record(row, state.estimate.phi_star, kind)
+            if run.i_cg >= restart_at:
+                run.restart_chain()
+            run.record(*step(run))
     except _ConvergedAt as c:
-        run.record(c.point, state.estimate.phi_star, c.kind)
+        run.record(c.point, c.kind)
         run.best = c.point
         return run.finish(Status.CONVERGED)
     except NumericalFailure:

@@ -92,11 +92,14 @@ def run(config: RunConfig) -> SolverResult:
     An lcg row builds only the quadratic's operator, since lcg reads neither
     L nor ell; its JSON summary writes both as null.  Raises ``InvalidSpec``
     before anything is built when a trace or json path is a directory or its
-    directory is missing or not writable, and when the resolved moduli
-    violate 0 <= ell <= L.
+    directory is missing or not writable, or when both paths resolve to the
+    same file; and when the resolved moduli violate 0 <= ell <= L.
     """
     for path in filter(None, (config.trace_path, config.json_path)):
         _check_writable(path)
+    if config.trace_path and config.json_path and (
+            Path(config.trace_path).resolve() == Path(config.json_path).resolve()):
+        raise InvalidSpec(f"trace and json name the same file {config.json_path}")
     if config.solver == "lcg":
         qp = quad_diag_system(config.problem.n)
         result = lcg_minimize(qp, np.zeros(qp.n), config.gtol, config.max_evals)

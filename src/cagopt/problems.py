@@ -435,6 +435,12 @@ FAMILIES = tuple(_FAMILIES)
 _built: tuple[tuple, ObjectiveProblem] | None = None
 
 
+def _label_text(value: int | float) -> str:
+    """A float in %g form if that reads back as ``value``, else its repr; an int as is."""
+    text = f"{value:g}" if isinstance(value, float) else str(value)
+    return text if float(text) == value else repr(value)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Declarative description of a benchmark instance.
@@ -498,13 +504,12 @@ class ProblemSpec:
         return _built[1]
 
     def label(self) -> str:
-        """Name in the suite table, every argument resolved and floats in %g
-        form: ``huber(n=60,tau=6)`` whether or not tau was set."""
+        """Name in the suite table, every argument resolved and a float in %g
+        form when that reads back as the same float, else as its repr:
+        ``huber(n=60,tau=6)`` whether or not tau was set, ``tau=2.0000001``."""
         args = self._args()
         values = [("n", self.n)] + [(key, args[field]) for key, field, _ in _PARAMS if field in args]
-        pairs = [f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
-                 for key, value in values]
-        return f"{self.family}({','.join(pairs)})"
+        return f"{self.family}({','.join(f'{key}={_label_text(value)}' for key, value in values)})"
 
     @classmethod
     def from_kv(cls, pairs: dict[str, str]) -> "ProblemSpec":

@@ -17,7 +17,7 @@ from cagopt import (
     ncg_minimize,
 )
 from cagopt.baselines import ncg_step
-from cagopt.cag import _ConvergedAt, _initial_state, _Run, ag_step, cag_step, run_steps
+from cagopt.cag import _ConvergedAt, _Run, ag_step, cag_step, run_steps
 
 
 def random_spd_quadratic(rng, n, log_eig_lo=0.0, log_eig_hi=4.0):
@@ -100,34 +100,47 @@ def minimize(solver, prob, x0, gtol=1e-8, max_evals=10**6):
     return solve(prob, x0, config)
 
 
-# The step and phi*_0 that cag_minimize, ncg_minimize and ag_minimize pass to run_steps.
-STEPS = {"cag": (cag_step, None), "ncg": (ncg_step, math.nan), "ag": (ag_step, None)}
+# The step and phi*_0 that cag_minimize (in conjugate-z mode for "cag+z"),
+# ncg_minimize and ag_minimize pass to run_steps.
+STEPS = {"cag": (cag_step, None), "cag+z": (cag_step, None), "ncg": (ncg_step, math.nan),
+         "ag": (ag_step, None)}
 
 
-def minimize_with_iterates(solver, prob, x0, gtol=1e-8, max_evals=10**6):
-    """``minimize``'s run, with the solver's step wrapped to record iterates.
+def minimize_with_iterates(solver, prob, x0, gtol=1e-8, max_evals=10**6, bar_f=None):
+    """``minimize``'s run, with the solver's step wrapped to record iterates;
+    ``solver`` may also be "cag+z".
 
     Returns ``(result, iterates)``, ``iterates[k]`` being the iterate of
-    trace row k: the start, then ``state.x`` after each step, or the point
-    that ends a converged run.
+    trace row k: the start, then ``run.x`` after each step, or the point
+    that ends a converged run.  With a list ``bar_f``, also appends f at
+    ``run.bar`` for each row, the anchor of the next model update, on which
+    conjugate-z mode's progress test may pass instead of the iterate.
     """
     step, phi_star0 = STEPS[solver]
     iterates = []
+    bars = [] if bar_f is None else bar_f
 
-    def recording(state, run):
+    def recording(run):
+        def row(x):
+            iterates.append(x)
+            bars.append(run.bar.f)
+
         if not iterates:
-            iterates.append(state.x)
+            row(run.x)
         try:
-            row = step(state, run)
+            trace_row = step(run)
         except _ConvergedAt as c:
-            iterates.append(c.point.x)
+            row(c.point.x)
             raise
-        iterates.append(state.x)
-        return row
+        row(run.x)
+        return trace_row
 
-    config = SolverConfig(prob.default_L, prob.default_ell, gtol, max_evals)
+    config = SolverConfig(prob.default_L, prob.default_ell, gtol, max_evals, solver == "cag+z")
     result = run_steps(recording, prob, x0, config, phi_star0)
-    return result, iterates or [result.x_final]
+    if not iterates:
+        iterates.append(result.x_final)
+        bars.append(result.f_final)
+    return result, iterates
 
 
 def lcg_iterates(qp, x0, gtol, iterations):
@@ -139,11 +152,10 @@ def lcg_iterates(qp, x0, gtol, iterations):
 
 
 def start_run(prob, x0, config):
-    """The ``(state, run)`` that a step-level test passes to a solver step:
-    x0 evaluated and counted once in ``run.counter``, as ``run_steps`` starts."""
+    """The ``_Run`` that a step-level test passes to a solver step: x0
+    evaluated and counted once in ``run.counter``, as ``run_steps`` starts."""
     counter = EvalCounter()
-    start = evaluate_counted(prob, x0, counter)
-    return _initial_state(start, config), _Run(prob, config, counter, start.gnorm, [], start)
+    return _Run(prob, config, counter, evaluate_counted(prob, x0, counter))
 
 
 @pytest.fixture(autouse=True)

@@ -188,30 +188,30 @@ class TestLcg:
 
 
 class TestNcgStep:
-    def _state(self, x0):
+    def _run(self, x0):
         prob = make_quad_diag(4)
         config = SolverConfig(L=16.0, gtol=1e-12, max_evals=100)
         return start_run(prob, x0, config)
 
     def test_non_descent_direction_restarts_from_steepest_descent(self):
         x0 = np.array([1.0, -1.0, 0.5, 2.0])
-        uphill, uphill_run = self._state(x0)
+        uphill = self._run(x0)
         uphill.p, uphill.i_cg = uphill.point.g.copy(), 7
-        steepest, steepest_run = self._state(x0)
-        ncg_step(uphill, uphill_run)
-        ncg_step(steepest, steepest_run)
+        steepest = self._run(x0)
+        ncg_step(uphill)
+        ncg_step(steepest)
         assert np.array_equal(uphill.x, steepest.x)
         assert np.array_equal(uphill.p, steepest.p)
         assert uphill.i_cg == steepest.i_cg == 1
 
     def test_degenerate_beta_restarts_the_chain(self, monkeypatch):
         monkeypatch.setattr(cagopt.baselines, "hz_beta", lambda *args: None)
-        state, run = self._state(np.array([1.0, -1.0, 0.5, 2.0]))
-        state.i_cg = 3
-        new, kind = ncg_step(state, run)
-        assert kind is StepKind.CG and state.point is new
-        assert np.array_equal(state.p, -new.g)
-        assert state.i_cg == 0
+        run = self._run(np.array([1.0, -1.0, 0.5, 2.0]))
+        run.i_cg = 3
+        new, kind = ncg_step(run)
+        assert kind is StepKind.CG and run.point is new
+        assert np.array_equal(run.p, -new.g)
+        assert run.i_cg == 0
 
 
 class TestNcg:

@@ -1,5 +1,4 @@
 import pickle
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,10 +36,10 @@ def evaluated(prob, x):
 
 def probe_run(prob, counter, L=None):
     """A run on ``prob`` at gtol 1e-12 that counts in ``counter``, for the
-    evaluating helpers, none of which reads g0_norm, the trace or best; L
-    defaults to the problem's own."""
+    evaluating helpers, none of which reads g0_norm, the iteration state, the
+    trace or best; L defaults to the problem's own."""
     config = SolverConfig(prob.default_L if L is None else L, gtol=1e-12)
-    return _Run(prob, config, counter, 1.0, [], gradient_record(np.ones(1)))
+    return _Run(prob, config, counter, gradient_record(np.ones(1)))
 
 
 def gradient_record(g):
@@ -48,20 +47,22 @@ def gradient_record(g):
     return Evaluation(np.zeros_like(g), 0.0, g, float(np.linalg.norm(g)), float(g @ g))
 
 
-def snapshot(state):
-    """Each field of ``state`` with its object and that object's pickled content."""
-    return {
-        f.name: (getattr(state, f.name), pickle.dumps(getattr(state, f.name)))
-        for f in fields(state)
-    }
+# The fields of a run's iteration state, which the steps update in place.
+STATE_FIELDS = ("x", "point", "p", "i_cg", "estimate", "bar", "ag_ref_gnorm", "z_tilde", "zAz")
 
 
-def moved_fields(state, before):
+def snapshot(run):
+    """Each iteration-state field of ``run`` with its object and that object's
+    pickled content."""
+    return {name: (getattr(run, name), pickle.dumps(getattr(run, name))) for name in STATE_FIELDS}
+
+
+def moved_fields(run, before):
     """Names of the fields that were reassigned or changed in place since ``before``."""
     return {
         name
         for name, (value, content) in before.items()
-        if getattr(state, name) is not value or pickle.dumps(value) != content
+        if getattr(run, name) is not value or pickle.dumps(value) != content
     }
 
 
@@ -261,9 +262,9 @@ class TestCgAttempt:
         A, b, L, ell, qp = random_spd_quadratic(rng, 8, 0.0, 2.0)
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=1000)
-        state, run = start_run(prob, rng.standard_normal(8), config)
+        run = start_run(prob, rng.standard_normal(8), config)
         for _ in range(8):
-            accepted, state = cg_attempt(state, run, use_steepest=False)
+            accepted, run = cg_attempt(run, use_steepest=False)
             assert accepted
 
     def test_one_dimensional_exact_minimum(self):
@@ -272,11 +273,11 @@ class TestCgAttempt:
             default_L=1.0, default_ell=1.0,
         )
         config = SolverConfig(L=1.0, ell=1.0, gtol=1e-10, max_evals=100)
-        state, run = start_run(prob, np.array([1.0]), config)
+        run = start_run(prob, np.array([1.0]), config)
         # steepest first step with alpha = 1 lands exactly at the minimum,
         # so the termination test fires at the new point
         with pytest.raises(_ConvergedAt) as info:
-            cg_attempt(state, run, use_steepest=False)
+            cg_attempt(run, use_steepest=False)
         assert abs(info.value.point.x[0]) <= 1e-12
 
     def _quartic_overshoot(self):
@@ -292,25 +293,25 @@ class TestCgAttempt:
         return start_run(prob, np.array([1.0]), config)
 
     def test_engineered_overshoot_is_rejected(self):
-        state, run = self._quartic_overshoot()
+        run = self._quartic_overshoot()
         counter = run.counter
-        before = snapshot(state)
-        accepted, state_after = cg_attempt(state, run, use_steepest=False)
+        before = snapshot(run)
+        accepted, run_after = cg_attempt(run, use_steepest=False)
         assert not accepted
-        assert state_after is state
-        assert moved_fields(state, before) == set()
+        assert run_after is run
+        assert moved_fields(run, before) == set()
         assert counter.count == 3  # start, probe, candidate
 
     def test_failed_progress_test_moves_only_z(self):
         # in 1-d, re-conjugating z against p leaves z = 0 and zAz < 0 here,
         # so the augmentation is dropped; nothing else may move
-        state, run = self._quartic_overshoot()
-        state.z_tilde, state.zAz = np.array([0.5]), 1.0
-        before = snapshot(state)
-        accepted, _ = cg_attempt(state, run, use_steepest=False)
+        run = self._quartic_overshoot()
+        run.z_tilde, run.zAz = np.array([0.5]), 1.0
+        before = snapshot(run)
+        accepted, _ = cg_attempt(run, use_steepest=False)
         assert not accepted
-        assert moved_fields(state, before) == {"z_tilde", "zAz"}
-        assert state.z_tilde is None and state.zAz == 0.0
+        assert moved_fields(run, before) == {"z_tilde", "zAz"}
+        assert run.z_tilde is None and run.zAz == 0.0
 
     def test_curvature_failure_moves_no_field(self):
         # f = -x^2/2 is concave: the probe gives pAp < 0 and the attempt is
@@ -320,13 +321,13 @@ class TestCgAttempt:
             default_L=1.0,
         )
         config = SolverConfig(L=1.0, gtol=1e-10, max_evals=100)
-        state, run = start_run(prob, np.array([1.0]), config)
+        run = start_run(prob, np.array([1.0]), config)
         counter = run.counter
-        state.z_tilde, state.zAz = np.array([1.0]), 1.0
-        before = snapshot(state)
-        accepted, _ = cg_attempt(state, run, use_steepest=True)
+        run.z_tilde, run.zAz = np.array([1.0]), 1.0
+        before = snapshot(run)
+        accepted, _ = cg_attempt(run, use_steepest=True)
         assert not accepted
-        assert moved_fields(state, before) == set()
+        assert moved_fields(run, before) == set()
         assert counter.count == 2  # start, probe
 
     def test_degenerate_direction_moves_no_field(self, rng, monkeypatch):
@@ -342,14 +343,14 @@ class TestCgAttempt:
         A, b, L, ell, _ = random_spd_quadratic(rng, 4, 0.0, 1.0)
         prob = explicit_quadratic(A, b, L, ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=100, conjugate_z=True)
-        state, run = start_run(prob, rng.standard_normal(4), config)
+        run = start_run(prob, rng.standard_normal(4), config)
         counter = run.counter
         z = rng.standard_normal(4)
-        state.z_tilde, state.zAz = z, float(z @ (A @ z))
-        before = snapshot(state)
-        accepted, _ = cg_attempt(state, run, use_steepest=False)
+        run.z_tilde, run.zAz = z, float(z @ (A @ z))
+        before = snapshot(run)
+        accepted, _ = cg_attempt(run, use_steepest=False)
         assert not accepted and len(calls) == 1
-        assert moved_fields(state, before) == set()
+        assert moved_fields(run, before) == set()
         assert counter.count == 4  # start, probe, candidate, bar point
 
     def test_acceptance_is_the_literal_min_test(self, rng):
@@ -358,10 +359,10 @@ class TestCgAttempt:
         A, b, L, ell, qp = random_spd_quadratic(rng, 5, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-14, max_evals=1000)
-        state, run = start_run(prob, rng.standard_normal(5), config)
-        accepted, new_state = cg_attempt(state, run, use_steepest=False)
+        run = start_run(prob, rng.standard_normal(5), config)
+        accepted, _ = cg_attempt(run, use_steepest=False)
         assert accepted
-        assert min(new_state.point.f, new_state.bar.f) <= new_state.estimate.phi_star
+        assert min(run.point.f, run.bar.f) <= run.estimate.phi_star
 
 
 class TestCagStep:
@@ -371,12 +372,12 @@ class TestCagStep:
         d = np.array([1.0, 100.0])
         prob = explicit_quadratic(np.diag(d), np.zeros(2), L=100.0, ell=1.0)
         config = SolverConfig(L=100.0, ell=1.0, gtol=1e-12, max_evals=100)
-        state, run = start_run(prob, np.ones(2), config)
+        run = start_run(prob, np.ones(2), config)
         counter = run.counter
-        f0, g = state.point.f, state.point.g
-        state.p = np.array([-g[1], g[0]])
-        row, kind = cag_step(state, run)
+        f0, g = run.point.f, run.point.g
+        run.p = np.array([-g[1], g[0]])
+        row, kind = cag_step(run)
         assert kind is StepKind.SD
-        assert row is state.point and row.f < f0
+        assert row is run.point and row.f < f0
         assert counter.count == 5  # start, then probe and candidate twice
-        assert state.ag_ref_gnorm is None
+        assert run.ag_ref_gnorm is None

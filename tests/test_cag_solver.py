@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import cagopt.cag
 from cagopt import (
+    EvalCounter,
     InvalidSpec,
     ObjectiveProblem,
     ProblemSpec,
@@ -23,8 +24,8 @@ from cagopt import (
     ncg_minimize,
 )
 from cagopt.cag import (
-    CagIterationState,
     _ConvergedAt,
+    _Run,
     ag_block_exit_test,
     ag_step,
     return_to_cg,
@@ -55,22 +56,22 @@ class TestAgStep:
             default_L=1.0, default_ell=1.0,
         )
         config = SolverConfig(L=1.0, ell=1.0, gtol=1e-30, max_evals=10)
-        state, run = start_run(prob, np.array([1.0]), config)
-        row, kind = ag_step(state, run)
-        assert row is state.bar and kind is StepKind.AG  # the iteration's trace row
-        assert abs(state.bar.x[0] - 1.0) <= 1e-15  # combination of equal points
-        assert abs(state.x[0]) <= 1e-15            # gradient step lands at 0
+        run = start_run(prob, np.array([1.0]), config)
+        row, kind = ag_step(run)
+        assert row is run.bar and kind is StepKind.AG  # the iteration's trace row
+        assert abs(run.bar.x[0] - 1.0) <= 1e-15  # combination of equal points
+        assert abs(run.x[0]) <= 1e-15            # gradient step lands at 0
 
     def test_centre_equals_iterate_gives_gradient_step(self, rng):
         # with ell = 0 and v = x the combination point is x itself
         A, b, L, _, qp = random_spd_quadratic(rng, 4, 0.0, 1.0)
         prob = qp.objective(L=L, ell=0.0)
         config = SolverConfig(L=L, ell=0.0, gtol=1e-30, max_evals=10)
-        state, run = start_run(prob, rng.standard_normal(4), config)
-        start = state.point
-        ag_step(state, run)
-        assert np.allclose(state.bar.x, start.x, atol=1e-14)
-        assert np.allclose(state.x, start.x - start.g / L, atol=1e-14)
+        run = start_run(prob, rng.standard_normal(4), config)
+        start = run.point
+        ag_step(run)
+        assert np.allclose(run.bar.x, start.x, atol=1e-14)
+        assert np.allclose(run.x, start.x - start.g / L, atol=1e-14)
 
     def test_rate_bound_on_diag_quadratic(self):
         # oracle: the guaranteed-gap formula, checked on a pure AG run over
@@ -83,35 +84,32 @@ class TestAgStep:
         )
         config = SolverConfig(L=100.0, ell=1.0, gtol=1e-12, max_evals=10000)
         x0 = np.array([1.0, 1.0])
-        state, run = start_run(prob, x0, config)
-        state.ag_ref_gnorm = state.point.gnorm
+        run = start_run(prob, x0, config)
+        run.ag_ref_gnorm = run.point.gnorm
         dist0 = float(x0 @ x0)
         for k in range(1, 300):
             try:
-                ag_step(state, run)
+                ag_step(run)
             except _ConvergedAt:
                 break
-            fk = prob.evaluate(state.x)[0]
+            fk = prob.evaluate(run.x)[0]
             assert fk <= nesterov_bound(100.0, 1.0, k, dist0) + 1e-12
 
 
 class TestAgBlockExit:
-    def _dummy_state(self, bar_g, ref):
+    def _block_run(self, bar_g, ref):
+        """A run whose bar point has gradient ``bar_g``, in an AG block entered at ``ref``."""
         bar = Evaluation(np.zeros(2), 0.0, bar_g, float(np.linalg.norm(bar_g)),
                          float(bar_g @ bar_g))
-        return CagIterationState(
-            x=np.zeros(2), point=bar, p=np.zeros(2),
-            estimate=init_estimate(0.0, np.zeros(2), 1.0),
-            i_cg=0, ag_ref_gnorm=ref, bar=bar, z_tilde=None, zAz=0.0,
-        )
+        run = _Run(None, SolverConfig(L=1.0), EvalCounter(), bar)
+        run.ag_ref_gnorm = ref
+        return run
 
     def test_fires_at_quarter(self):
-        state = self._dummy_state(np.array([2.0, 0.0]), ref=8.0)
-        assert ag_block_exit_test(state)
+        assert ag_block_exit_test(self._block_run(np.array([2.0, 0.0]), ref=8.0))
 
     def test_strictly_above_quarter_does_not_fire(self):
-        state = self._dummy_state(np.array([2.0001, 0.0]), ref=8.0)
-        assert not ag_block_exit_test(state)
+        assert not ag_block_exit_test(self._block_run(np.array([2.0001, 0.0]), ref=8.0))
 
 
 class TestReturnToCg:
@@ -119,17 +117,17 @@ class TestReturnToCg:
         A, b, L, ell, qp = random_spd_quadratic(rng, 4, 0.0, 1.0)
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100)
-        state, run = start_run(prob, rng.standard_normal(4), config)
+        run = start_run(prob, rng.standard_normal(4), config)
         counter = run.counter
-        state.ag_ref_gnorm = state.point.gnorm
-        ag_step(state, run)
+        run.ag_ref_gnorm = run.point.gnorm
+        ag_step(run)
         before = counter.count
-        return_to_cg(state, run)
+        return_to_cg(run)
         assert counter.count == before + 1
-        assert state.ag_ref_gnorm is None
-        assert state.i_cg == 0
-        assert np.array_equal(state.p, -state.point.g)
-        assert state.z_tilde is None
+        assert run.ag_ref_gnorm is None
+        assert run.i_cg == 0
+        assert np.array_equal(run.p, -run.point.g)
+        assert run.z_tilde is None
 
     def test_z_mode_initialises_exact_quadratic_form(self, rng):
         # on a quadratic the gradient-difference formula gives z^T A z exactly
@@ -137,17 +135,17 @@ class TestReturnToCg:
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
                               conjugate_z=True)
-        state, run = start_run(prob, rng.standard_normal(5), config)
+        run = start_run(prob, rng.standard_normal(5), config)
         counter = run.counter
-        state.ag_ref_gnorm = state.point.gnorm
-        ag_step(state, run)
+        run.ag_ref_gnorm = run.point.gnorm
+        ag_step(run)
         before = counter.count
-        return_to_cg(state, run)
+        return_to_cg(run)
         assert counter.count == before + 2  # iterate plus model centre
-        z = state.z_tilde
+        z = run.z_tilde
         assert z is not None
         explicit = float(z @ (A @ z))
-        assert abs(state.zAz - explicit) <= 1e-10 * max(abs(explicit), 1e-30)
+        assert abs(run.zAz - explicit) <= 1e-10 * max(abs(explicit), 1e-30)
 
     def test_z_mode_degenerate_centre_falls_back(self, rng):
         # v == x makes z = 0 and zAz = 0: augmentation must stay disabled
@@ -155,11 +153,11 @@ class TestReturnToCg:
         prob = qp.objective(L=L, ell=ell)
         config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
                               conjugate_z=True)
-        state, run = start_run(prob, rng.standard_normal(3), config)
-        assert np.array_equal(state.estimate.v, state.x)  # the initial model's centre
-        state.ag_ref_gnorm = state.point.gnorm
-        return_to_cg(state, run)
-        assert state.z_tilde is None
+        run = start_run(prob, rng.standard_normal(3), config)
+        assert np.array_equal(run.estimate.v, run.x)  # the initial model's centre
+        run.ag_ref_gnorm = run.point.gnorm
+        return_to_cg(run)
+        assert run.z_tilde is None
 
     def test_ends_the_run_at_a_passing_centre(self):
         # f = ||x||^2 / 2 with the model centre v moved to the minimiser: the
@@ -169,11 +167,11 @@ class TestReturnToCg:
             default_L=1.0,
         )
         config = SolverConfig(L=1.0, gtol=1e-12, conjugate_z=True)
-        state, run = start_run(prob, np.ones(2), config)
+        run = start_run(prob, np.ones(2), config)
         counter = run.counter
-        state.estimate = init_estimate(0.0, np.zeros(2), 1.0)
+        run.estimate = init_estimate(0.0, np.zeros(2), 1.0)
         with pytest.raises(_ConvergedAt) as info:
-            return_to_cg(state, run)
+            return_to_cg(run)
         assert info.value.kind is StepKind.AG
         assert np.array_equal(info.value.point.x, np.zeros(2))
         assert counter.count == 3  # start, iterate, centre
@@ -385,20 +383,29 @@ CERT_RTOL = 1e-12
 
 def certified_run(solver, prob):
     """Run ``solver`` from 0 with the problem's own L and ell and a capped
-    budget, and check f(x_k) <= phi*_k on every row, evaluating each recorded
-    iterate outside the run's counter.  Returns ``(result, iterates)``."""
+    budget, and check the certificate on every row: f(x_k) <= phi*_k, each
+    recorded iterate evaluated outside the run's counter; for cag+z, whose
+    progress test may pass on the bar point alone, min(f(x_k), f(bar_k)) <=
+    phi*_k.  Returns ``(result, certified)``, ``certified[k]`` being row k's
+    left-hand side."""
+    bar_f = []
     res, iterates = minimize_with_iterates(solver, prob, np.zeros(prob.n), gtol=1e-9,
-                                           max_evals=300)
-    for k, (phi_star, x) in enumerate(zip(res.trace.phi_star, iterates, strict=True)):
+                                           max_evals=300, bar_f=bar_f)
+    certified = []
+    for k, (phi_star, x, f_bar) in enumerate(zip(res.trace.phi_star, iterates, bar_f, strict=True)):
         f = float(prob.evaluate(x)[0])
+        if solver == "cag+z":
+            f = min(f, f_bar)
         assert f <= phi_star + CERT_RTOL * max(1.0, abs(f)), (k, f, phi_star)
-    return res, iterates
+        certified.append(f)
+    return res, certified
 
 
-@pytest.mark.parametrize("solver", ["cag", "ag"])
+@pytest.mark.parametrize("solver", ["cag", "cag+z", "ag"])
 class TestCertificate:
-    """The paper's certificate f(x_k) <= phi*_k on drawn small instances, and
-    on quad the rate ``nesterov_bound`` that it implies."""
+    """The paper's certificate f(x_k) <= phi*_k (cag+z: min(f(x_k), f(bar_k))
+    <= phi*_k) on drawn small instances, and on quad the rate
+    ``nesterov_bound`` that it implies."""
 
     @settings(derandomize=True, deadline=None, max_examples=6)
     @given(m=st.integers(1, 40), n=st.integers(1, 20), seed=st.integers(0, 2**16),
@@ -420,11 +427,11 @@ class TestCertificate:
     @given(n=st.integers(2, 30))
     def test_quad_gap_within_nesterov_bound(self, solver, n):
         prob = make_quad_diag(n)
-        res, iterates = certified_run(solver, prob)
+        res, certified = certified_run(solver, prob)
         dist0_sq = float(prob.known_xstar @ prob.known_xstar)  # x0 = 0
         slack = CERT_RTOL * max(1.0, abs(prob.known_fstar))
-        for k, x in enumerate(iterates):  # certified_run matched them to the rows
-            gap = float(prob.evaluate(x)[0]) - prob.known_fstar
+        for k, f in enumerate(certified):
+            gap = f - prob.known_fstar
             bound = nesterov_bound(prob.default_L, prob.default_ell, k, dist0_sq)
             assert gap <= bound + slack, (k, gap, bound)
 

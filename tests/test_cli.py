@@ -148,6 +148,15 @@ def test_run_with_an_unwritable_output_path_is_a_usage_error(tmp_path):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_run_with_trace_and_json_naming_one_file_is_a_usage_error(tmp_path):
+    path = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["run", "family=quad", "n=10", "solver=cag", f"trace={path}", f"json={path}"])
+    assert result.exit_code == 2, result.output
+    assert "same file" in result.output
+    assert not path.exists()
+
+
 def test_suite_row_with_an_unwritable_trace_path_is_invalid_and_the_next_row_runs(tmp_path):
     config = tmp_path / "suite.txt"
     config.write_text(

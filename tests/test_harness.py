@@ -199,12 +199,13 @@ class TestSuite:
         assert sum(r.best for r in rows) == 1
 
     def test_best_is_flagged_per_instance_not_per_label(self):
-        # tau = 2.0000001 and 2.0000002 both print as tau=2 but build two
-        # instances; the ncg row is the only run of the second, so it wins it
+        # tau = 2.0000001 and 2.0000002 build two instances; the ncg row is
+        # the only run of the second, so it wins it
         rows = run_suite([RunConfig(ProblemSpec("huber", 50, tau=tau), solver)
                           for tau, solver in ((2.0000001, "cag"), (2.0000002, "ncg"),
                                               (2.0000001, "ncg"))])
-        assert {r.problem for r in rows} == {"huber(n=50,tau=2)"}
+        assert [r.problem for r in rows] == [
+            "huber(n=50,tau=2.0000001)", "huber(n=50,tau=2.0000002)", "huber(n=50,tau=2.0000001)"]
         assert all(r.status is Status.CONVERGED for r in rows)
         assert [r.best for r in rows] == [True, True, False]
 
@@ -274,6 +275,20 @@ class TestSuite:
         rows = run_suite([bad, good])
         assert [r.status for r in rows] == [Status.INVALID, Status.CONVERGED]
         assert rows[0].evaluations == 0 and len(builds) == 1
+
+    def test_trace_and_json_naming_one_file_make_an_invalid_row(self, tmp_path, monkeypatch):
+        # else the JSON summary would overwrite the CSV; "sub/../out"
+        # resolves to the same file as "out"
+        (tmp_path / "sub").mkdir()
+        builds = count_builds(monkeypatch, "quad")
+        out, same = str(tmp_path / "out"), str(tmp_path / "sub" / ".." / "out")
+        bad = RunConfig(ProblemSpec("quad", 10), "cag", trace_path=out, json_path=same)
+        good = RunConfig(problem=ProblemSpec("quad", 10), solver="ncg")
+        with pytest.raises(InvalidSpec, match="same file"):
+            run(bad)
+        rows = run_suite([bad, good])
+        assert [r.status for r in rows] == [Status.INVALID, Status.CONVERGED]
+        assert len(builds) == 1 and not (tmp_path / "out").exists()
 
     def test_output_path_that_is_a_directory_is_invalid(self, tmp_path):
         with pytest.raises(InvalidSpec, match="cannot write"):

@@ -562,6 +562,13 @@ class TestProblemSpec:
                 == ProblemSpec("logistic", 20, seed=0).label()
                 == "logistic(n=20,m=40,lambda=0.0001,sigma=0.4,seed=0)")
 
+    def test_label_prints_a_float_that_g_would_round_in_full(self):
+        # huber's default tau is n/10: %g would print 123456.7 as 123457
+        assert ProblemSpec("huber", 1234567).label() == "huber(n=1234567,tau=123456.7)"
+        assert ProblemSpec("huber", 1000000).label() == "huber(n=1000000,tau=100000)"
+        assert ProblemSpec("huber", 50, tau=2.0000001).label() == "huber(n=50,tau=2.0000001)"
+        assert ProblemSpec("huber", 50, tau=2.5).label() == "huber(n=50,tau=2.5)"
+
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):
             ProblemSpec(family="cubic", n=10)

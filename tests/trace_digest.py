@@ -1,6 +1,7 @@
 """Bit-identity sweep: one line per run, problem instance and output format.
 
     PYTHONPATH=src python tests/trace_digest.py > after.txt
+    PYTHONPATH=src python tests/trace_digest.py --against ../other/src
 
 Each solver run prints its status, counts and one SHA-256 over the trace
 rows, the status, f_final, gnorm_final, the counts and the bytes of
@@ -18,17 +19,25 @@ every problem and run key, and malformed ones, print the parsed
 ``RunConfig`` or the error message.
 
 To show that a change leaves behaviour bit-identical, run the script
-against both source trees (point ``PYTHONPATH`` at the other ``src``) and
-diff the output.  Nothing is stored: round-off differs between machines,
-so the digests are only comparable on one machine.  Takes about 20 s.
+against both source trees and diff the output: ``--against OTHER_SRC``
+runs this script once with ``PYTHONPATH`` set to this tree's ``src`` and
+once with it set to OTHER_SRC, as two concurrent subprocesses, prints the
+unified diff of their outputs and exits 1 if they differ (0 if not, 2 if
+either sweep fails).  Nothing is stored: round-off differs between
+machines, so the digests are only comparable on one machine.  One sweep
+takes about 15 s.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import itertools
 import math
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -235,14 +244,42 @@ def suite_parse() -> None:
                 print(f"parse {line!r}: rejected: {str(e).replace(str(path), 'suite.txt')}")
 
 
-def main() -> None:
+def compare_trees(other_src: str) -> int:
+    """Run the sweep on this tree's ``src`` and on ``other_src``, print the
+    unified diff of the two outputs and return 1 if they differ."""
+    if not (Path(other_src) / "cagopt" / "__init__.py").is_file():
+        print(f"trace_digest: no cagopt package in {other_src}", file=sys.stderr)
+        return 2
+    trees = (str(Path(__file__).resolve().parents[1] / "src"), other_src)
+    sweeps = [subprocess.Popen([sys.executable, __file__], stdout=subprocess.PIPE, text=True,
+                               env={**os.environ, "PYTHONPATH": tree}) for tree in trees]
+    outputs = [sweep.communicate()[0].splitlines(keepends=True) for sweep in sweeps]
+    for tree, sweep in zip(trees, sweeps):
+        if sweep.returncode:
+            print(f"trace_digest: the sweep on {tree} failed ({sweep.returncode})", file=sys.stderr)
+            return 2
+    diff = list(difflib.unified_diff(*outputs, *trees))
+    sys.stdout.writelines(diff)
+    print(f"{len(outputs[0])} and {len(outputs[1])} lines, "
+          f"{'different' if diff else 'identical'}")
+    return 1 if diff else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="compare this tree's sweep with the one on another src directory")
+    args = parser.parse_args()
+    if args.against:
+        return compare_trees(args.against)
     spec_grid()
     suite_outputs()
     suite_parse()
     bench_cells()
     direct_runs()
     exit_runs()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

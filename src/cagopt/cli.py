@@ -4,6 +4,7 @@ tokens, and suite files; ``harness.run_config_from_tokens`` parses both."""
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import click
 
@@ -52,6 +53,19 @@ def run_cmd(tokens):
         sys.exit(1)
 
 
+def _check_suite_outputs(config_path: str, out_path: str | None, configs) -> None:
+    """Raise ``InvalidSpec`` when --out is the suite file, or a row's trace= or
+    json= file is the suite file or the --out file."""
+    kept = {Path(config_path).resolve(): f"the suite file {config_path}"}
+    if out_path:
+        if Path(out_path).resolve() in kept:
+            raise InvalidSpec(f"--out {out_path} would overwrite the suite file {config_path}")
+        kept[Path(out_path).resolve()] = f"the --out file {out_path}"
+    for path in (p for c in configs for p in (c.trace_path, c.json_path) if p):
+        if Path(path).resolve() in kept:
+            raise InvalidSpec(f"{path} would overwrite {kept[Path(path).resolve()]}")
+
+
 @main.command("suite")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True,
               help="text file, one run per line as key=value pairs")
@@ -66,6 +80,7 @@ def suite_cmd(config_path, out_path):
         if out_path:
             _check_writable(out_path)
         configs = parse_suite_config(config_path)
+        _check_suite_outputs(config_path, out_path, configs)
     except InvalidSpec as e:
         raise click.UsageError(str(e)) from e
     rows = run_suite(configs)

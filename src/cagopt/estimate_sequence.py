@@ -21,39 +21,22 @@ means a bug, not ill conditioning, and aborts with ``InvalidState``.
 
 The minimum phi*_k of the model is the progress certificate: any method
 whose iterates satisfy f(x_k) <= phi*_k for all k inherits the accelerated
-convergence rate returned by ``nesterov_bound``.
+convergence rate returned by ``nesterov_bound``.  The solver's run,
+``cag._Run``, holds the model (gamma, v, phi*); this module, its arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidState, NumericalFailure
-from .oracle import Evaluation
+from .oracle import Evaluation, Vector
 
 # Tolerance for the theta/gamma identity self-check.  It is exact algebra,
 # so anything beyond a few ulps indicates corrupted state.
 _IDENTITY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EstimateState:
-    """Current quadratic lower model phi(x) = phi_star + (gamma/2)||x - v||^2."""
-
-    gamma: float
-    v: np.ndarray
-    phi_star: float
-
-
-def init_estimate(f0: float, x0: np.ndarray, L: float) -> EstimateState:
-    """Initial model phi_0(x) = f0 + (L/2)||x - x0||^2, with L from a checked
-    ``SolverConfig``."""
-    return EstimateState(
-        gamma=float(L), v=np.array(x0, dtype=float, copy=True), phi_star=float(f0)
-    )
 
 
 def compute_theta_gamma(L: float, ell: float, gamma: float) -> tuple[float, float]:
@@ -89,16 +72,12 @@ def compute_theta_gamma(L: float, ell: float, gamma: float) -> tuple[float, floa
     return theta, gamma_next
 
 
-def advance_estimate(
-    state: EstimateState,
-    theta: float,
-    gamma_next: float,
-    ell: float,
-    anchor: Evaluation,
-) -> EstimateState:
-    """One model update anchored at the evaluated point ``anchor`` = (bar_x,
-    bar_f, bar_g, ||bar_g||, ||bar_g||^2), for theta and gamma_next from
-    ``compute_theta_gamma`` with the same ell.
+def advance_estimate(gamma: float, v: Vector, phi_star: float, theta: float, gamma_next: float,
+                     ell: float, anchor: Evaluation) -> tuple[Vector, float]:
+    """(v_next, phi*_next) of the model (gamma, v, phi*) updated at the
+    evaluated point ``anchor`` = (bar_x, bar_f, bar_g, ||bar_g||,
+    ||bar_g||^2), for theta and gamma_next from ``compute_theta_gamma`` with
+    the same ell; v is only read.
 
     v_next    = [(1-theta) gamma v + theta ell bar_x - theta bar_g] / gamma_next
     phi*_next = (1-theta) phi* + theta bar_f
@@ -114,22 +93,21 @@ def advance_estimate(
     v_next makes phi* non-finite at the next update).
     """
     bar_x, bar_f, bar_g, _, bar_gg = anchor
-    gamma = state.gamma
-    dv = state.v - bar_x
+    dv = v - bar_x
     cross = 0.5 * ell * float(dv @ dv) + float(bar_g @ dv)
-    v_next = np.multiply((1.0 - theta) * gamma, state.v)
+    v_next = np.multiply((1.0 - theta) * gamma, v)
     v_next += np.multiply(theta * ell, bar_x, out=dv)
     v_next -= np.multiply(theta, bar_g, out=dv)
     v_next /= gamma_next
     phi_next = (
-        (1.0 - theta) * state.phi_star
+        (1.0 - theta) * phi_star
         + theta * bar_f
         - (theta * theta / (2.0 * gamma_next)) * bar_gg
         + (theta * (1.0 - theta) * gamma / gamma_next) * cross
     )
     if not math.isfinite(phi_next):
         raise NumericalFailure(f"estimate-sequence minimum became {phi_next!r}")
-    return EstimateState(gamma=gamma_next, v=v_next, phi_star=phi_next)
+    return v_next, phi_next
 
 
 def nesterov_bound(L: float, ell: float, k: int, dist0_sq: float) -> float:

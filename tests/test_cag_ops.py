@@ -48,7 +48,8 @@ def gradient_record(g):
 
 
 # The fields of a run's iteration state, which the steps update in place.
-STATE_FIELDS = ("x", "point", "p", "i_cg", "estimate", "bar", "ag_ref_gnorm", "z_tilde", "zAz")
+STATE_FIELDS = ("x", "point", "p", "i_cg", "gamma", "v", "phi_star", "bar", "ag_ref_gnorm",
+                "z_tilde", "zAz")
 
 
 def snapshot(run):
@@ -362,7 +363,7 @@ class TestCgAttempt:
         run = start_run(prob, rng.standard_normal(5), config)
         accepted, _ = cg_attempt(run, use_steepest=False)
         assert accepted
-        assert min(run.point.f, run.bar.f) <= run.estimate.phi_star
+        assert min(run.point.f, run.bar.f) <= run.phi_star
 
 
 class TestCagStep:

@@ -30,7 +30,7 @@ from cagopt.cag import (
     ag_step,
     return_to_cg,
 )
-from cagopt.estimate_sequence import init_estimate, nesterov_bound
+from cagopt.estimate_sequence import nesterov_bound
 from cagopt.oracle import Evaluation
 
 from conftest import (
@@ -154,7 +154,8 @@ class TestReturnToCg:
         config = SolverConfig(L=L, ell=ell, gtol=1e-30, max_evals=100,
                               conjugate_z=True)
         run = start_run(prob, rng.standard_normal(3), config)
-        assert np.array_equal(run.estimate.v, run.x)  # the initial model's centre
+        assert np.array_equal(run.v, run.x)  # the initial model's centre
+        assert not np.shares_memory(run.v, run.x)
         run.ag_ref_gnorm = run.point.gnorm
         return_to_cg(run)
         assert run.z_tilde is None
@@ -169,7 +170,7 @@ class TestReturnToCg:
         config = SolverConfig(L=1.0, gtol=1e-12, conjugate_z=True)
         run = start_run(prob, np.ones(2), config)
         counter = run.counter
-        run.estimate = init_estimate(0.0, np.zeros(2), 1.0)
+        run.v = np.zeros(2)
         with pytest.raises(_ConvergedAt) as info:
             return_to_cg(run)
         assert info.value.kind is StepKind.AG

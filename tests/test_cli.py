@@ -200,6 +200,37 @@ def test_suite_with_a_bad_path_is_a_usage_error_before_any_row_runs(
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "row_outputs,out,message",
+    [
+        ("", "suite.txt", "--out suite.txt would overwrite the suite file suite.txt"),
+        ("trace=suite.txt", None, "suite.txt would overwrite the suite file suite.txt"),
+        ("json=./suite.txt", "summary.csv", "./suite.txt would overwrite the suite file"),
+        ("trace=out.csv", "out.csv", "out.csv would overwrite the --out file out.csv"),
+        ("trace=t.csv json=sub/../out.csv", "out.csv",
+         "sub/../out.csv would overwrite the --out file out.csv"),
+    ],
+    ids=["out-is-the-suite-file", "trace-is-the-suite-file", "json-is-the-suite-file",
+         "trace-is-the-out-file", "json-is-the-out-file"],
+)
+def test_suite_output_that_would_overwrite_another_file_is_a_usage_error_before_any_row_runs(
+    tmp_path, monkeypatch, row_outputs, out, message
+):
+    # paths relative to the working directory, compared once resolved
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    text = f"family=quad n=10 solver=ncg\nfamily=quad n=10 solver=cag {row_outputs}\n"
+    (tmp_path / "suite.txt").write_text(text)
+    builds = count_builds(monkeypatch, "quad")
+    args = ["suite", "--config", "suite.txt"] + (["--out", out] if out else [])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert builds == []
+    assert (tmp_path / "suite.txt").read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "suite.txt"]
+
+
 def test_run_help_names_every_key():
     text = CliRunner().invoke(main, ["run", "--help"]).output
     for key in PROBLEM_KEYS | RUN_KEYS:

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cagopt.errors import InvalidState, NumericalFailure
-from cagopt.estimate_sequence import (
-    EstimateState,
-    advance_estimate,
-    compute_theta_gamma,
-    init_estimate,
-    nesterov_bound,
-)
+from cagopt.estimate_sequence import advance_estimate, compute_theta_gamma, nesterov_bound
 from cagopt.oracle import Evaluation
 
 
@@ -23,19 +17,18 @@ def anchor(bar_x, bar_f, bar_g):
     return Evaluation(bar_x, bar_f, bar_g, math.sqrt(gg), gg)
 
 
-def advance_estimate_reference(state, theta, gamma_next, ell, anchor):
+def advance_estimate_reference(gamma, v, phi_star, theta, gamma_next, ell, anchor):
     """``advance_estimate``'s (v_next, phi*_next), spelled out with fresh arrays
     as its docstring's formulas read; the in-place update must equal it byte
     for byte."""
     bar_x, bar_f, bar_g, _, bar_gg = anchor
-    gamma = state.gamma
-    dv = state.v - bar_x
+    dv = v - bar_x
     v_next = (
-        (1.0 - theta) * gamma * state.v + (theta * ell) * bar_x - theta * bar_g
+        (1.0 - theta) * gamma * v + (theta * ell) * bar_x - theta * bar_g
     ) / gamma_next
     cross = 0.5 * ell * float(dv @ dv) + float(bar_g @ dv)
     phi_next = (
-        (1.0 - theta) * state.phi_star
+        (1.0 - theta) * phi_star
         + theta * bar_f
         - (theta * theta / (2.0 * gamma_next)) * bar_gg
         + (theta * (1.0 - theta) * gamma / gamma_next) * cross
@@ -45,7 +38,8 @@ def advance_estimate_reference(state, theta, gamma_next, ell, anchor):
 
 @st.composite
 def estimate_updates(draw):
-    """(state, theta, gamma_next, ell, anchor) of one model update: ell is 0 or
+    """The arguments (gamma, v, phi*, theta, gamma_next, ell, anchor) of one
+    ``advance_estimate`` call: ell is 0 or
     in (0, L], gamma in [ell, L] and vector entries +-0.0 or of either sign
     over twelve decades."""
     n = draw(st.integers(1, 12))
@@ -56,9 +50,9 @@ def estimate_updates(draw):
     ell = draw(st.one_of(st.just(0.0), st.floats(1e-9, 1.0).map(lambda t: t * L)))
     gamma = draw(st.floats(max(ell, 1e-3 * L), L))
     theta, gamma_next = compute_theta_gamma(L, ell, gamma)
-    state = EstimateState(gamma, draw(vector), draw(st.floats(-1e6, 1e6)))
+    v, phi_star = draw(vector), draw(st.floats(-1e6, 1e6))
     point = anchor(draw(vector), draw(st.floats(-1e6, 1e6)), draw(vector))
-    return state, theta, gamma_next, ell, point
+    return gamma, v, phi_star, theta, gamma_next, ell, point
 
 
 def quadratic_formula_root(L, ell, gamma):
@@ -109,11 +103,12 @@ class TestComputeThetaGamma:
 
 class TestAdvanceEstimate:
     def test_stationary_anchor_no_ell(self):
-        state = init_estimate(3.0, np.zeros(2), 1.0)
-        theta, gamma_next = compute_theta_gamma(1.0, 0.0, state.gamma)
-        out = advance_estimate(state, theta, gamma_next, 0.0, anchor(np.ones(2), 2.0, np.zeros(2)))
-        assert np.allclose(out.v, state.v)
-        assert abs(out.phi_star - ((1 - theta) * 3.0 + theta * 2.0)) <= 1e-15
+        v = np.zeros(2)
+        theta, gamma_next = compute_theta_gamma(1.0, 0.0, 1.0)
+        v_next, phi_next = advance_estimate(
+            1.0, v, 3.0, theta, gamma_next, 0.0, anchor(np.ones(2), 2.0, np.zeros(2)))
+        assert np.allclose(v_next, v)
+        assert abs(phi_next - ((1 - theta) * 3.0 + theta * 2.0)) <= 1e-15
 
     def test_hand_computed_case(self):
         # oracle: direct evaluation of the v/phi* recurrences with
@@ -122,28 +117,28 @@ class TestAdvanceEstimate:
         #   v' = [0.5*1*(0,0) - 0.5*(1,0)] / 0.5 = (-1, 0)
         #   phi*' = 1.5 + 1 - (0.25/1)*1 + (0.25/0.5)*(0 + (1,0).(-(1,0)))
         #         = 1.5 + 1 - 0.25 - 0.5 = 1.75
-        state = init_estimate(3.0, np.zeros(2), 1.0)
-        out = advance_estimate(
-            state, 0.5, 0.5, 0.0, anchor(np.array([1.0, 0.0]), 2.0, np.array([1.0, 0.0]))
+        v_next, phi_next = advance_estimate(
+            1.0, np.zeros(2), 3.0, 0.5, 0.5, 0.0,
+            anchor(np.array([1.0, 0.0]), 2.0, np.array([1.0, 0.0])),
         )
-        assert np.allclose(out.v, np.array([-1.0, 0.0]), atol=1e-15)
-        assert abs(out.phi_star - 1.75) <= 1e-15
+        assert np.allclose(v_next, np.array([-1.0, 0.0]), atol=1e-15)
+        assert abs(phi_next - 1.75) <= 1e-15
 
     def test_anchor_at_centre_drops_cross_term(self, rng):
         n = 5
         v = rng.standard_normal(n)
-        state = init_estimate(1.0, v, 2.0)
-        theta, gamma_next = compute_theta_gamma(2.0, 0.0, state.gamma)
+        theta, gamma_next = compute_theta_gamma(2.0, 0.0, 2.0)
         bar_g = rng.standard_normal(n)
-        out = advance_estimate(state, theta, gamma_next, 0.0, anchor(v.copy(), 4.0, bar_g))
+        v_next, phi_next = advance_estimate(
+            2.0, v, 1.0, theta, gamma_next, 0.0, anchor(v.copy(), 4.0, bar_g))
         expected_v = v - (theta / gamma_next) * bar_g
         expected_phi = (
             (1 - theta) * 1.0
             + theta * 4.0
             - theta**2 / (2 * gamma_next) * float(bar_g @ bar_g)
         )
-        assert np.allclose(out.v, expected_v, atol=1e-14)
-        assert abs(out.phi_star - expected_phi) <= 1e-12 * (1 + abs(expected_phi))
+        assert np.allclose(v_next, expected_v, atol=1e-14)
+        assert abs(phi_next - expected_phi) <= 1e-12 * (1 + abs(expected_phi))
 
     def test_product_of_one_minus_theta_obeys_rate(self):
         # with ell = 0 the accumulated product stays below 4/(k+2)^2
@@ -161,25 +156,24 @@ class TestAdvanceEstimate:
         ids=["nan-value", "inf-value", "overflowing-gradient-square"],
     )
     def test_rejects_nonfinite_phi_star(self, bar_f, bar_g):
-        state = init_estimate(0.0, np.zeros(2), 1.0)
-        theta, gamma_next = compute_theta_gamma(1.0, 0.0, state.gamma)
+        theta, gamma_next = compute_theta_gamma(1.0, 0.0, 1.0)
         # as inside the solvers, which keep numpy's overflow warning quiet
         with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
-            advance_estimate(state, theta, gamma_next, 0.0, anchor(np.ones(2), bar_f, bar_g))
+            advance_estimate(
+                1.0, np.zeros(2), 0.0, theta, gamma_next, 0.0, anchor(np.ones(2), bar_f, bar_g))
 
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(update=estimate_updates())
     def test_update_equals_the_fresh_array_formula_byte_for_byte(self, update):
-        state, theta, gamma_next, ell, point = update
-        v_before = state.v.copy()
-        out = advance_estimate(state, theta, gamma_next, ell, point)
-        v_ref, phi_ref = advance_estimate_reference(state, theta, gamma_next, ell, point)
-        assert out.v.tobytes() == v_ref.tobytes()
-        assert out.phi_star.hex() == phi_ref.hex()
-        assert out.gamma == gamma_next
-        assert state.v.tobytes() == v_before.tobytes()
-        assert not np.shares_memory(out.v, state.v) and not np.shares_memory(out.v, point.x)
+        v, point = update[1], update[-1]
+        v_before = v.copy()
+        v_next, phi_next = advance_estimate(*update)
+        v_ref, phi_ref = advance_estimate_reference(*update)
+        assert v_next.tobytes() == v_ref.tobytes()
+        assert phi_next.hex() == phi_ref.hex()
+        assert v.tobytes() == v_before.tobytes()
+        assert not np.shares_memory(v_next, v) and not np.shares_memory(v_next, point.x)
 
 
 class TestNesterovBound:

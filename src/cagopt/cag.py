@@ -142,8 +142,10 @@ class _Run:
     differ only during an AG block, whose iterates are not evaluated until
     the block exits.  ``p`` is the search direction, ``i_cg`` the number of
     steps since the CG chain last restarted.  ``gamma``, ``v`` and
-    ``phi_star`` hold the model phi(x) = phi_star + (gamma/2)||x - v||^2,
-    whose centre ``v`` is never shared with an iterate.  ``bar`` is the
+    ``phi_star`` hold the model phi(x) = phi_star + (gamma/2)||x - v||^2.
+    ``v`` changes in place, so it, ``v_spare`` (``cg_attempt``'s tentative
+    v, swapped in on acceptance) and ``work`` (``advance_estimate``'s
+    scratch) share memory with no point and no other array.  ``bar`` is the
     evaluated anchor of the *next* estimate-sequence update: the z-augmented
     point in conjugate-z mode, the combination point within an AG block,
     else ``point``.  The run is in an AG block exactly when ``ag_ref_gnorm``
@@ -162,6 +164,8 @@ class _Run:
     i_cg: int
     gamma: float
     v: Vector
+    v_spare: Vector
+    work: Vector
     phi_star: float
     bar: Evaluation
     ag_ref_gnorm: float | None  # ||bar g|| at AG-block entry, reference for the exit test
@@ -179,6 +183,7 @@ class _Run:
         self.best = self.point = self.bar = start
         self.restart_chain()
         self.gamma, self.v = float(config.L), start.x.copy()
+        self.v_spare, self.work = np.empty_like(self.v), np.empty_like(self.v)
         self.phi_star = start.f if phi_star0 is None else phi_star0
         self.ag_ref_gnorm, self.z_tilde, self.zAz = None, None, 0.0
 
@@ -222,9 +227,8 @@ class _Run:
         return SolverResult(status, x, f, gnorm, self.counter.count, self.trace)
 
 
-def secant_alpha(
-    run: _Run, point: Evaluation, p: Vector, kind: StepKind
-) -> tuple[float, Vector, float] | None:
+def secant_alpha(run: _Run, point: Evaluation, p: Vector,
+                 kind: StepKind) -> tuple[float, Vector, float] | None:
     """Secant step length from a single probe at x + p/L, x = ``point.x`` and
     L = ``run.config.L``.
 
@@ -268,9 +272,8 @@ def hz_beta(g: Vector, new: Evaluation, p: Vector, g0_norm: float) -> float | No
     return max(beta1, beta2)
 
 
-def z_conjugate_update(
-    z_tilde: Vector, zAz: float, p: Vector, Ap: Vector, pAp: float
-) -> tuple[Vector, float]:
+def z_conjugate_update(z_tilde: Vector, zAz: float, p: Vector, Ap: Vector,
+                       pAp: float) -> tuple[Vector, float]:
     """Re-conjugate z against the newest search direction.
 
     delta = <z, Ap> / pAp removes the p-component of z in the A-inner
@@ -342,8 +345,8 @@ def cg_attempt(run: _Run, use_steepest: bool) -> tuple[bool, _Run]:
     theta, gamma_next = compute_theta_gamma(config.L, config.ell, run.gamma)
     # The model update is anchored at the previous bar point; the fresh bar
     # point only enters the acceptance test (and becomes next iteration's anchor).
-    v_next, phi_next = advance_estimate(
-        run.gamma, run.v, run.phi_star, theta, gamma_next, config.ell, run.bar)
+    phi_next = advance_estimate(run.gamma, run.v, run.phi_star, theta, gamma_next, config.ell,
+                                run.bar, run.v_spare, run.work)
 
     if not (new.f <= phi_next or bar.f <= phi_next):
         run.z_tilde, run.zAz = z_tilde, zAz
@@ -354,7 +357,8 @@ def cg_attempt(run: _Run, use_steepest: bool) -> tuple[bool, _Run]:
         return False, run
 
     run.commit(new, p, i_cg, beta)
-    run.gamma, run.v, run.phi_star, run.bar = gamma_next, v_next, phi_next, bar
+    run.gamma, run.phi_star, run.bar = gamma_next, phi_next, bar
+    run.v, run.v_spare = run.v_spare, run.v
     run.z_tilde, run.zAz = z_tilde, zAz
     return True, run
 
@@ -365,8 +369,8 @@ def ag_step(run: _Run) -> tuple[Evaluation, StepKind]:
     Forms the combination point bar_x = (theta gamma v + gamma_next x) /
     (gamma + theta ell), evaluates there (one counted evaluation), takes the
     gradient step x_next = bar_x - bar_g / L and advances the model anchored
-    at bar_x.  Writes ``x``, the model and ``bar`` (none if the run ends
-    at bar_x) and returns the row ``(bar, AG)``.  The new iterate is
+    at bar_x.  Writes ``x``, the model (v in place) and ``bar`` (none if the
+    run ends at bar_x) and returns the row ``(bar, AG)``.  The new iterate is
     deliberately left unevaluated: ``point`` is stale until the block exits.
     """
     config = run.config
@@ -378,8 +382,8 @@ def ag_step(run: _Run) -> tuple[Evaluation, StepKind]:
     bar_x += x_next
     bar_x /= gamma + theta * config.ell
     bar = run.evaluate(bar_x, StepKind.AG)
-    run.v, run.phi_star = advance_estimate(
-        gamma, run.v, run.phi_star, theta, gamma_next, config.ell, bar)
+    run.phi_star = advance_estimate(
+        gamma, run.v, run.phi_star, theta, gamma_next, config.ell, bar, run.v, run.work)
     run.gamma = gamma_next
     np.divide(bar.g, config.L, out=x_next)
     run.x = np.subtract(bar.x, x_next, out=x_next)
@@ -408,7 +412,7 @@ def return_to_cg(run: _Run) -> None:
     run.ag_ref_gnorm, run.z_tilde, run.zAz = None, None, 0.0
     if run.config.conjugate_z:
         z = run.v - run.x
-        g_v = run.evaluate(run.v, StepKind.AG).g
+        g_v = run.evaluate(run.v.copy(), StepKind.AG).g  # v changes in place
         zAz = float(z @ (g_v - point.g))
         if zAz > 0.0 and float(z @ z) > 0.0:
             run.z_tilde, run.zAz = z, zAz
@@ -433,13 +437,8 @@ def cag_step(run: _Run) -> tuple[Evaluation, StepKind]:
 
 
 @np.errstate(over="ignore")
-def run_steps(
-    step: Callable[[_Run], tuple[Evaluation, StepKind]],
-    problem: ObjectiveProblem,
-    x0: Vector,
-    config: SolverConfig,
-    phi_star0: float | None = None,
-) -> SolverResult:
+def run_steps(step: Callable[[_Run], tuple[Evaluation, StepKind]], problem: ObjectiveProblem,
+              x0: Vector, config: SolverConfig, phi_star0: float | None = None) -> SolverResult:
     """Run from ``x0`` under the run contract above.  Each call ``step(run)``
     is one iteration: it updates the run's iteration state in place and
     returns the (point, kind) of its trace row.  ``phi_star0`` replaces

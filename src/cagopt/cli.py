@@ -55,15 +55,21 @@ def run_cmd(tokens):
 
 def _check_suite_outputs(config_path: str, out_path: str | None, configs) -> None:
     """Raise ``InvalidSpec`` when --out is the suite file, or a row's trace= or
-    json= file is the suite file or the --out file."""
+    json= file is the suite file, the --out file or an output file named
+    before it in the suite."""
     kept = {Path(config_path).resolve(): f"the suite file {config_path}"}
     if out_path:
         if Path(out_path).resolve() in kept:
             raise InvalidSpec(f"--out {out_path} would overwrite the suite file {config_path}")
         kept[Path(out_path).resolve()] = f"the --out file {out_path}"
-    for path in (p for c in configs for p in (c.trace_path, c.json_path) if p):
-        if Path(path).resolve() in kept:
-            raise InvalidSpec(f"{path} would overwrite {kept[Path(path).resolve()]}")
+    for config in configs:
+        for key, path in (("trace", config.trace_path), ("json", config.json_path)):
+            if not path:
+                continue
+            resolved = Path(path).resolve()
+            if resolved in kept:
+                raise InvalidSpec(f"{path} would overwrite {kept[resolved]}")
+            kept[resolved] = f"the {key}= file {path}"
 
 
 @main.command("suite")

@@ -22,7 +22,8 @@ means a bug, not ill conditioning, and aborts with ``InvalidState``.
 The minimum phi*_k of the model is the progress certificate: any method
 whose iterates satisfy f(x_k) <= phi*_k for all k inherits the accelerated
 convergence rate returned by ``nesterov_bound``.  The solver's run,
-``cag._Run``, holds the model (gamma, v, phi*); this module, its arithmetic.
+``cag._Run``, holds the model (gamma, v, phi*) and its buffers; this
+module, the arithmetic, which allocates no array.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ def compute_theta_gamma(L: float, ell: float, gamma: float) -> tuple[float, floa
 
 
 def advance_estimate(gamma: float, v: Vector, phi_star: float, theta: float, gamma_next: float,
-                     ell: float, anchor: Evaluation) -> tuple[Vector, float]:
-    """(v_next, phi*_next) of the model (gamma, v, phi*) updated at the
-    evaluated point ``anchor`` = (bar_x, bar_f, bar_g, ||bar_g||,
-    ||bar_g||^2), for theta and gamma_next from ``compute_theta_gamma`` with
-    the same ell; v is only read.
+                     ell: float, anchor: Evaluation, out: Vector, work: Vector) -> float:
+    """phi*_next of the model (gamma, v, phi*) updated at the evaluated point
+    ``anchor`` = (bar_x, bar_f, bar_g, ||bar_g||, ||bar_g||^2), for theta and
+    gamma_next from ``compute_theta_gamma`` with the same ell; v_next goes
+    into ``out``, which may be v but no anchor array.
 
     v_next    = [(1-theta) gamma v + theta ell bar_x - theta bar_g] / gamma_next
     phi*_next = (1-theta) phi* + theta bar_f
@@ -85,29 +86,28 @@ def advance_estimate(gamma: float, v: Vector, phi_star: float, theta: float, gam
               + theta (1-theta) gamma / gamma_next
                   * ( ell ||bar_x - v||^2 / 2 + <bar_g, v - bar_x> )
 
-    Allocates two n-vectors, v_next and dv = v - bar_x: once dv's two dot
-    products are taken, dv holds the terms of v_next, which is built in
-    place by the same operations in the same order as the formula with
-    fresh arrays, so it equals that formula byte for byte.
-    Raises ``NumericalFailure`` when phi*_next is not finite (a non-finite
-    v_next makes phi* non-finite at the next update).
+    Allocates nothing: dv = v - bar_x, then the terms of v_next, go into the
+    n-vector ``work``.  Nine vector passes, six at ell = 0, which skips the
+    ell terms and dv @ dv; else the formula's operations in its order, so
+    both results equal it with fresh arrays byte for byte.  Raises
+    ``NumericalFailure`` when phi*_next is not finite (a non-finite v_next
+    makes phi* non-finite at the next update).
     """
     bar_x, bar_f, bar_g, _, bar_gg = anchor
-    dv = v - bar_x
-    cross = 0.5 * ell * float(dv @ dv) + float(bar_g @ dv)
-    v_next = np.multiply((1.0 - theta) * gamma, v)
-    v_next += np.multiply(theta * ell, bar_x, out=dv)
-    v_next -= np.multiply(theta, bar_g, out=dv)
-    v_next /= gamma_next
-    phi_next = (
-        (1.0 - theta) * phi_star
-        + theta * bar_f
-        - (theta * theta / (2.0 * gamma_next)) * bar_gg
-        + (theta * (1.0 - theta) * gamma / gamma_next) * cross
-    )
+    dv = np.subtract(v, bar_x, out=work)
+    cross = float(bar_g @ dv)
+    np.multiply((1.0 - theta) * gamma, v, out=out)
+    if ell:
+        cross += 0.5 * ell * float(dv @ dv)
+        out += np.multiply(theta * ell, bar_x, out=work)
+    out -= np.multiply(theta, bar_g, out=work)
+    out /= gamma_next
+    phi_next = ((1.0 - theta) * phi_star + theta * bar_f
+                - (theta * theta / (2.0 * gamma_next)) * bar_gg
+                + (theta * (1.0 - theta) * gamma / gamma_next) * cross)
     if not math.isfinite(phi_next):
         raise NumericalFailure(f"estimate-sequence minimum became {phi_next!r}")
-    return v_next, phi_next
+    return phi_next
 
 
 def nesterov_bound(L: float, ell: float, k: int, dist0_sq: float) -> float:

@@ -64,18 +64,14 @@ def _format_float(v: float) -> str:
 
 def write_trace_csv(path: str | Path, trace: Trace) -> None:
     """CSV with header iter,evals,f,gnorm,phistar,step, one line per trace
-    row; 17 significant digits."""
+    row; 17 significant digits and \r\n line ends, as ``csv.writer`` would
+    write them, each line formatted in one step."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "evals", "f", "gnorm", "phistar", "step"])
-        writer.writerows(zip(
-            itertools.count(),
-            trace.evals,
-            map(_format_float, trace.f),
-            map(_format_float, trace.gnorm),
-            map(_format_float, trace.phi_star),
+        fh.write("iter,evals,f,gnorm,phistar,step\r\n")
+        fh.writelines(map("%d,%d,%.17g,%.17g,%.17g,%s\r\n".__mod__, zip(
+            itertools.count(), trace.evals, trace.f, trace.gnorm, trace.phi_star,
             (kind.value for kind in trace.kinds()),
-        ))
+        )))
 
 
 def _check_writable(path: str | Path) -> None:

@@ -378,9 +378,9 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
     A^T (-2 tau 1) = 0.  ``make_huber(10, 1.0)`` has ||g(0)|| = 0 and a solver
     stops at its first evaluation; ``make_huber(11, 1.1)`` has ||g(0)|| ~ 0.2.
 
-    evaluate makes three passes over fresh buffers: the residual t; zeta(t)
-    over a = |t| (the tail a * 2tau - tau^2, then t * t where a <= tau),
-    summed pairwise as np.sum does; zeta'(t) = 2 clip(t, -tau, tau) over t.
+    evaluate forms the residual t; zeta(t) over a fresh a = |t| (the tail
+    a * 2tau - tau^2, then t * t where a <= tau), summed pairwise as np.sum
+    does; and zeta'(t) = 2 clip(t, -tau, tau) over t, in one np.clip call.
     Each entry rounds as in the piecewise formula (2 (+-tau) is the same
     double as 2tau (+-1)), so f and g equal it bit for bit, NaN and inf too.
     """
@@ -399,8 +399,7 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
         a -= tau * tau
         np.multiply(t, t, out=a, where=inner)
         f = float(np.add.reduce(a))
-        np.maximum(t, -tau, out=t)
-        np.minimum(t, tau, out=t)
+        np.clip(t, -tau, tau, out=t)
         t *= 2.0
         # A^T y: column j carries +1 at row j and -1 at row j+1
         return f, t[:n] - t[1:]

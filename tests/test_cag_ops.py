@@ -296,11 +296,15 @@ class TestCgAttempt:
     def test_engineered_overshoot_is_rejected(self):
         run = self._quartic_overshoot()
         counter = run.counter
+        v, v_then = run.v, run.v.tobytes()
         before = snapshot(run)
         accepted, run_after = cg_attempt(run, use_steepest=False)
         assert not accepted
         assert run_after is run
         assert moved_fields(run, before) == set()
+        # the tentative centre went to the spare buffer, v kept its bytes
+        assert run.v is v and v.tobytes() == v_then
+        assert run.v_spare.tobytes() != v_then
         assert counter.count == 3  # start, probe, candidate
 
     def test_failed_progress_test_moves_only_z(self):
@@ -308,10 +312,12 @@ class TestCgAttempt:
         # so the augmentation is dropped; nothing else may move
         run = self._quartic_overshoot()
         run.z_tilde, run.zAz = np.array([0.5]), 1.0
+        v_then = run.v.tobytes()
         before = snapshot(run)
         accepted, _ = cg_attempt(run, use_steepest=False)
         assert not accepted
         assert moved_fields(run, before) == {"z_tilde", "zAz"}
+        assert run.v.tobytes() == v_then
         assert run.z_tilde is None and run.zAz == 0.0
 
     def test_curvature_failure_moves_no_field(self):
@@ -325,10 +331,12 @@ class TestCgAttempt:
         run = start_run(prob, np.array([1.0]), config)
         counter = run.counter
         run.z_tilde, run.zAz = np.array([1.0]), 1.0
+        v_then = run.v.tobytes()
         before = snapshot(run)
         accepted, _ = cg_attempt(run, use_steepest=True)
         assert not accepted
         assert moved_fields(run, before) == set()
+        assert run.v.tobytes() == v_then
         assert counter.count == 2  # start, probe
 
     def test_degenerate_direction_moves_no_field(self, rng, monkeypatch):
@@ -348,10 +356,12 @@ class TestCgAttempt:
         counter = run.counter
         z = rng.standard_normal(4)
         run.z_tilde, run.zAz = z, float(z @ (A @ z))
+        v_then = run.v.tobytes()
         before = snapshot(run)
         accepted, _ = cg_attempt(run, use_steepest=False)
         assert not accepted and len(calls) == 1
         assert moved_fields(run, before) == set()
+        assert run.v.tobytes() == v_then and run.v_spare.tobytes() != v_then
         assert counter.count == 4  # start, probe, candidate, bar point
 
     def test_acceptance_is_the_literal_min_test(self, rng):

@@ -28,7 +28,9 @@ from cagopt.cag import (
     _Run,
     ag_block_exit_test,
     ag_step,
+    cag_step,
     return_to_cg,
+    run_steps,
 )
 from cagopt.estimate_sequence import nesterov_bound
 from cagopt.oracle import Evaluation
@@ -176,6 +178,31 @@ class TestReturnToCg:
         assert info.value.kind is StepKind.AG
         assert np.array_equal(info.value.point.x, np.zeros(2))
         assert counter.count == 3  # start, iterate, centre
+
+    def test_model_buffers_never_share_memory_with_a_point(self, monkeypatch):
+        # v changes in place and v_spare takes cg_attempt's tentative v: over
+        # a cag+z run that enters and leaves AG blocks, neither they nor the
+        # work vector may be an iterate, an evaluated point or each other
+        exits = []
+
+        def counted_return_to_cg(run):
+            exits.append(run.counter.count)
+            return_to_cg(run)
+
+        def checked_step(run):
+            row = cag_step(run)
+            owned = (run.v, run.v_spare, run.work)
+            held = (run.x, run.point.x, run.bar.x, row[0].x, run.best.x)
+            held += () if run.z_tilde is None else (run.z_tilde,)
+            for i, a in enumerate(owned):
+                assert not any(np.shares_memory(a, b) for b in owned[i + 1:] + held)
+            return row
+
+        monkeypatch.setattr(cagopt.cag, "return_to_cg", counted_return_to_cg)
+        res = run_steps(checked_step, make_huber(700, tau=70.0), np.zeros(700),
+                        SolverConfig(L=8.0, conjugate_z=True))
+        assert res.converged and res.evaluations == 2983  # the golden huber-700 cag+z run
+        assert len(exits) == 7 and {"ag", "bar", "cg"} <= set(step_counts(res))
 
 
 class TestCagMinimize:

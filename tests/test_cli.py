@@ -231,6 +231,34 @@ def test_suite_output_that_would_overwrite_another_file_is_a_usage_error_before_
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "suite.txt"]
 
 
+@pytest.mark.parametrize(
+    "outputs,message",
+    [
+        (("trace=t.csv", "json=t.csv"), "t.csv would overwrite the trace= file t.csv"),
+        (("json=s.json", "json=sub/../s.json"),
+         "sub/../s.json would overwrite the json= file s.json"),
+        (("trace=t.csv json=./t.csv", ""), "./t.csv would overwrite the trace= file t.csv"),
+    ],
+    ids=["trace-then-json", "json-then-json", "trace-and-json-of-one-row"],
+)
+def test_rows_naming_one_output_file_are_a_usage_error_before_any_row_runs(
+    tmp_path, monkeypatch, outputs, message
+):
+    # else the later write replaces the earlier: the suite used to exit 0
+    # and keep only the second file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    first, second = outputs
+    text = f"family=quad n=10 solver=cag {first}\nfamily=quad n=10 solver=ncg {second}\n"
+    (tmp_path / "suite.txt").write_text(text)
+    builds = count_builds(monkeypatch, "quad")
+    result = CliRunner().invoke(main, ["suite", "--config", "suite.txt"])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert builds == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "suite.txt"]
+
+
 def test_run_help_names_every_key():
     text = CliRunner().invoke(main, ["run", "--help"]).output
     for key in PROBLEM_KEYS | RUN_KEYS:

@@ -17,16 +17,28 @@ def anchor(bar_x, bar_f, bar_g):
     return Evaluation(bar_x, bar_f, bar_g, math.sqrt(gg), gg)
 
 
+def advance(gamma, v, phi_star, theta, gamma_next, ell, anchor):
+    """(v_next, phi*_next) from ``advance_estimate``, with v_next in a fresh
+    array and a fresh work vector."""
+    v_next, work = np.empty_like(v), np.empty_like(v)
+    phi_next = advance_estimate(gamma, v, phi_star, theta, gamma_next, ell, anchor, v_next, work)
+    return v_next, phi_next
+
+
 def advance_estimate_reference(gamma, v, phi_star, theta, gamma_next, ell, anchor):
     """``advance_estimate``'s (v_next, phi*_next), spelled out with fresh arrays
-    as its docstring's formulas read; the in-place update must equal it byte
-    for byte."""
+    as its docstring's formulas read, the ell terms left out at ell = 0; the
+    in-place update must equal it byte for byte."""
     bar_x, bar_f, bar_g, _, bar_gg = anchor
     dv = v - bar_x
-    v_next = (
-        (1.0 - theta) * gamma * v + (theta * ell) * bar_x - theta * bar_g
-    ) / gamma_next
-    cross = 0.5 * ell * float(dv @ dv) + float(bar_g @ dv)
+    if ell:
+        v_next = (
+            (1.0 - theta) * gamma * v + (theta * ell) * bar_x - theta * bar_g
+        ) / gamma_next
+        cross = 0.5 * ell * float(dv @ dv) + float(bar_g @ dv)
+    else:
+        v_next = ((1.0 - theta) * gamma * v - theta * bar_g) / gamma_next
+        cross = float(bar_g @ dv)
     phi_next = (
         (1.0 - theta) * phi_star
         + theta * bar_f
@@ -105,7 +117,7 @@ class TestAdvanceEstimate:
     def test_stationary_anchor_no_ell(self):
         v = np.zeros(2)
         theta, gamma_next = compute_theta_gamma(1.0, 0.0, 1.0)
-        v_next, phi_next = advance_estimate(
+        v_next, phi_next = advance(
             1.0, v, 3.0, theta, gamma_next, 0.0, anchor(np.ones(2), 2.0, np.zeros(2)))
         assert np.allclose(v_next, v)
         assert abs(phi_next - ((1 - theta) * 3.0 + theta * 2.0)) <= 1e-15
@@ -117,7 +129,7 @@ class TestAdvanceEstimate:
         #   v' = [0.5*1*(0,0) - 0.5*(1,0)] / 0.5 = (-1, 0)
         #   phi*' = 1.5 + 1 - (0.25/1)*1 + (0.25/0.5)*(0 + (1,0).(-(1,0)))
         #         = 1.5 + 1 - 0.25 - 0.5 = 1.75
-        v_next, phi_next = advance_estimate(
+        v_next, phi_next = advance(
             1.0, np.zeros(2), 3.0, 0.5, 0.5, 0.0,
             anchor(np.array([1.0, 0.0]), 2.0, np.array([1.0, 0.0])),
         )
@@ -129,7 +141,7 @@ class TestAdvanceEstimate:
         v = rng.standard_normal(n)
         theta, gamma_next = compute_theta_gamma(2.0, 0.0, 2.0)
         bar_g = rng.standard_normal(n)
-        v_next, phi_next = advance_estimate(
+        v_next, phi_next = advance(
             2.0, v, 1.0, theta, gamma_next, 0.0, anchor(v.copy(), 4.0, bar_g))
         expected_v = v - (theta / gamma_next) * bar_g
         expected_phi = (
@@ -159,21 +171,36 @@ class TestAdvanceEstimate:
         theta, gamma_next = compute_theta_gamma(1.0, 0.0, 1.0)
         # as inside the solvers, which keep numpy's overflow warning quiet
         with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
-            advance_estimate(
+            advance(
                 1.0, np.zeros(2), 0.0, theta, gamma_next, 0.0, anchor(np.ones(2), bar_f, bar_g))
 
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(update=estimate_updates())
     def test_update_equals_the_fresh_array_formula_byte_for_byte(self, update):
+        # into a separate buffer, which leaves v as it was, and into v itself
         v, point = update[1], update[-1]
-        v_before = v.copy()
-        v_next, phi_next = advance_estimate(*update)
+        anchor_then = [a.tobytes() for a in (point.x, point.g)]
         v_ref, phi_ref = advance_estimate_reference(*update)
-        assert v_next.tobytes() == v_ref.tobytes()
-        assert phi_next.hex() == phi_ref.hex()
-        assert v.tobytes() == v_before.tobytes()
-        assert not np.shares_memory(v_next, v) and not np.shares_memory(v_next, point.x)
+        for into_v in (False, True):
+            v_then = v.copy()
+            out, work = (v if into_v else np.empty_like(v)), np.empty_like(v)
+            phi_next = advance_estimate(*update, out, work)
+            assert out.tobytes() == v_ref.tobytes()
+            assert phi_next.hex() == phi_ref.hex()
+            assert into_v or v.tobytes() == v_then.tobytes()
+            assert [a.tobytes() for a in (point.x, point.g)] == anchor_then
+            v[:] = v_then
+
+    def test_ell_terms_are_skipped_at_ell_zero(self):
+        # ell * ||dv||^2 / 2 would be 0 * inf = nan here, and ell bar_x adds
+        # +0.0 to -0.0; neither term is formed at ell = 0
+        theta, gamma_next = compute_theta_gamma(1.0, 0.0, 1.0)
+        v, bar_x = np.array([1e200, -0.0]), np.array([-1e200, 1.0])
+        v_next, phi_next = advance(1.0, v, 0.0, theta, gamma_next, 0.0,
+                                   anchor(bar_x, 0.0, np.zeros(2)))
+        assert phi_next == 0.0
+        assert math.copysign(1.0, v_next[1]) == -1.0
 
 
 class TestNesterovBound:

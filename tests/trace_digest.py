@@ -5,7 +5,9 @@
 
 Each solver run prints its status, counts and one SHA-256 over the trace
 rows, the status, f_final, gnorm_final, the counts and the bytes of
-x_final.  It covers every benchmark cell (``perfbench/workloads.py``) and
+x_final.  Each benchmark cell (``perfbench/workloads.py``) also prints the
+SHA-256 of the trace CSV and of the ``--json`` summary that ``run`` writes
+for it.  The runs cover every benchmark cell and
 cag, cag+z, ncg and ag at budgets 50 and 5,000, at each problem's default
 L and at L/10.  The golden fixture's synthetic runs end diverged (explosive
 cag and ag, concave ncg) and in a line-search failure (uphill ncg), and
@@ -157,11 +159,18 @@ def print_result(name: str, result) -> None:
 
 def bench_cells() -> None:
     # seed 1 changes only the logistic cells; dict.fromkeys drops the repeats
-    for workload in WORKLOADS:
-        cells = dict.fromkeys(c for seed in (0, 1) for c in cells_for(workload, seed))
-        for cell in cells:
-            config = RunConfig(cell.spec(), cell.solver, cell.gtol, conjugate_z=cell.conjugate_z)
-            print_run(f"{workload} {cell.label}", config)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, summary = Path(tmp) / "trace.csv", Path(tmp) / "summary.json"
+        for workload in WORKLOADS:
+            cells = dict.fromkeys(c for seed in (0, 1) for c in cells_for(workload, seed))
+            for cell in cells:
+                config = RunConfig(cell.spec(), cell.solver, cell.gtol,
+                                   conjugate_z=cell.conjugate_z, trace_path=str(trace),
+                                   json_path=str(summary))
+                name = f"{workload} {cell.label}"
+                print_run(name, config)
+                print(f"out {name}: csv {hashlib.sha256(trace.read_bytes()).hexdigest()} "
+                      f"json {hashlib.sha256(summary.read_bytes()).hexdigest()}")
 
 
 def direct_runs() -> None:

@@ -1,16 +1,14 @@
-"""Command-line front-end: single runs, given as a suite line's key=value
-tokens, and suite files; ``harness.run_config_from_tokens`` parses both."""
+"""Command-line front-end, click glue only: ``harness`` parses and checks the
+runs and suite files it is given, and its errors become usage errors here."""
 
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 
 import click
 
 from .errors import InvalidSpec
 from .harness import (
-    _check_writable,
     format_suite_table,
     parse_suite_config,
     run as run_one,
@@ -53,25 +51,6 @@ def run_cmd(tokens):
         sys.exit(1)
 
 
-def _check_suite_outputs(config_path: str, out_path: str | None, configs) -> None:
-    """Raise ``InvalidSpec`` when --out is the suite file, or a row's trace= or
-    json= file is the suite file, the --out file or an output file named
-    before it in the suite."""
-    kept = {Path(config_path).resolve(): f"the suite file {config_path}"}
-    if out_path:
-        if Path(out_path).resolve() in kept:
-            raise InvalidSpec(f"--out {out_path} would overwrite the suite file {config_path}")
-        kept[Path(out_path).resolve()] = f"the --out file {out_path}"
-    for config in configs:
-        for key, path in (("trace", config.trace_path), ("json", config.json_path)):
-            if not path:
-                continue
-            resolved = Path(path).resolve()
-            if resolved in kept:
-                raise InvalidSpec(f"{path} would overwrite {kept[resolved]}")
-            kept[resolved] = f"the {key}= file {path}"
-
-
 @main.command("suite")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True,
               help="text file, one run per line as key=value pairs")
@@ -83,10 +62,7 @@ def suite_cmd(config_path, out_path):
     first of them counts the build in its time_s: group lines by instance.
     """
     try:
-        if out_path:
-            _check_writable(out_path)
-        configs = parse_suite_config(config_path)
-        _check_suite_outputs(config_path, out_path, configs)
+        configs = parse_suite_config(config_path, out_path)
     except InvalidSpec as e:
         raise click.UsageError(str(e)) from e
     rows = run_suite(configs)

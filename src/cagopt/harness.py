@@ -1,7 +1,8 @@
 """Run configuration, dispatch, trace/summary output, and suite execution.
 
 ``run_config_from_tokens`` parses one run from key=value tokens, a suite
-line or ``cagopt run``'s arguments: ``family=quad n=100 solver=cag``.
+line or ``cagopt run``'s arguments: ``family=quad n=100 solver=cag``.  All
+output-file checks are made here, by ``_check_writable`` and ``_claim_outputs``.
 """
 
 from __future__ import annotations
@@ -81,6 +82,22 @@ def _check_writable(path: str | Path) -> None:
         raise InvalidSpec(f"cannot write {path}: not a file in a writable directory")
 
 
+def _claim_outputs(taken: dict[Path, str], outputs: Iterable[tuple[str, str | None]]) -> None:
+    """Add each ``(key, path)`` output with a path to ``taken``, which maps
+    resolved files to their names, as in "the trace= file t.csv".  Raises
+    ``InvalidSpec`` on a taken file, naming an option's path with its flag."""
+    for key, path in ((key, path) for key, path in outputs if path):
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            named = f"{key} {path}" if key.startswith("--") else path
+            raise InvalidSpec(f"{named} would overwrite {taken[resolved]}")
+        taken[resolved] = f"the {key} file {path}"
+
+
+def _row_outputs(config: RunConfig) -> tuple[tuple[str, str | None], ...]:
+    return ("trace=", config.trace_path), ("json=", config.json_path)
+
+
 def run(config: RunConfig) -> SolverResult:
     """Build the problem, resolve L/ell (override beats family default) into
     a ``SolverConfig``, dispatch the solver and write any requested outputs.
@@ -88,14 +105,12 @@ def run(config: RunConfig) -> SolverResult:
     An lcg row builds only the quadratic's operator, since lcg reads neither
     L nor ell; its JSON summary writes both as null.  Raises ``InvalidSpec``
     before anything is built when a trace or json path is a directory or its
-    directory is missing or not writable, or when both paths resolve to the
-    same file; and when the resolved moduli violate 0 <= ell <= L.
+    directory is missing or not writable, or when the json path names the
+    trace file; and when the resolved moduli violate 0 <= ell <= L.
     """
     for path in filter(None, (config.trace_path, config.json_path)):
         _check_writable(path)
-    if config.trace_path and config.json_path and (
-            Path(config.trace_path).resolve() == Path(config.json_path).resolve()):
-        raise InvalidSpec(f"trace and json name the same file {config.json_path}")
+    _claim_outputs({}, _row_outputs(config))
     if config.solver == "lcg":
         qp = quad_diag_system(config.problem.n)
         result = lcg_minimize(qp, np.zeros(qp.n), config.gtol, config.max_evals)
@@ -161,20 +176,23 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
 
     A failed run becomes a row with its terminal status; the suite never
     aborts.  Bad rows are rejected when their ``RunConfig`` is built, except
-    an output path that cannot be written and an ``ell`` override above the
-    family's default L (``quad n=10 ell=200``, L = 100), which ``run``
-    rejects: that row gets status ``invalid`` with no evaluations, and the
-    suite goes on.  The ``best`` flag marks, within each instance (the same
-    family and resolved parameters, not the same label), the converged run
-    with the fewest evaluations.
+    an output path that cannot be written or that an earlier row names too,
+    and an ``ell`` override above the family's default L (``quad n=10
+    ell=200``, L = 100): that row gets status ``invalid``, builds and writes
+    nothing, and the suite goes on.  The ``best`` flag marks, within each
+    instance (the same family and resolved parameters, not the same label),
+    the converged run with the fewest evaluations.
 
     Consecutive rows on one instance build it once (``ProblemSpec.build``),
     so group rows by instance: only the first row of a group pays for the
     build in its ``wall_time``.
     """
+    taken: dict[Path, str] = {}  # every row's outputs, so no row overwrites another's
+
     def one(config: RunConfig) -> SuiteRow:
         start = time.perf_counter()
         try:
+            _claim_outputs(taken, _row_outputs(config))
             result = run(config)
             outcome = (result.status, result.iterations, result.evaluations,
                        result.f_final, result.gnorm_final)
@@ -268,10 +286,13 @@ def run_config_from_tokens(tokens: Iterable[str]) -> RunConfig:
     return RunConfig(problem=spec, **settings)
 
 
-def parse_suite_config(path: str | Path) -> list[RunConfig]:
+def parse_suite_config(path: str | Path, out_path: str | None = None) -> list[RunConfig]:
     """One ``run_config_from_tokens`` run per line, skipping blank lines and
     '#' comments.  Any error in a line raises ``InvalidSpec`` prefixed with
-    ``path:lineno``; a file that cannot be read as text raises it too."""
+    ``path:lineno``; a file that is not readable text, an unwritable ``out_path``
+    (``--out``) and an output naming the suite file or an earlier one raise it too."""
+    if out_path:
+        _check_writable(out_path)
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
@@ -285,4 +306,6 @@ def parse_suite_config(path: str | Path) -> list[RunConfig]:
             configs.append(run_config_from_tokens(line.split()))
         except ValueError as e:  # InvalidSpec, or a value that is not a number
             raise InvalidSpec(f"{path}:{lineno}: {e}") from e
+    _claim_outputs({}, [("suite", str(path)), ("--out", out_path),
+                        *itertools.chain.from_iterable(map(_row_outputs, configs))])
     return configs

@@ -345,7 +345,7 @@ def make_logistic(
         return f, g
 
     return ObjectiveProblem(
-        name=f"logistic(m={m},n={n},lambda={lam:g},seed={seed})",
+        name=f"logistic(m={m},n={n},lambda={lam:g},sigma={sigma:g},seed={seed})",
         n=n,
         evaluate=evaluate,
         default_L=sig_max**2 / 4.0 + lam,

@@ -153,7 +153,7 @@ def test_run_with_trace_and_json_naming_one_file_is_a_usage_error(tmp_path):
     result = CliRunner().invoke(
         main, ["run", "family=quad", "n=10", "solver=cag", f"trace={path}", f"json={path}"])
     assert result.exit_code == 2, result.output
-    assert "same file" in result.output
+    assert f"{path} would overwrite the trace= file {path}" in result.output
     assert not path.exists()
 
 

@@ -59,8 +59,7 @@ class TestRun:
         assert summary["status"] == "converged"
 
     def test_json_names_the_instance_by_its_label(self, tmp_path):
-        # make_logistic's own name omits sigma, so it would name both
-        # logistic instances alike; the label is the suite table's name too
+        # the label, not make_logistic's own name, is the suite table's name too
         specs = [ProblemSpec("logistic", 20), ProblemSpec("logistic", 20, sigma=0.8),
                  ProblemSpec("abpdn", 16)]
         names = []
@@ -284,11 +283,30 @@ class TestSuite:
         out, same = str(tmp_path / "out"), str(tmp_path / "sub" / ".." / "out")
         bad = RunConfig(ProblemSpec("quad", 10), "cag", trace_path=out, json_path=same)
         good = RunConfig(problem=ProblemSpec("quad", 10), solver="ncg")
-        with pytest.raises(InvalidSpec, match="same file"):
+        message = f"{same} would overwrite the trace= file {out}"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
             run(bad)
         rows = run_suite([bad, good])
         assert [r.status for r in rows] == [Status.INVALID, Status.CONVERGED]
         assert len(builds) == 1 and not (tmp_path / "out").exists()
+
+    def test_row_naming_an_earlier_rows_output_is_invalid_and_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # else the later row replaces the earlier row's file: both rows
+        # used to end converged, and only the second file was left
+        trace = str(tmp_path / "t.csv")
+        configs = [RunConfig(ProblemSpec("quad", 10), "cag", trace_path=trace),
+                   RunConfig(ProblemSpec("quad", 12), "ncg", json_path=trace),
+                   RunConfig(ProblemSpec("quad", 14), "ag", trace_path=str(tmp_path / "u.csv"))]
+        cagopt.problems._built = None
+        builds = count_builds(monkeypatch, "quad")
+        rows = run_suite(configs)
+        assert [r.status for r in rows] == [Status.CONVERGED, Status.INVALID, Status.CONVERGED]
+        assert rows[1].evaluations == 0 and [args["n"] for args in builds] == [10, 14]
+        written = (tmp_path / "t.csv").read_bytes()
+        run(RunConfig(ProblemSpec("quad", 10), "cag", trace_path=str(tmp_path / "ref.csv")))
+        assert written == (tmp_path / "ref.csv").read_bytes()
 
     def test_output_path_that_is_a_directory_is_invalid(self, tmp_path):
         with pytest.raises(InvalidSpec, match="cannot write"):
@@ -402,6 +420,51 @@ class TestSuiteConfigFile:
         cfg.write_text(f"family=quad n=10 solver=cag\nfamily=quad n=10 {tokens}\n")
         with pytest.raises(InvalidSpec, match=f"^{re.escape(str(cfg))}:2: .*{key}"):
             parse_suite_config(cfg)
+
+    @pytest.mark.parametrize(
+        "first,second,out,message",
+        [
+            ("", "", "suite.txt", "--out suite.txt would overwrite the suite file suite.txt"),
+            ("", "trace=suite.txt", None, "suite.txt would overwrite the suite file suite.txt"),
+            ("", "json=./suite.txt", "summary.csv",
+             "./suite.txt would overwrite the suite file suite.txt"),
+            ("", "trace=out.csv", "out.csv", "out.csv would overwrite the --out file out.csv"),
+            ("", "trace=t.csv json=sub/../out.csv", "out.csv",
+             "sub/../out.csv would overwrite the --out file out.csv"),
+            ("trace=t.csv", "json=t.csv", None, "t.csv would overwrite the trace= file t.csv"),
+            ("json=s.json", "json=sub/../s.json", None,
+             "sub/../s.json would overwrite the json= file s.json"),
+            ("trace=t.csv json=./t.csv", "", None,
+             "./t.csv would overwrite the trace= file t.csv"),
+        ],
+        ids=["out-is-the-suite-file", "trace-is-the-suite-file", "json-is-the-suite-file",
+             "trace-is-the-out-file", "json-is-the-out-file", "trace-then-json",
+             "json-then-json", "trace-and-json-of-one-row"],
+    )
+    def test_output_that_would_overwrite_another_file_fails_before_any_build(
+        self, tmp_path, monkeypatch, first, second, out, message
+    ):
+        # paths relative to the working directory, compared once resolved
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        text = f"family=quad n=10 solver=cag {first}\nfamily=quad n=10 solver=ncg {second}\n"
+        (tmp_path / "suite.txt").write_text(text)
+        builds = count_builds(monkeypatch, "quad")
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            parse_suite_config("suite.txt", out)
+        assert builds == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "suite.txt"]
+
+    def test_suite_of_two_rows_naming_one_trace_file_runs_no_row(self, tmp_path, monkeypatch):
+        # both rows used to end converged, the second trace overwriting the first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "suite.txt").write_text(
+            "family=quad n=10 solver=cag trace=t.csv\nfamily=quad n=12 solver=ncg trace=t.csv\n")
+        builds = count_builds(monkeypatch, "quad")
+        with pytest.raises(InvalidSpec, match="^t.csv would overwrite the trace= file t.csv$"):
+            run_suite(parse_suite_config("suite.txt"))
+        assert builds == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
 
     @pytest.mark.parametrize(
         "value,expected",

@@ -317,6 +317,12 @@ class TestLogistic:
         assert z.shape == ref.shape == shape
         assert z.tobytes() == ref.tobytes()
 
+    def test_name_tells_instances_that_differ_only_in_sigma_apart(self):
+        # the name is what a NumericalFailure message quotes
+        names = [make_logistic(20, 10, sigma=sigma).name for sigma in (0.4, 0.8)]
+        assert names == ["logistic(m=20,n=10,lambda=0.0001,sigma=0.4,seed=0)",
+                         "logistic(m=20,n=10,lambda=0.0001,sigma=0.8,seed=0)"]
+
     def test_instance_equals_the_one_built_on_the_reference_draw(self, monkeypatch):
         x = np.linspace(-1.0, 1.0, 20)
         prob = make_logistic(40, 20, seed=3)

@@ -18,7 +18,9 @@ a SHA-256 of its evaluation at a fixed point; each rejected spec prints
 its message.  Hand-built suite rows print the SHA-256 of the suite table
 and CSV, and the CLI's help texts are hashed too.  Suite lines that set
 every problem and run key, and malformed ones, print the parsed
-``RunConfig`` or the error message.
+``RunConfig`` or the error message.  Outputs that would overwrite another
+file print the message of ``cagopt suite`` and ``cagopt run``, or the
+statuses of ``run_suite``.
 
 To show that a change leaves behaviour bit-identical, run the script
 against both source trees and diff the output: ``--against OTHER_SRC``
@@ -48,7 +50,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from cagopt import (
-    InvalidSpec, ProblemSpec, RunConfig, Status, lcg_minimize, quad_diag_system, run,
+    InvalidSpec, ProblemSpec, RunConfig, Status, lcg_minimize, quad_diag_system, run, run_suite,
 )
 from cagopt.cli import main as cli_main
 from cagopt.harness import SuiteRow, format_suite_table, parse_suite_config, write_suite_csv
@@ -131,6 +133,19 @@ SUITE_LINES = (
     "family=quad n=10 solver=ncg conjugate_z=true",
     "family=quad n=10 solver=lcg L=5",
     "family=quad n=10 tau=5 solver=cag",
+)
+
+# Two-line suite files whose outputs would overwrite another file: the
+# outputs of each line and the --out path, relative to a fresh directory.
+OVERWRITES = (
+    ("", "", "suite.txt"),
+    ("", "trace=suite.txt", None),
+    ("", "json=./suite.txt", "summary.csv"),
+    ("", "trace=out.csv", "out.csv"),
+    ("", "trace=t.csv json=sub/../out.csv", "out.csv"),
+    ("trace=t.csv", "json=t.csv", None),
+    ("json=s.json", "json=sub/../s.json", None),
+    ("trace=t.csv json=./t.csv", "", None),
 )
 
 
@@ -253,6 +268,27 @@ def suite_parse() -> None:
                 print(f"parse {line!r}: rejected: {str(e).replace(str(path), 'suite.txt')}")
 
 
+def output_checks() -> None:
+    runner = CliRunner()
+    for first, second, out in OVERWRITES:
+        with runner.isolated_filesystem():
+            os.mkdir("sub")
+            Path("suite.txt").write_text(
+                f"family=quad n=10 solver=cag {first}\nfamily=quad n=10 solver=ncg {second}\n")
+            result = runner.invoke(
+                cli_main, ["suite", "--config", "suite.txt"] + (["--out", out] if out else []))
+            print(f"overwrite {first!r} {second!r} --out {out}: exit {result.exit_code} "
+                  f"{result.output.splitlines()[-1]}")
+    with runner.isolated_filesystem():
+        result = runner.invoke(cli_main, ["run", "family=quad", "n=10", "solver=cag",
+                                          "trace=out", "json=out"])
+        print(f"overwrite run trace=out json=out: exit {result.exit_code} "
+              f"{result.output.splitlines()[-1]}")
+        rows = run_suite([RunConfig(ProblemSpec("quad", 10), "cag", trace_path="t.csv"),
+                          RunConfig(ProblemSpec("quad", 12), "ncg", trace_path="t.csv")])
+        print(f"overwrite run_suite trace=t.csv twice: {[r.status.value for r in rows]}")
+
+
 def compare_trees(other_src: str) -> int:
     """Run the sweep on this tree's ``src`` and on ``other_src``, print the
     unified diff of the two outputs and return 1 if they differ."""
@@ -284,6 +320,7 @@ def main() -> int:
     spec_grid()
     suite_outputs()
     suite_parse()
+    output_checks()
     bench_cells()
     direct_runs()
     exit_runs()

@@ -30,7 +30,7 @@ SOLVERS = ("cag", "ag", "ncg", "lcg")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One (problem, solver) run with optional overrides and output paths."""
+    """One (problem, solver) run, its overrides (lcg takes no L or ell, ncg no ell) and outputs."""
 
     problem: ProblemSpec
     solver: str
@@ -49,8 +49,9 @@ class RunConfig:
             raise InvalidSpec("the lcg solver applies only to the quad family")
         if self.conjugate_z and self.solver != "cag":
             raise InvalidSpec("conjugate_z applies only to the cag solver")
-        if self.solver == "lcg" and (self.L is not None or self.ell is not None):
-            raise InvalidSpec("the lcg solver takes no L or ell")
+        ignored = {"lcg": ("L", "ell"), "ncg": ("ell",)}.get(self.solver, ())
+        if any(getattr(self, name) is not None for name in ignored):
+            raise InvalidSpec(f"the {self.solver} solver takes no {' or '.join(ignored)}")
         check_settings(self.L, self.ell, self.gtol, self.max_evals)
 
     @property
@@ -82,16 +83,18 @@ def _check_writable(path: str | Path) -> None:
         raise InvalidSpec(f"cannot write {path}: not a file in a writable directory")
 
 
-def _claim_outputs(taken: dict[Path, str], outputs: Iterable[tuple[str, str | None]]) -> None:
+def _claim_outputs(taken: dict[Path, str], outputs: Iterable[tuple[str, str | None]],
+                   owner: str = "") -> None:
     """Add each ``(key, path)`` output with a path to ``taken``, which maps
-    resolved files to their names, as in "the trace= file t.csv".  Raises
-    ``InvalidSpec`` on a taken file, naming an option's path with its flag."""
+    resolved files to their names plus ``owner``, as in "the trace= file t.csv
+    of line 3".  Raises ``InvalidSpec`` on a taken file, naming an option's
+    path with its flag."""
     for key, path in ((key, path) for key, path in outputs if path):
         resolved = Path(path).resolve()
         if resolved in taken:
             named = f"{key} {path}" if key.startswith("--") else path
             raise InvalidSpec(f"{named} would overwrite {taken[resolved]}")
-        taken[resolved] = f"the {key} file {path}"
+        taken[resolved] = f"the {key} file {path}{owner}"
 
 
 def _row_outputs(config: RunConfig) -> tuple[tuple[str, str | None], ...]:
@@ -103,10 +106,11 @@ def run(config: RunConfig) -> SolverResult:
     a ``SolverConfig``, dispatch the solver and write any requested outputs.
 
     An lcg row builds only the quadratic's operator, since lcg reads neither
-    L nor ell; its JSON summary writes both as null.  Raises ``InvalidSpec``
-    before anything is built when a trace or json path is a directory or its
-    directory is missing or not writable, or when the json path names the
-    trace file; and when the resolved moduli violate 0 <= ell <= L.
+    L nor ell, and an ncg row checks no family ell against L, as ncg reads no
+    ell; their JSON summaries write what they do not read as null.  Raises
+    ``InvalidSpec`` before anything is built when a trace or json path cannot
+    be written or the json path names the trace file, and when the resolved
+    moduli violate 0 <= ell <= L.
     """
     for path in filter(None, (config.trace_path, config.json_path)):
         _check_writable(path)
@@ -117,9 +121,10 @@ def run(config: RunConfig) -> SolverResult:
         L = ell = None
     else:
         problem = config.problem.build()
+        ncg = config.solver == "ncg"
         settings = SolverConfig(
             L=config.L if config.L is not None else problem.default_L,
-            ell=config.ell if config.ell is not None else problem.default_ell,
+            ell=config.ell if config.ell is not None else 0.0 if ncg else problem.default_ell,
             gtol=config.gtol,
             max_evals=config.max_evals,
             conjugate_z=config.conjugate_z,
@@ -127,7 +132,7 @@ def run(config: RunConfig) -> SolverResult:
         # looked up at call time, so that wrappers patched into this module apply
         solve = {"cag": cag_minimize, "ncg": ncg_minimize, "ag": ag_minimize}[config.solver]
         result = solve(problem, np.zeros(problem.n), settings)
-        L, ell = settings.L, settings.ell
+        L, ell = settings.L, None if ncg else settings.ell
 
     if config.trace_path:
         write_trace_csv(config.trace_path, result.trace)
@@ -172,16 +177,16 @@ class SuiteRow:
 
 def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     """Execute all runs one after another, in input order, and flag the
-    per-problem best.
+    best run of each problem label.
 
     A failed run becomes a row with its terminal status; the suite never
     aborts.  Bad rows are rejected when their ``RunConfig`` is built, except
     an output path that cannot be written or that an earlier row names too,
     and an ``ell`` override above the family's default L (``quad n=10
     ell=200``, L = 100): that row gets status ``invalid``, builds and writes
-    nothing, and the suite goes on.  The ``best`` flag marks, within each
-    instance (the same family and resolved parameters, not the same label),
-    the converged run with the fewest evaluations.
+    nothing, and the suite goes on.  The ``best`` flag marks, among the rows
+    of one label (one instance, see ``ProblemSpec.label``), the converged run
+    with the fewest evaluations.
 
     Consecutive rows on one instance build it once (``ProblemSpec.build``),
     so group rows by instance: only the first row of a group pays for the
@@ -202,13 +207,12 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
         return SuiteRow(config.problem.label(), config.solver_name, *outcome, elapsed)
 
     rows = [one(c) for c in configs]
-    by_instance: dict[tuple, list[SuiteRow]] = {}
-    for config, row in zip(configs, rows):
-        by_instance.setdefault(config.problem._key(), []).append(row)
-    for group in by_instance.values():
-        converged = [r for r in group if r.status is Status.CONVERGED]
-        if converged:
-            min(converged, key=lambda r: r.evaluations).best = True
+    converged: dict[str, list[SuiteRow]] = {}
+    for row in rows:
+        if row.status is Status.CONVERGED:
+            converged.setdefault(row.problem, []).append(row)
+    for group in converged.values():
+        min(group, key=lambda r: r.evaluations).best = True
     return rows
 
 
@@ -287,16 +291,19 @@ def run_config_from_tokens(tokens: Iterable[str]) -> RunConfig:
 
 
 def parse_suite_config(path: str | Path, out_path: str | None = None) -> list[RunConfig]:
-    """One ``run_config_from_tokens`` run per line, skipping blank lines and
-    '#' comments.  Any error in a line raises ``InvalidSpec`` prefixed with
-    ``path:lineno``; a file that is not readable text, an unwritable ``out_path``
-    (``--out``) and an output naming the suite file or an earlier one raise it too."""
+    """One ``run_config_from_tokens`` run per line, skipping blank lines and '#'
+    comments.  The first error in a line, such as an output naming the suite
+    file, ``out_path`` or an earlier output, raises ``InvalidSpec`` prefixed with
+    ``path:lineno``; so do an unreadable file and an unwritable ``out_path``
+    (``--out``) or one naming the suite file."""
     if out_path:
         _check_writable(out_path)
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise InvalidSpec(f"cannot read {path}: {e}") from e
+    taken: dict[Path, str] = {}
+    _claim_outputs(taken, [("suite", str(path)), ("--out", out_path)])
     configs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -304,8 +311,7 @@ def parse_suite_config(path: str | Path, out_path: str | None = None) -> list[Ru
             continue
         try:
             configs.append(run_config_from_tokens(line.split()))
+            _claim_outputs(taken, _row_outputs(configs[-1]), f" of line {lineno}")
         except ValueError as e:  # InvalidSpec, or a value that is not a number
             raise InvalidSpec(f"{path}:{lineno}: {e}") from e
-    _claim_outputs({}, [("suite", str(path)), ("--out", out_path),
-                        *itertools.chain.from_iterable(map(_row_outputs, configs))])
     return configs

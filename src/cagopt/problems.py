@@ -481,11 +481,6 @@ class ProblemSpec:
             args[field] = default if value is None else value
         return args
 
-    def _key(self) -> tuple:
-        """The family and resolved arguments: equal exactly when two specs
-        build the same instance, whatever their labels."""
-        return self.family, tuple(self._args().items())
-
     def build(self) -> ObjectiveProblem:
         """The instance, built once for consecutive calls that resolve to the
         same arguments: runs of several solvers on one instance share it.
@@ -496,16 +491,18 @@ class ProblemSpec:
         over read-only arrays that returns fresh ones.
         """
         global _built
-        key = self._key()
+        args = self._args()
+        key = self.family, tuple(args.items())  # not the label, 2-5x as dear to make
         if _built is None or _built[0] != key:
             _built = None  # free the held instance before the build, not after
-            _built = (key, _FAMILIES[self.family].make(**dict(key[1])))
+            _built = (key, _FAMILIES[self.family].make(**args))
         return _built[1]
 
     def label(self) -> str:
-        """Name in the suite table, every argument resolved and a float in %g
-        form when that reads back as the same float, else as its repr:
-        ``huber(n=60,tau=6)`` whether or not tau was set, ``tau=2.0000001``."""
+        """Name in the suite table and JSON summary, every argument resolved and a
+        float in %g form when that reads back as the same float, else as its repr:
+        ``huber(n=60,tau=6)`` whether or not tau was set, ``tau=2.0000001``.  The
+        label names one instance, a zero's sign aside (``lambda=-0``, ``lambda=0``)."""
         args = self._args()
         values = [("n", self.n)] + [(key, args[field]) for key, field, _ in _PARAMS if field in args]
         return f"{self.family}({','.join(f'{key}={_label_text(value)}' for key, value in values)})"

@@ -79,9 +79,9 @@ class Trace:
 @dataclass
 class SolverResult:
     """Outcome of one solver run, as the run contract in ``cag`` states it
-    (lcg: as ``baselines.lcg_minimize`` states it).  ``trace`` holds the
-    ``init`` row and one row per iteration as columns, about 35 bytes a row
-    (see ``Trace``), so ``iterations`` is ``len(trace) - 1``."""
+    (lcg: as ``baselines.lcg_minimize`` states it); ``status`` tells if it
+    converged.  ``trace`` holds the ``init`` row and one row per iteration as
+    columns, about 35 bytes a row (see ``Trace``): ``iterations`` is its length - 1."""
 
     status: Status
     x_final: np.ndarray
@@ -93,7 +93,3 @@ class SolverResult:
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
-
-    @property
-    def converged(self) -> bool:
-        return self.status is Status.CONVERGED

@@ -67,26 +67,26 @@ class TestLcg:
         qp = QuadraticProblem(apply_A=lambda x: np.array([1.0, 2.0]) * x,
                               b=np.array([1.0, 1.0]))
         res = lcg_minimize(qp, np.zeros(2), gtol=1e-12, max_iters=10)
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert res.iterations <= 2
         assert np.allclose(res.x_final, np.array([1.0, 0.5]), atol=1e-12)
 
     def test_identity_operator_one_iteration(self, rng):
         qp = QuadraticProblem(apply_A=lambda x: x, b=rng.standard_normal(7))
         res = lcg_minimize(qp, rng.standard_normal(7), gtol=1e-12, max_iters=10)
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert res.iterations == 1
 
     def test_zero_start_costs_no_initial_apply(self):
         qp = quad_diag_system(50)
         res = lcg_minimize(qp, np.zeros(50), gtol=1e-8, max_iters=10**4)
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert res.evaluations == res.iterations
 
     def test_nonzero_start_costs_one_apply(self):
         qp = quad_diag_system(50)
         res = lcg_minimize(qp, np.ones(50), gtol=1e-8, max_iters=10**4)
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert res.evaluations == res.iterations + 1
 
     def test_residual_orthogonality_first_thirty_iterations(self, rng):
@@ -169,7 +169,7 @@ class TestLcg:
     def test_converged_at_start(self):
         qp = quad_diag_system(5)
         res = lcg_minimize(qp, np.zeros(5), gtol=float(np.linalg.norm(qp.b)), max_iters=10)
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert (res.iterations, res.evaluations, len(res.trace)) == (0, 0, 1)
         assert np.array_equal(res.x_final, np.zeros(5))
 
@@ -218,7 +218,7 @@ class TestNcg:
     def test_norm_squared_one_iteration(self, rng):
         prob = quad_diag_system(1).objective(L=1.0, ell=1.0)
         res = ncg_minimize(prob, np.array([2.0]), SolverConfig(L=1.0, gtol=1e-10, max_evals=100))
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert res.iterations == 1
         assert np.isnan(res.trace.phi_star).all()  # no estimate sequence
 
@@ -227,7 +227,7 @@ class TestNcg:
         config = SolverConfig(L=8.0, gtol=1e-6, max_evals=10**6)
         first = ncg_minimize(prob, np.zeros(400), config)
         second = ncg_minimize(prob, np.zeros(400), config)
-        assert first.converged and second.converged
+        assert first.status is Status.CONVERGED and second.status is Status.CONVERGED
         assert first.evaluations == second.evaluations
         assert first.f_final == second.f_final
 
@@ -238,7 +238,7 @@ class TestNcg:
         config = SolverConfig(L=6400.0, ell=1.0, gtol=1e-8, max_evals=10**5)
         res_ncg = ncg_minimize(prob, np.zeros(80), config)
         res_cag = cag_minimize(prob, np.zeros(80), config)
-        assert res_ncg.converged and res_cag.converged
+        assert res_ncg.status is Status.CONVERGED and res_cag.status is Status.CONVERGED
         assert abs(res_ncg.evaluations - res_cag.evaluations) <= 2
 
     def test_budget_status(self):
@@ -257,7 +257,7 @@ class TestAg:
         prob = qp.objective(L=1.0, ell=1.0)
         res = ag_minimize(prob, np.array([1.0]),
                           SolverConfig(L=1.0, ell=1.0, gtol=1e-12, max_evals=100))
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert res.iterations <= 2
         assert res.x_final[0] == 0.0
         assert res.gnorm_final == 0.0
@@ -273,7 +273,7 @@ class TestAg:
         prob = qp.objective(L=1.0, ell=0.0)
         x0 = np.array([3.0, 1.0])
         res, iterates = minimize_with_iterates("ag", prob, x0, gtol=1e-9, max_evals=10**5)
-        assert res.converged
+        assert res.status is Status.CONVERGED
         xstar = np.array([0.0, 1.0])  # nearest minimiser to the start
         dist0 = float((x0 - xstar) @ (x0 - xstar))
         for k, xk in enumerate(iterates):
@@ -285,7 +285,7 @@ class TestAg:
         prob = qp.objective(L=L, ell=ell)
         res, iterates = minimize_with_iterates("ag", prob, rng.standard_normal(10),
                                                max_evals=10**5)
-        assert res.converged
+        assert res.status is Status.CONVERGED
         f0 = res.trace.f[0]
         for xk, phi_star in zip(iterates, res.trace.phi_star, strict=True):
             fk = prob.evaluate(xk)[0]
@@ -295,7 +295,7 @@ class TestAg:
         prob = make_quad_diag(50)
         res = ag_minimize(prob, np.zeros(50),
                           SolverConfig(L=2500.0, ell=1.0, gtol=1e-6, max_evals=10**5))
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert set(np.diff(res.trace.evals)) == {1}
         assert res.evaluations == res.iterations + 1
 
@@ -379,7 +379,7 @@ def test_result_never_aliases_the_callers_start(solver):
     converged = minimize(solver, prob, converged_x0, gtol=1e-6)
     capped_x0 = np.ones(5)
     capped = minimize(solver, prob, capped_x0, max_evals=1)
-    assert converged.converged and converged.iterations == 0
+    assert converged.status is Status.CONVERGED and converged.iterations == 0
     assert capped.status is Status.BUDGET_EXHAUSTED and capped.iterations == 0
     for res, x0 in ((converged, converged_x0), (capped, capped_x0)):
         assert np.array_equal(res.x_final, x0)
@@ -428,7 +428,7 @@ def test_lcg_never_writes_into_the_start_or_b(rng, start):
     x0 = np.zeros(8) if start == "zero" else rng.standard_normal(8)
     x0_then, b_then = x0.copy(), b.copy()
     res = lcg_minimize(qp, x0, gtol=1e-10, max_iters=50)
-    assert res.converged
+    assert res.status is Status.CONVERGED
     assert x0.tobytes() == x0_then.tobytes()
     assert b.tobytes() == b_then.tobytes()
     assert not np.shares_memory(res.x_final, x0)
@@ -456,7 +456,7 @@ def test_cag_needs_no_more_evaluations_than_the_baselines(family, n, within_twic
     # reaching the cap already meets the bound.
     def evaluations(solver, **budget):
         result = run(RunConfig(ProblemSpec(family, n), solver, **budget))
-        assert result.converged or budget, solver
+        assert result.status is Status.CONVERGED or budget, solver
         return result.evaluations
 
     cag, ncg = evaluations("cag"), evaluations("ncg")

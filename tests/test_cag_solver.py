@@ -201,7 +201,8 @@ class TestReturnToCg:
         monkeypatch.setattr(cagopt.cag, "return_to_cg", counted_return_to_cg)
         res = run_steps(checked_step, make_huber(700, tau=70.0), np.zeros(700),
                         SolverConfig(L=8.0, conjugate_z=True))
-        assert res.converged and res.evaluations == 2983  # the golden huber-700 cag+z run
+        # the golden huber-700 cag+z run
+        assert res.status is Status.CONVERGED and res.evaluations == 2983
         assert len(exits) == 7 and {"ag", "bar", "cg"} <= set(step_counts(res))
 
 
@@ -214,7 +215,7 @@ class TestCagMinimize:
         )
         x0 = rng.standard_normal(6)
         res = cag_minimize(prob, x0, SolverConfig(L=1.0, ell=1.0, gtol=1e-10, max_evals=100))
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert res.iterations == 1
         assert np.linalg.norm(res.x_final) <= 1e-10
 
@@ -223,7 +224,7 @@ class TestCagMinimize:
         res = cag_minimize(
             prob, prob.known_xstar, SolverConfig(L=25.0, ell=1.0, gtol=1e-6, max_evals=10)
         )
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert res.iterations == 0
         assert res.evaluations == 1
 
@@ -232,7 +233,7 @@ class TestCagMinimize:
         prob = qp.objective(L=L, ell=ell)
         x0 = rng.standard_normal(25)
         res = cag_minimize(prob, x0, SolverConfig(L=L, ell=ell, gtol=1e-9, max_evals=10**5))
-        assert res.converged
+        assert res.status is Status.CONVERGED
         kinds = step_counts(res)
         assert kinds.get("ag", 0) == 0 and kinds.get("sd", 0) == 0
         f0 = res.trace.f[0]
@@ -288,7 +289,7 @@ class TestCagMinimize:
         prob = qp.objective(L=L, ell=ell)
         res = cag_minimize(prob, rng.standard_normal(3),
                            SolverConfig(L=L, ell=ell, gtol=1e-9, max_evals=10**4))
-        assert res.converged
+        assert res.status is Status.CONVERGED
 
     def test_forced_restart_rule_is_shared_with_ncg(self, monkeypatch):
         # ncg converges on quad n=100 in 263 evaluations; restarting every
@@ -321,7 +322,7 @@ class TestCagMinimize:
         res = cag_minimize(prob, np.zeros(1000),
                            SolverConfig(L=8.0, ell=0.0, gtol=1e-6, max_evals=10**6,
                                         conjugate_z=True))
-        assert res.converged
+        assert res.status is Status.CONVERGED
         kinds = step_counts(res)
         assert kinds.get("ag", 0) >= 1
         assert res.trace.evals[0] == 1
@@ -338,7 +339,7 @@ class TestCagMinimize:
         assert res.trace.evals == ref.trace.evals and res.trace.f == ref.trace.f
         assert list(res.trace.kinds()) == list(ref.trace.kinds())
         assert np.array_equal(res.x_final, ref.x_final)
-        assert res.converged
+        assert res.status is Status.CONVERGED
         assert len(iterates) == len(res.trace) == res.iterations + 1
         assert np.array_equal(iterates[0], np.zeros(n))
         assert np.array_equal(iterates[-1], res.x_final)
@@ -353,7 +354,7 @@ class TestCagMinimize:
                                              conjugate_z=z_mode))
 
         full = solve(10**6)
-        assert full.converged
+        assert full.status is Status.CONVERGED
         deltas = np.diff(full.trace.evals).tolist()
         assert max(deltas) == cost
         start = full.trace.evals[deltas.index(cost)]

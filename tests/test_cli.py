@@ -78,6 +78,14 @@ def test_lcg_with_moduli_override_is_a_usage_error(override):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_ncg_with_an_ell_override_is_a_usage_error():
+    # it ran, took the 21 evaluations of the run without ell and wrote "ell": 5.0
+    result = CliRunner().invoke(main, ["run", "family=quad", "n=10", "solver=ncg", "ell=5"])
+    assert result.exit_code == 2, result.output
+    assert "ncg solver takes no ell" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_suite_with_invalid_row_is_a_usage_error(tmp_path):
     config = tmp_path / "suite.txt"
     config.write_text("family=quad n=10 solver=cag L=0\n")

@@ -43,7 +43,7 @@ class TestRun:
         for solver in ("cag", "ag", "ncg", "lcg"):
             res = run(RunConfig(problem=ProblemSpec("quad", 2), solver=solver,
                                 gtol=1e-12))
-            assert res.converged, solver
+            assert res.status is Status.CONVERGED, solver
             assert abs(res.f_final - fstar) <= 1e-12
             assert np.linalg.norm(res.x_final - xstar) <= 1e-11
 
@@ -52,7 +52,7 @@ class TestRun:
         res = run(RunConfig(problem=ProblemSpec("quad", 10), solver="cag",
                             gtol=1e-8, L=200.0, ell=0.5,
                             json_path=str(path)))
-        assert res.converged
+        assert res.status is Status.CONVERGED
         summary = json.loads(path.read_text())
         assert summary["L"] == 200.0
         assert summary["ell"] == 0.5
@@ -95,7 +95,7 @@ class TestRun:
         # make_quad_diag reaches it through problems, harness through its own name
         monkeypatch.setattr(cagopt.problems, "quad_diag_system", counted)
         monkeypatch.setattr(cagopt.harness, "quad_diag_system", counted)
-        assert run(RunConfig(problem=ProblemSpec("quad", 10), solver="lcg")).converged
+        assert run(RunConfig(ProblemSpec("quad", 10), "lcg")).status is Status.CONVERGED
         assert calls == [10]
 
     def test_lcg_json_has_null_moduli(self, tmp_path):
@@ -104,6 +104,28 @@ class TestRun:
         summary = json.loads(path.read_text())
         assert summary["L"] is None and summary["ell"] is None
         assert summary["solver"] == "lcg" and summary["status"] == "converged"
+
+    def test_ncg_rejects_an_ell_override(self):
+        # ncg reads no ell: quad n=10 took the same 21 evaluations with ell=5
+        with pytest.raises(InvalidSpec, match="^the ncg solver takes no ell$"):
+            RunConfig(problem=ProblemSpec("quad", 10), solver="ncg", ell=5.0)
+        with pytest.raises(InvalidSpec, match="ncg solver takes no ell"):
+            run_config_from_tokens("family=quad n=10 solver=ncg ell=5".split())
+        assert RunConfig(problem=ProblemSpec("quad", 10), solver="ncg", L=200.0).L == 200.0
+
+    def test_ncg_json_has_a_null_ell(self, tmp_path):
+        path = tmp_path / "summary.json"
+        run(RunConfig(problem=ProblemSpec("quad", 10), solver="ncg", json_path=str(path)))
+        summary = json.loads(path.read_text())
+        assert summary["L"] == 100.0 and summary["ell"] is None
+        assert summary["solver"] == "ncg" and summary["status"] == "converged"
+
+    def test_ncg_checks_no_family_ell_against_L(self):
+        # quad's ell is 1: an L of 0.5 rejects a cag row, not an ncg row
+        with pytest.raises(InvalidSpec, match="ell <= L"):
+            run(RunConfig(ProblemSpec("quad", 10), "cag", L=0.5))
+        res = run(RunConfig(ProblemSpec("quad", 10), "ncg", L=0.5))
+        assert res.status is Status.CONVERGED
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -197,9 +219,9 @@ class TestSuite:
         assert all(r.status is Status.CONVERGED for r in rows)
         assert sum(r.best for r in rows) == 1
 
-    def test_best_is_flagged_per_instance_not_per_label(self):
-        # tau = 2.0000001 and 2.0000002 build two instances; the ncg row is
-        # the only run of the second, so it wins it
+    def test_labels_that_differ_past_six_digits_are_two_instances(self):
+        # tau = 2.0000001 and 2.0000002 build two instances with two labels;
+        # the ncg row is the only run of the second, so it wins it
         rows = run_suite([RunConfig(ProblemSpec("huber", 50, tau=tau), solver)
                           for tau, solver in ((2.0000001, "cag"), (2.0000002, "ncg"),
                                               (2.0000001, "ncg"))])
@@ -207,6 +229,21 @@ class TestSuite:
             "huber(n=50,tau=2.0000001)", "huber(n=50,tau=2.0000002)", "huber(n=50,tau=2.0000001)"]
         assert all(r.status is Status.CONVERGED for r in rows)
         assert [r.best for r in rows] == [True, True, False]
+
+    def test_rows_that_share_a_label_share_one_best_flag(self):
+        # interleaved rows of two labels; lambda=-0 and lambda=0 are two
+        # labels, so two best flags, though they build one instance
+        specs = [ProblemSpec("logistic", 10, lam=lam) for lam in (0.01, -0.0, 0.0)]
+        rows = run_suite([RunConfig(specs[i], solver, gtol=1e-6)
+                          for i, solver in ((0, "cag"), (1, "ncg"), (0, "ncg"), (2, "ag"),
+                                            (0, "ag"), (1, "cag"))])
+        assert [r.problem.split(",")[2] for r in rows] == [
+            "lambda=0.01", "lambda=-0", "lambda=0.01", "lambda=0", "lambda=0.01", "lambda=-0"]
+        assert all(r.status is Status.CONVERGED for r in rows)
+        for spec in specs:
+            group = [r for r in rows if r.problem == spec.label()]
+            assert sum(r.best for r in group) == 1
+            assert [r for r in group if r.best][0].evaluations == min(r.evaluations for r in group)
 
     def test_rows_on_one_instance_build_it_once(self, monkeypatch):
         configs = [RunConfig(problem=ProblemSpec("huber", 60), solver=s, gtol=1e-6)
@@ -425,17 +462,20 @@ class TestSuiteConfigFile:
         "first,second,out,message",
         [
             ("", "", "suite.txt", "--out suite.txt would overwrite the suite file suite.txt"),
-            ("", "trace=suite.txt", None, "suite.txt would overwrite the suite file suite.txt"),
+            ("", "trace=suite.txt", None,
+             "suite.txt:2: suite.txt would overwrite the suite file suite.txt"),
             ("", "json=./suite.txt", "summary.csv",
-             "./suite.txt would overwrite the suite file suite.txt"),
-            ("", "trace=out.csv", "out.csv", "out.csv would overwrite the --out file out.csv"),
+             "suite.txt:2: ./suite.txt would overwrite the suite file suite.txt"),
+            ("", "trace=out.csv", "out.csv",
+             "suite.txt:2: out.csv would overwrite the --out file out.csv"),
             ("", "trace=t.csv json=sub/../out.csv", "out.csv",
-             "sub/../out.csv would overwrite the --out file out.csv"),
-            ("trace=t.csv", "json=t.csv", None, "t.csv would overwrite the trace= file t.csv"),
+             "suite.txt:2: sub/../out.csv would overwrite the --out file out.csv"),
+            ("trace=t.csv", "json=t.csv", None,
+             "suite.txt:2: t.csv would overwrite the trace= file t.csv of line 1"),
             ("json=s.json", "json=sub/../s.json", None,
-             "sub/../s.json would overwrite the json= file s.json"),
+             "suite.txt:2: sub/../s.json would overwrite the json= file s.json of line 1"),
             ("trace=t.csv json=./t.csv", "", None,
-             "./t.csv would overwrite the trace= file t.csv"),
+             "suite.txt:1: ./t.csv would overwrite the trace= file t.csv of line 1"),
         ],
         ids=["out-is-the-suite-file", "trace-is-the-suite-file", "json-is-the-suite-file",
              "trace-is-the-out-file", "json-is-the-out-file", "trace-then-json",
@@ -461,10 +501,22 @@ class TestSuiteConfigFile:
         (tmp_path / "suite.txt").write_text(
             "family=quad n=10 solver=cag trace=t.csv\nfamily=quad n=12 solver=ncg trace=t.csv\n")
         builds = count_builds(monkeypatch, "quad")
-        with pytest.raises(InvalidSpec, match="^t.csv would overwrite the trace= file t.csv$"):
+        message = "suite.txt:2: t.csv would overwrite the trace= file t.csv of line 1"
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
             run_suite(parse_suite_config("suite.txt"))
         assert builds == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
+
+    def test_overwrite_error_names_the_later_and_the_earlier_line(self, tmp_path, monkeypatch):
+        # it named neither: "t.csv would overwrite the trace= file t.csv";
+        # and it came after the L=abc error of a later line
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "suite.txt").write_text(
+            "# runs\n\nfamily=quad n=10 solver=cag trace=t.csv\n# again\n"
+            "family=quad n=12 solver=ncg trace=./t.csv\nfamily=quad n=10 solver=cag L=abc\n")
+        message = "suite.txt:5: ./t.csv would overwrite the trace= file t.csv of line 3"
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            parse_suite_config("suite.txt")
 
     @pytest.mark.parametrize(
         "value,expected",
@@ -507,8 +559,9 @@ def test_L_at_the_ends_of_its_range_ends_every_run_with_a_status(L):
     # outside this range, compute_theta_gamma's b^2 + 4 L gamma over- or
     # underflowed: a numpy warning and a ZeroDivisionError at L = 1e155, an
     # InvalidState at L = 1e-160
-    configs = [RunConfig(ProblemSpec(family, n), solver, L=L, ell=0.0, max_evals=300,
-                         conjugate_z=z)
+    # ell = 0 stays below L; ncg takes no ell and checks none
+    configs = [RunConfig(ProblemSpec(family, n), solver, L=L, max_evals=300, conjugate_z=z,
+                         ell=None if solver == "ncg" else 0.0)
                for family, n in (("quad", 10), ("logistic", 10), ("abpdn", 16))
                for solver, z in (("cag", False), ("cag", True), ("ncg", False), ("ag", False))]
     rows = run_suite(configs)
@@ -550,7 +603,7 @@ def suite_lines(draw, family):
     take, and perhaps a malformed token, in a drawn order."""
     solver = draw(st.sampled_from(["cag", "ag", "ncg"] + (["lcg"] if family == "quad" else [])))
     n = draw(st.sampled_from([4, 9, 16, 25]) if family == "abpdn" else st.integers(1, 30))
-    keys = _TAKES[family] + ["gtol"] + ([] if solver == "lcg" else ["L", "ell"])
+    keys = _TAKES[family] + ["gtol"] + {"lcg": [], "ncg": ["L"]}.get(solver, ["L", "ell"])
     keys += ["conjugate_z"] if solver == "cag" else []
     chosen = draw(st.fixed_dictionaries({}, optional={key: _VALUES[key] for key in keys}))
     tokens = [f"family={family}", f"n={n}", f"solver={solver}",

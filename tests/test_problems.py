@@ -598,6 +598,53 @@ class TestProblemSpec:
         assert "tau=4" in prob.name
 
 
+# Sizes and optional-parameter values of drawn specs, by family: small pools
+# that hold defaults of some of the sizes (tau = n/10, m = 2n) and values a
+# rounding apart from them, so that two draws often resolve alike.
+_SIZES = {"quad": [4, 9, 10], "abpdn": [4, 9, 16], "logistic": [4, 5, 10], "huber": [10, 20, 25]}
+_POOLS = {
+    "quad": {},
+    "abpdn": {"lam": [1e-3, 0.01, 0.010000000000000002], "delta": [1e-4, 1e-3]},
+    "logistic": {"m": [8, 10, 20], "lam": [1e-4, 0.0, -0.0],
+                 "sigma": [0.4, 0.8, 0.4000000000000001], "seed": [0, 3]},
+    "huber": {"tau": [1.0, 2.0, 2.5, 2.0000000000000004]},
+}
+
+
+@st.composite
+def specs(draw, family):
+    """A spec of ``family`` with each optional parameter unset or drawn from its pool."""
+    params = {field: draw(st.none() | st.sampled_from(pool))
+              for field, pool in _POOLS[family].items()}
+    return ProblemSpec(family, draw(st.sampled_from(_SIZES[family])), **params)
+
+
+@st.composite
+def spec_pairs(draw, family):
+    """Two specs of ``family``: drawn apart, or the second a copy of the
+    first with one field redrawn (perhaps to its value, or unset)."""
+    a = draw(specs(family))
+    if draw(st.booleans()):
+        return a, draw(specs(family))
+    field = draw(st.sampled_from(["n", *_POOLS[family]]))
+    pool = _SIZES[family] if field == "n" else [None, *_POOLS[family][field]]
+    return a, dataclasses.replace(a, **{field: draw(st.sampled_from(pool))})
+
+
+def resolved(spec):
+    """The family and resolved arguments, a zero's sign included."""
+    return spec.family, [(key, value, math.copysign(1, value))
+                         for key, value in spec._args().items()]
+
+
+@pytest.mark.parametrize("family", sorted(_POOLS))
+@settings(derandomize=True, max_examples=40)
+@given(data=st.data())
+def test_two_specs_share_a_label_exactly_when_they_resolve_alike(family, data):
+    a, b = data.draw(spec_pairs(family))
+    assert (a.label() == b.label()) == (resolved(a) == resolved(b))
+
+
 class TestBuildCache:
     def test_equal_resolved_arguments_share_one_instance(self):
         # tau = 4 is huber n=40's default

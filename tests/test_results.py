@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cagopt import (
     SolverConfig,
+    Status,
     StepKind,
     cag_minimize,
     lcg_minimize,
@@ -136,5 +137,5 @@ def test_every_solver_returns_a_trace(solver):
                                                            conjugate_z=True))
     else:
         res = minimize(solver, make_quad_diag(10), np.ones(10))
-    assert res.converged
+    assert res.status is Status.CONVERGED
     assert type(res.trace) is Trace

@@ -132,6 +132,7 @@ SUITE_LINES = (
     "family=huber n=10 solver=lcg",
     "family=quad n=10 solver=ncg conjugate_z=true",
     "family=quad n=10 solver=lcg L=5",
+    "family=quad n=10 solver=ncg ell=5",
     "family=quad n=10 tau=5 solver=cag",
 )
 
@@ -144,6 +145,7 @@ OVERWRITES = (
     ("", "trace=out.csv", "out.csv"),
     ("", "trace=t.csv json=sub/../out.csv", "out.csv"),
     ("trace=t.csv", "json=t.csv", None),
+    ("trace=t.csv", "trace=t.csv", None),
     ("json=s.json", "json=sub/../s.json", None),
     ("trace=t.csv json=./t.csv", "", None),
 )

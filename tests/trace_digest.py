@@ -16,7 +16,9 @@ that every exit status is covered.  Each ``ProblemSpec`` of a grid over every fa
 optional parameter unset and set, prints its label, default L and ell and
 a SHA-256 of its evaluation at a fixed point; each rejected spec prints
 its message.  Hand-built suite rows print the SHA-256 of the suite table
-and CSV, and the CLI's help texts are hashed too.  Suite lines that set
+and CSV, and the CLI's help texts are hashed too.  ``cagopt run`` prints
+its exit code and its line for a converged cag and cag+z run, a budget
+exit, an lcg run and an ncg run on huber.  Suite lines that set
 every problem and run key, and malformed ones, print the parsed
 ``RunConfig`` or the error message.  Outputs that would overwrite another
 file print the message of ``cagopt suite`` and ``cagopt run``, or the
@@ -237,6 +239,16 @@ def spec_grid() -> None:
             print(f"from_kv {pairs}: {type(e).__name__}: {e}")
 
 
+# ``cagopt run`` invocations whose exit code and summary line are printed.
+RUN_LINES = (
+    "family=quad n=10 solver=cag",
+    "family=quad n=10 solver=cag conjugate_z=true",
+    "family=quad n=10 solver=cag max_evals=3",
+    "family=quad n=10 solver=lcg",
+    "family=huber n=10 tau=2.5 solver=ncg",
+)
+
+
 def suite_outputs() -> None:
     rows = [
         SuiteRow("quad(n=10)", "cag", Status.CONVERGED, 6, 13, -0.25, 3e-9, 0.012, best=True),
@@ -256,6 +268,9 @@ def suite_outputs() -> None:
     for command in ("run", "suite"):
         text = CliRunner().invoke(cli_main, [command, "--help"]).output
         print(f"cli {command} --help {hashlib.sha256(text.encode()).hexdigest()}")
+    for line in RUN_LINES:
+        result = CliRunner().invoke(cli_main, ["run", *line.split()])
+        print(f"cli run {line}: exit {result.exit_code} {result.output.rstrip()}")
 
 
 def suite_parse() -> None:

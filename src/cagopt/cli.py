@@ -9,6 +9,7 @@ import click
 
 from .errors import InvalidSpec
 from .harness import (
+    format_run_line,
     format_suite_table,
     parse_suite_config,
     run as run_one,
@@ -42,11 +43,7 @@ def run_cmd(tokens):
         result = run_one(config)
     except ValueError as e:  # InvalidSpec, or a value that is not a number
         raise click.UsageError(str(e)) from e
-    click.echo(
-        f"{config.solver_name}: {result.status.value}  iterations={result.iterations}  "
-        f"evaluations={result.evaluations}  f={result.f_final:.9e}  "
-        f"gnorm={result.gnorm_final:.3e}"
-    )
+    click.echo(format_run_line(config, result))
     if result.status is not Status.CONVERGED:
         sys.exit(1)
 

@@ -2,7 +2,8 @@
 
 ``run_config_from_tokens`` parses one run from key=value tokens, a suite
 line or ``cagopt run``'s arguments: ``family=quad n=100 solver=cag``.  All
-output-file checks are made here, by ``_check_writable`` and ``_claim_outputs``.
+output-file checks are made here, by ``_check_writable`` and ``_claim_outputs``,
+and every run-summary field is declared here once, as a field of ``SuiteRow``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .problems import PROBLEM_KEYS, ProblemSpec, quad_diag_system
 from .results import SolverResult, Status, Trace
 
 SOLVERS = ("cag", "ag", "ncg", "lcg")
+_EXACT = "{:.17g}".format  # a float in a CSV cell
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,6 @@ class RunConfig:
     def solver_name(self) -> str:
         """The solver's name in the suite and the JSON summary: cag+z in conjugate-z mode."""
         return "cag+z" if self.conjugate_z else self.solver
-
-
-def _format_float(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def write_trace_csv(path: str | Path, trace: Trace) -> None:
@@ -137,42 +135,59 @@ def run(config: RunConfig) -> SolverResult:
     if config.trace_path:
         write_trace_csv(config.trace_path, result.trace)
     if config.json_path:
-        summary = {
-            "problem": config.problem.label(),
-            "solver": config.solver_name,
-            "status": result.status.value,
-            "iterations": result.iterations,
-            "evaluations": result.evaluations,
-            "f_final": result.f_final,
-            "gnorm_final": result.gnorm_final,
-            "L": L,
-            "ell": ell,
-            "gtol": config.gtol,
-        }
+        row = _summary(config, result, L=L, ell=ell)
         with open(config.json_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump({f.name: getattr(row, f.name) for f in fields(row) if f.metadata["json"]},
+                      fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result
 
 
+def _field(header: str | None, cell: Callable = str, csv: Callable | None = None,
+           line: str = "", json: bool = True, **default) -> Any:
+    """A summary field: its table header (None: not in the table or CSV), table and
+    CSV cell formats (CSV: the table's unless given), its format string in
+    ``cagopt run``'s line ("": not in it) and whether the json= file has it."""
+    return field(metadata=dict(header=header, cell=cell, csv=csv or cell, line=line, json=json),
+                 **default)
+
+
 @dataclass
 class SuiteRow:
-    """One line of the suite summary table.
+    """One run's summary, for the suite table and CSV, the json= file and
+    ``cagopt run``'s line.  Each field is declared once, here: its name is its
+    JSON key and CSV header, and its ``_field`` gives the rest.
 
-    ``wall_time`` is the whole ``run`` call.  It includes building the
-    problem only when the row before did not build the same instance, since
-    ``ProblemSpec.build`` keeps the last one.
+    ``wall_time`` is the whole ``run`` call in a suite, NaN elsewhere.  It
+    includes building the problem only when the row before did not build the
+    same instance, since ``ProblemSpec.build`` keeps the last one.  ``L`` and
+    ``ell`` are set, as ``run`` resolved them, only for the json= file.
     """
 
-    problem: str
-    solver: str
-    status: Status
-    iterations: int
-    evaluations: int
-    f_final: float
-    gnorm_final: float
-    wall_time: float
-    best: bool = False
+    problem: str = _field("problem")
+    solver: str = _field("solver", line="{}: ")
+    status: Status = _field("status", "{.value}".format, line="{.value}")
+    iterations: int = _field("iters", line="  iterations={}")
+    evaluations: int = _field("evals", line="  evaluations={}")
+    f_final: float = _field("f_final", "{:.6e}".format, _EXACT, line="  f={:.9e}")
+    gnorm_final: float = _field("gnorm_final", "{:.3e}".format, _EXACT, line="  gnorm={:.3e}")
+    wall_time: float = _field("time_s", "{:.2f}".format, "{:.3f}".format, json=False)
+    best: bool = _field("best", lambda b: "*" if b else "", int, json=False, default=False)
+    L: float | None = _field(None, default=None)
+    ell: float | None = _field(None, default=None)
+    gtol: float | None = _field(None, default=None)
+
+
+def _summary(config: RunConfig, result: SolverResult, **moduli) -> SuiteRow:
+    return SuiteRow(config.problem.label(), config.solver_name, result.status, result.iterations,
+                    result.evaluations, result.f_final, result.gnorm_final, math.nan,
+                    gtol=config.gtol, **moduli)
+
+
+def format_run_line(config: RunConfig, result: SolverResult) -> str:
+    """``cagopt run``'s line: each summary field that has a part in it, in order."""
+    row = _summary(config, result)
+    return "".join(f.metadata["line"].format(getattr(row, f.name)) for f in fields(row))
 
 
 def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
@@ -198,13 +213,12 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
         start = time.perf_counter()
         try:
             _claim_outputs(taken, _row_outputs(config))
-            result = run(config)
-            outcome = (result.status, result.iterations, result.evaluations,
-                       result.f_final, result.gnorm_final)
+            row = _summary(config, run(config))
         except InvalidSpec:
-            outcome = (Status.INVALID, 0, 0, math.nan, math.nan)
-        elapsed = time.perf_counter() - start
-        return SuiteRow(config.problem.label(), config.solver_name, *outcome, elapsed)
+            row = SuiteRow(config.problem.label(), config.solver_name, Status.INVALID, 0, 0,
+                           math.nan, math.nan, math.nan)
+        row.wall_time = time.perf_counter() - start
+        return row
 
     rows = [one(c) for c in configs]
     converged: dict[str, list[SuiteRow]] = {}
@@ -216,25 +230,11 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     return rows
 
 
-# Each suite column: table header, CSV header, table cell, CSV cell.
-_SUITE_COLUMNS = (
-    ("problem", "problem", lambda r: r.problem, lambda r: r.problem),
-    ("solver", "solver", lambda r: r.solver, lambda r: r.solver),
-    ("status", "status", lambda r: r.status.value, lambda r: r.status.value),
-    ("iters", "iterations", lambda r: str(r.iterations), lambda r: r.iterations),
-    ("evals", "evaluations", lambda r: str(r.evaluations), lambda r: r.evaluations),
-    ("f_final", "f_final", lambda r: f"{r.f_final:.6e}", lambda r: _format_float(r.f_final)),
-    ("gnorm_final", "gnorm_final", lambda r: f"{r.gnorm_final:.3e}",
-     lambda r: _format_float(r.gnorm_final)),
-    ("time_s", "wall_time", lambda r: f"{r.wall_time:.2f}", lambda r: f"{r.wall_time:.3f}"),
-    ("best", "best", lambda r: "*" if r.best else "", lambda r: int(r.best)),
-)
-
-
 def format_suite_table(rows: list[SuiteRow]) -> str:
     """Aligned text table; '*' in the best column marks the per-problem winner."""
-    lines = [[header for header, *_ in _SUITE_COLUMNS]]
-    lines += [[cell(r) for _, _, cell, _ in _SUITE_COLUMNS] for r in rows]
+    columns = [f for f in fields(SuiteRow) if f.metadata["header"]]
+    lines = [[f.metadata["header"] for f in columns]]
+    lines += [[f.metadata["cell"](getattr(r, f.name)) for f in columns] for r in rows]
     widths = [max(map(len, column)) for column in zip(*lines)]
     return "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in lines
@@ -244,8 +244,9 @@ def format_suite_table(rows: list[SuiteRow]) -> str:
 def write_suite_csv(path: str | Path, rows: list[SuiteRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([header for _, header, _, _ in _SUITE_COLUMNS])
-        writer.writerows([cell(r) for *_, cell in _SUITE_COLUMNS] for r in rows)
+        columns = [f for f in fields(SuiteRow) if f.metadata["header"]]
+        writer.writerow([f.name for f in columns])
+        writer.writerows([f.metadata["csv"](getattr(r, f.name)) for f in columns] for r in rows)
 
 
 def _flag(value: str) -> bool:
@@ -286,7 +287,7 @@ def run_config_from_tokens(tokens: Iterable[str]) -> RunConfig:
     if "solver" not in pairs:
         raise InvalidSpec("missing solver=...")
     spec = ProblemSpec.from_kv({k: v for k, v in pairs.items() if k in PROBLEM_KEYS})
-    settings = {field: parse(pairs[key]) for key, field, parse in _RUN_PARAMS if key in pairs}
+    settings = {name: parse(pairs[key]) for key, name, parse in _RUN_PARAMS if key in pairs}
     return RunConfig(problem=spec, **settings)
 
 

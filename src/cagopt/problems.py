@@ -18,7 +18,7 @@ huber     Huber regression on a first-difference stencil against b = 1..n+1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -380,7 +380,8 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
 
     evaluate forms the residual t; zeta(t) over a fresh a = |t| (the tail
     a * 2tau - tau^2, then t * t where a <= tau), summed pairwise as np.sum
-    does; and zeta'(t) = 2 clip(t, -tau, tau) over t, in one np.clip call.
+    does; and zeta'(t) = 2 clip(t, -tau, tau) over t, as np.minimum with tau
+    then np.maximum with -tau, in place (np.clip's Python wrappers cost more).
     Each entry rounds as in the piecewise formula (2 (+-tau) is the same
     double as 2tau (+-1)), so f and g equal it bit for bit, NaN and inf too.
     """
@@ -399,7 +400,8 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
         a -= tau * tau
         np.multiply(t, t, out=a, where=inner)
         f = float(np.add.reduce(a))
-        np.clip(t, -tau, tau, out=t)
+        np.minimum(t, tau, out=t)
+        np.maximum(t, -tau, out=t)
         t *= 2.0
         # A^T y: column j carries +1 at row j and -1 at row j+1
         return f, t[:n] - t[1:]
@@ -458,6 +460,9 @@ class ProblemSpec:
     sigma: float | None = None
     tau: float | None = None
     seed: int | None = None
+    # build's cache key, the family and resolved arguments: not the label, 2-5x as
+    # dear to make.  -0.0 == 0.0, so where an argument is zero, every sign joins it.
+    _build_key: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -472,6 +477,10 @@ class ProblemSpec:
         check = _FAMILIES[self.family].check
         if check is not None:
             check(**args)
+        key = self.family, tuple(args.items())
+        if 0 in args.values():
+            key += (tuple(math.copysign(1.0, v) for v in args.values()),)
+        object.__setattr__(self, "_build_key", key)  # frozen
 
     def _args(self) -> dict:
         """The constructor's arguments: n and each optional parameter, defaults filled in."""
@@ -483,7 +492,8 @@ class ProblemSpec:
 
     def build(self) -> ObjectiveProblem:
         """The instance, built once for consecutive calls that resolve to the
-        same arguments: runs of several solvers on one instance share it.
+        same arguments, a zero's sign included: runs of several solvers on one
+        instance share it.
 
         One instance is held.  A call with other arguments drops it before
         building the next, so two instances are never alive here at once.
@@ -491,18 +501,16 @@ class ProblemSpec:
         over read-only arrays that returns fresh ones.
         """
         global _built
-        args = self._args()
-        key = self.family, tuple(args.items())  # not the label, 2-5x as dear to make
-        if _built is None or _built[0] != key:
+        if _built is None or _built[0] != self._build_key:
             _built = None  # free the held instance before the build, not after
-            _built = (key, _FAMILIES[self.family].make(**args))
+            _built = (self._build_key, _FAMILIES[self.family].make(**self._args()))
         return _built[1]
 
     def label(self) -> str:
         """Name in the suite table and JSON summary, every argument resolved and a
         float in %g form when that reads back as the same float, else as its repr:
         ``huber(n=60,tau=6)`` whether or not tau was set, ``tau=2.0000001``.  The
-        label names one instance, a zero's sign aside (``lambda=-0``, ``lambda=0``)."""
+        label names one instance, as ``build`` does: ``lambda=-0`` and ``lambda=0`` are two."""
         args = self._args()
         values = [("n", self.n)] + [(key, args[field]) for key, field, _ in _PARAMS if field in args]
         return f"{self.family}({','.join(f'{key}={_label_text(value)}' for key, value in values)})"

@@ -34,6 +34,24 @@ def test_run_capped_by_budget_exits_nonzero():
     assert "budget_exhausted" in result.output
 
 
+@pytest.mark.parametrize(
+    "args,exit_code,line",
+    [
+        ("family=huber n=10 tau=2.5 solver=ncg", 0,
+         "ncg: converged  iterations=10  evaluations=21  f=2.612500000e+02  gnorm=0.000e+00"),
+        ("family=huber n=10 tau=1 solver=cag conjugate_z=true", 0,
+         "cag+z: converged  iterations=0  evaluations=1  f=1.210000000e+02  gnorm=0.000e+00"),
+        ("family=quad n=10 solver=cag max_evals=3", 1,
+         "cag: budget_exhausted  iterations=1  evaluations=3  f=-7.520579265e-02  gnorm=2.001e+00"),
+    ],
+    ids=["ncg", "cag+z-at-a-minimiser", "budget-exit"],
+)
+def test_run_prints_one_summary_line(args, exit_code, line):
+    # tau <= 1 makes x0 = 0 a minimiser, at f = sum(2 b_i - 1) = 121 on n = 10
+    result = CliRunner().invoke(main, ["run", *args.split()])
+    assert (result.exit_code, result.output) == (exit_code, line + "\n")
+
+
 def test_suite_prints_table_and_writes_csv(tmp_path):
     config = tmp_path / "suite.txt"
     config.write_text(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from cagopt import (
     RunConfig,
     SolverConfig,
     Status,
+    SuiteRow,
     cag_minimize,
     format_suite_table,
     lcg_minimize,
@@ -374,6 +376,43 @@ class TestSuite:
         assert len(out.read_text().splitlines()) == 9
         table = format_suite_table(rows)
         assert len(table.splitlines()) == 9
+
+
+class TestSummaryLayout:
+    """The keys, headers and cell formats that the json= file, the suite table
+    and the suite CSV print, pinned whole."""
+
+    @pytest.mark.parametrize("solver,L,ell", [("cag", 100.0, 1.0), ("lcg", None, None),
+                                              ("ncg", 100.0, None)])
+    def test_json_keys_in_order(self, tmp_path, solver, L, ell):
+        path = tmp_path / "summary.json"
+        run(RunConfig(ProblemSpec("quad", 10), solver, json_path=str(path)))
+        summary = json.loads(path.read_text())
+        assert list(summary) == ["L", "ell", "evaluations", "f_final", "gnorm_final", "gtol",
+                                 "iterations", "problem", "solver", "status"]
+        assert (summary["L"], summary["ell"], summary["gtol"]) == (L, ell, 1e-8)
+        assert (summary["problem"], summary["solver"]) == ("quad(n=10)", solver)
+        assert path.read_text().startswith('{\n  "L": ')
+
+    def test_table_and_csv_layout(self, tmp_path):
+        rows = [SuiteRow("quad(n=10)", "cag", Status.CONVERGED, 6, 13, -0.25000000000000006,
+                         3e-9, 0.012, best=True),
+                SuiteRow("quad(n=10)", "ag", Status.INVALID, 0, 0, math.nan, math.nan, 1.5)]
+        assert format_suite_table(rows).splitlines() == [
+            "problem     solver  status     iters  evals  f_final        gnorm_final  time_s  best",
+            "quad(n=10)  cag     converged  6      13     -2.500000e-01  3.000e-09    0.01    *",
+            "quad(n=10)  ag      invalid    0      0      nan            nan          1.50",
+        ]
+        assert format_suite_table([]) == (
+            "problem  solver  status  iters  evals  f_final  gnorm_final  time_s  best")
+        out = tmp_path / "suite.csv"
+        write_suite_csv(out, rows)
+        assert out.read_bytes().decode().split("\r\n") == [
+            "problem,solver,status,iterations,evaluations,f_final,gnorm_final,wall_time,best",
+            "quad(n=10),cag,converged,6,13,-0.25000000000000006,3e-09,0.012,1",
+            "quad(n=10),ag,invalid,0,0,nan,nan,1.500,0",
+            "",
+        ]
 
 
 class TestSuiteConfigFile:

@@ -659,6 +659,14 @@ class TestBuildCache:
         assert [args["tau"] for args in calls] == [4.0, 2.0, 4.0]
         assert again is not first
 
+    def test_a_zero_of_either_sign_is_its_own_instance(self):
+        # -0.0 == 0.0, but the labels name two instances, and so must the cache
+        negative = ProblemSpec("logistic", 10, lam=-0.0).build()
+        positive = ProblemSpec("logistic", 10, lam=0.0).build()
+        assert positive is not negative
+        assert "lambda=-0," in negative.name and "lambda=0," in positive.name
+        assert ProblemSpec("logistic", 10, lam=0.0).build() is positive
+
     def test_a_replaced_copy_leaves_the_held_instance_alone(self):
         # how a tracer wraps evaluate: on a copy, never on the held instance
         spec = ProblemSpec("quad", 10)

@@ -55,8 +55,8 @@ def run_cmd(tokens):
 def suite_cmd(config_path, out_path):
     """Run every configuration in a suite file and print the summary table.
 
-    Consecutive lines on one problem instance build it once, and only the
-    first of them counts the build in its time_s: group lines by instance.
+    A line counts the build of its problem in its time_s, unless the last
+    line of its family to build one built the same instance.
     """
     try:
         configs = parse_suite_config(config_path, out_path)

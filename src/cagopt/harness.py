@@ -159,8 +159,8 @@ class SuiteRow:
     JSON key and CSV header, and its ``_field`` gives the rest.
 
     ``wall_time`` is the whole ``run`` call in a suite, NaN elsewhere.  It
-    includes building the problem only when the row before did not build the
-    same instance, since ``ProblemSpec.build`` keeps the last one.  ``L`` and
+    includes building the problem unless ``ProblemSpec.build`` still holds
+    the instance, as it keeps the last one built for each family.  ``L`` and
     ``ell`` are set, as ``run`` resolved them, only for the json= file.
     """
 
@@ -203,9 +203,10 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     of one label (one instance, see ``ProblemSpec.label``), the converged run
     with the fewest evaluations.
 
-    Consecutive rows on one instance build it once (``ProblemSpec.build``),
-    so group rows by instance: only the first row of a group pays for the
-    build in its ``wall_time``.
+    A row pays for its build in its ``wall_time`` unless an earlier row of
+    its family built the same instance and none built another since
+    (``ProblemSpec.build`` keeps one instance per family): rows of other
+    families between them do not matter.
     """
     taken: dict[Path, str] = {}  # every row's outputs, so no row overwrites another's
 

@@ -431,9 +431,8 @@ _FAMILIES = {
 }
 FAMILIES = tuple(_FAMILIES)
 
-# The instance ProblemSpec.build made last, keyed by family and resolved
-# arguments, or None.
-_built: tuple[tuple, ObjectiveProblem] | None = None
+# Per family, the instance ProblemSpec.build made last for it and its build key.
+_built: dict[str, tuple[tuple, ObjectiveProblem]] = {}
 
 
 def _label_text(value: int | float) -> str:
@@ -460,8 +459,9 @@ class ProblemSpec:
     sigma: float | None = None
     tau: float | None = None
     seed: int | None = None
-    # build's cache key, the family and resolved arguments: not the label, 2-5x as
-    # dear to make.  -0.0 == 0.0, so where an argument is zero, every sign joins it.
+    # build's cache key within the family, the resolved arguments' values in their
+    # fixed order: not the label, 2-5x as dear to make.  -0.0 == 0.0, so where an
+    # argument is zero, every sign joins it.
     _build_key: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -477,9 +477,9 @@ class ProblemSpec:
         check = _FAMILIES[self.family].check
         if check is not None:
             check(**args)
-        key = self.family, tuple(args.items())
-        if 0 in args.values():
-            key += (tuple(math.copysign(1.0, v) for v in args.values()),)
+        key = tuple(args.values())
+        if 0 in key:
+            key += tuple(math.copysign(1.0, v) for v in key)
         object.__setattr__(self, "_build_key", key)  # frozen
 
     def _args(self) -> dict:
@@ -491,20 +491,27 @@ class ProblemSpec:
         return args
 
     def build(self) -> ObjectiveProblem:
-        """The instance, built once for consecutive calls that resolve to the
-        same arguments, a zero's sign included: runs of several solvers on one
-        instance share it.
+        """The instance, built once for successive calls of its family that
+        resolve to the same arguments, a zero's sign included: runs of several
+        solvers on one instance share it, even when runs on other families
+        come between them.
 
-        One instance is held.  A call with other arguments drops it before
-        building the next, so two instances are never alive here at once.
-        Sharing is safe because every family's ``evaluate`` is a pure closure
-        over read-only arrays that returns fresh ones.
+        One instance is held per family.  A call with other arguments for that
+        family drops its instance before building the next, so two instances
+        of one family are never alive here at once.  Sharing is safe because
+        every family's ``evaluate`` is a pure closure over read-only arrays
+        that returns fresh ones.
         """
-        global _built
-        if _built is None or _built[0] != self._build_key:
-            _built = None  # free the held instance before the build, not after
-            _built = (self._build_key, _FAMILIES[self.family].make(**self._args()))
-        return _built[1]
+        try:  # a subscript, not .get: a hit runs after a solve, with the method lookup cold
+            held = _built[self.family]
+        except KeyError:
+            held = None
+        if held is None or held[0] != self._build_key:
+            held = None  # free the held instance before the build, not after
+            _built.pop(self.family, None)
+            held = _built[self.family] = (self._build_key,
+                                          _FAMILIES[self.family].make(**self._args()))
+        return held[1]
 
     def label(self) -> str:
         """Name in the suite table and JSON summary, every argument resolved and a

@@ -160,9 +160,9 @@ def start_run(prob, x0, config):
 
 @pytest.fixture(autouse=True)
 def no_built_instance():
-    """Drop the instance ``ProblemSpec.build`` holds, so that no test sees
+    """Drop every instance ``ProblemSpec.build`` holds, so that no test sees
     one an earlier test built."""
-    cagopt.problems._built = None
+    cagopt.problems._built.clear()
 
 
 @pytest.fixture

@@ -248,18 +248,24 @@ class TestSuite:
             assert [r for r in group if r.best][0].evaluations == min(r.evaluations for r in group)
 
     def test_rows_on_one_instance_build_it_once(self, monkeypatch):
-        configs = [RunConfig(problem=ProblemSpec("huber", 60), solver=s, gtol=1e-6)
-                   for s in ("cag", "ncg", "ag")]
-        fresh = []
-        for config in configs:
-            cagopt.problems._built = None
-            fresh.append(run(config))
-        cagopt.problems._built = None
-        calls = count_builds(monkeypatch, "huber")
-        rows = run_suite(configs)
-        assert len(calls) == 1
-        assert ([(r.status, r.iterations, r.evaluations, r.f_final) for r in rows]
-                == [(r.status, r.iterations, r.evaluations, r.f_final) for r in fresh])
+        # one family's rows in a row, then rows that alternate two families
+        for cases in ((("huber", "cag"), ("huber", "ncg"), ("huber", "ag")),
+                      (("quad", "cag"), ("huber", "cag"), ("quad", "ncg"), ("huber", "ncg"))):
+            configs = [RunConfig(problem=ProblemSpec(family, 60), solver=s, gtol=1e-6)
+                       for family, s in cases]
+            fresh = []
+            for config in configs:
+                cagopt.problems._built.clear()
+                fresh.append(run(config))
+            cagopt.problems._built.clear()
+            families = {family for family, _ in cases}
+            calls = {family: count_builds(monkeypatch, family) for family in families}
+            rows = run_suite(configs)
+            assert {family: len(args) for family, args in calls.items()} == dict.fromkeys(
+                families, 1)
+            assert ([(r.status, r.iterations, r.evaluations, r.f_final) for r in rows]
+                    == [(r.status, r.iterations, r.evaluations, r.f_final) for r in fresh])
+            monkeypatch.undo()
 
     def test_conjugate_z_rows_are_named_cag_plus_z(self, tmp_path):
         spec = ProblemSpec("huber", 60)
@@ -338,7 +344,7 @@ class TestSuite:
         configs = [RunConfig(ProblemSpec("quad", 10), "cag", trace_path=trace),
                    RunConfig(ProblemSpec("quad", 12), "ncg", json_path=trace),
                    RunConfig(ProblemSpec("quad", 14), "ag", trace_path=str(tmp_path / "u.csv"))]
-        cagopt.problems._built = None
+        cagopt.problems._built.clear()
         builds = count_builds(monkeypatch, "quad")
         rows = run_suite(configs)
         assert [r.status for r in rows] == [Status.CONVERGED, Status.INVALID, Status.CONVERGED]

@@ -659,6 +659,13 @@ class TestBuildCache:
         assert [args["tau"] for args in calls] == [4.0, 2.0, 4.0]
         assert again is not first
 
+    def test_a_build_of_another_family_keeps_the_held_instance(self, monkeypatch):
+        calls = {family: count_builds(monkeypatch, family) for family in ("huber", "quad")}
+        first = ProblemSpec("huber", 40).build()
+        ProblemSpec("quad", 10).build()
+        assert ProblemSpec("huber", 40).build() is first
+        assert {family: len(args) for family, args in calls.items()} == {"huber": 1, "quad": 1}
+
     def test_a_zero_of_either_sign_is_its_own_instance(self):
         # -0.0 == 0.0, but the labels name two instances, and so must the cache
         negative = ProblemSpec("logistic", 10, lam=-0.0).build()
@@ -678,11 +685,13 @@ class TestBuildCache:
 
     def test_the_held_instance_is_dropped_before_the_next_build(self):
         # building seed 1 while seed 0's design were still held would peak
-        # at one design above a single build
+        # at one design above a single build; the huber build between them
+        # leaves seed 0's instance held, for seed 1's build to drop
         m, n = 2000, 1000
         tracemalloc.start()
         try:
             ProblemSpec("logistic", n, m=m, seed=0).build()
+            ProblemSpec("huber", 40).build()
             ProblemSpec("logistic", n, m=m, seed=1).build()
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -22,7 +22,8 @@ exit, an lcg run and an ncg run on huber.  Suite lines that set
 every problem and run key, and malformed ones, print the parsed
 ``RunConfig`` or the error message.  Outputs that would overwrite another
 file print the message of ``cagopt suite`` and ``cagopt run``, or the
-statuses of ``run_suite``.
+statuses of ``run_suite``.  A suite whose rows alternate quad and huber
+prints how often each family's constructor ran.
 
 To show that a change leaves behaviour bit-identical, run the script
 against both source trees and diff the output: ``--against OTHER_SRC``
@@ -51,6 +52,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
+import cagopt.problems
 from cagopt import (
     InvalidSpec, ProblemSpec, RunConfig, Status, lcg_minimize, quad_diag_system, run, run_suite,
 )
@@ -306,6 +308,28 @@ def output_checks() -> None:
         print(f"overwrite run_suite trace=t.csv twice: {[r.status.value for r in rows]}")
 
 
+def suite_builds() -> None:
+    # on instances that no other sweep builds, so none is held beforehand
+    families, calls = cagopt.problems._FAMILIES, []
+    saved = dict(families)
+
+    def counted(family, make):
+        def wrapped(**args):
+            calls.append(family)
+            return make(**args)
+        return wrapped
+
+    for family in ("quad", "huber"):
+        families[family] = saved[family]._replace(make=counted(family, saved[family].make))
+    try:
+        run_suite([RunConfig(ProblemSpec(family, 20), solver)
+                   for solver in ("cag", "ncg") for family in ("quad", "huber")])
+    finally:
+        families.update(saved)
+    print(f"builds run_suite quad cag, huber cag, quad ncg, huber ncg: "
+          f"quad {calls.count('quad')} huber {calls.count('huber')}")
+
+
 def compare_trees(other_src: str) -> int:
     """Run the sweep on this tree's ``src`` and on ``other_src``, print the
     unified diff of the two outputs and return 1 if they differ."""
@@ -338,6 +362,7 @@ def main() -> int:
     suite_outputs()
     suite_parse()
     output_checks()
+    suite_builds()
     bench_cells()
     direct_runs()
     exit_runs()

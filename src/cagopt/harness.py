@@ -22,8 +22,8 @@ import numpy as np
 
 from .baselines import ag_minimize, lcg_minimize, ncg_minimize
 from .cag import DEFAULT_GTOL, DEFAULT_MAX_EVALS, SolverConfig, cag_minimize, check_settings
-from .errors import InvalidSpec
-from .problems import PROBLEM_KEYS, ProblemSpec, quad_diag_system
+from .errors import InvalidSpec, NumericalFailure
+from .problems import _PARAMS, PROBLEM_KEYS, ProblemSpec, quad_diag_system
 from .results import SolverResult, Status, Trace
 
 SOLVERS = ("cag", "ag", "ncg", "lcg")
@@ -199,9 +199,11 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     an output path that cannot be written or that an earlier row names too,
     and an ``ell`` override above the family's default L (``quad n=10
     ell=200``, L = 100): that row gets status ``invalid``, builds and writes
-    nothing, and the suite goes on.  The ``best`` flag marks, among the rows
-    of one label (one instance, see ``ProblemSpec.label``), the converged run
-    with the fewest evaluations.
+    nothing, and the suite goes on.  So does a row whose start f or gradient
+    is not finite (abpdn ``lambda=1e200 delta=1e300``): its solver raises
+    before it has a result, so it ends ``diverged``, with no counts or outputs.
+    The ``best`` flag marks, among the rows of one label (one instance, see
+    ``ProblemSpec.label``), the converged run with the fewest evaluations.
 
     A row pays for its build in its ``wall_time`` unless an earlier row of
     its family built the same instance and none built another since
@@ -215,8 +217,9 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
         try:
             _claim_outputs(taken, _row_outputs(config))
             row = _summary(config, run(config))
-        except InvalidSpec:
-            row = SuiteRow(config.problem.label(), config.solver_name, Status.INVALID, 0, 0,
+        except (InvalidSpec, NumericalFailure) as e:
+            status = Status.INVALID if isinstance(e, InvalidSpec) else Status.DIVERGED
+            row = SuiteRow(config.problem.label(), config.solver_name, status, 0, 0,
                            math.nan, math.nan, math.nan)
         row.wall_time = time.perf_counter() - start
         return row
@@ -272,8 +275,9 @@ RUN_KEYS = frozenset(key for key, _, _ in _RUN_PARAMS)
 
 def run_config_from_tokens(tokens: Iterable[str]) -> RunConfig:
     """A ``RunConfig`` from key=value tokens over ``PROBLEM_KEYS | RUN_KEYS``;
-    family, n and solver are required, an unset key keeps its default.  A value
-    that is not a number raises ``ValueError``, any other error ``InvalidSpec``."""
+    one message names each of family, n and solver left out, and an unset key keeps
+    its default.  A value that is not a number raises ``ValueError``, any other
+    error ``InvalidSpec``."""
     pairs = {}
     for token in tokens:
         key, _, value = token.partition("=")
@@ -285,11 +289,12 @@ def run_config_from_tokens(tokens: Iterable[str]) -> RunConfig:
     unknown = pairs.keys() - PROBLEM_KEYS - RUN_KEYS
     if unknown:
         raise InvalidSpec(f"unknown keys {sorted(unknown)}")
-    if "solver" not in pairs:
-        raise InvalidSpec("missing solver=...")
-    spec = ProblemSpec.from_kv({k: v for k, v in pairs.items() if k in PROBLEM_KEYS})
-    settings = {name: parse(pairs[key]) for key, name, parse in _RUN_PARAMS if key in pairs}
-    return RunConfig(problem=spec, **settings)
+    missing = [f"{key}=..." for key in ("family", "n", "solver") if key not in pairs]
+    if missing:
+        raise InvalidSpec(f"missing {' '.join(missing)}")
+    params, settings = ({name: parse(pairs[key]) for key, name, parse in table if key in pairs}
+                        for table in (_PARAMS, _RUN_PARAMS))
+    return RunConfig(ProblemSpec(pairs["family"], int(pairs["n"]), **params), **settings)
 
 
 def parse_suite_config(path: str | Path, out_path: str | None = None) -> list[RunConfig]:

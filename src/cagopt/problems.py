@@ -38,6 +38,23 @@ _PARAMS = (
 PROBLEM_KEYS = frozenset(["family", "n", *(key for key, _, _ in _PARAMS)])
 
 
+def _instance_name(family: str, n: int, **params: int | float) -> str:
+    """An instance's name and ``ProblemSpec.label``, n then the parameters given
+    in ``_PARAMS`` order: an int as is, a float in %g form if that reads back as
+    the same float, else as its repr (``huber(n=50,tau=2)``, ``tau=2.0000001``).
+    Two argument sets share a name exactly when their values are equal, a
+    zero's sign included: ``lambda=-0`` and ``lambda=0`` are two instances."""
+    name = f"{family}(n={n}"
+    for key, field, _ in _PARAMS:
+        if field in params:
+            value = params[field]
+            if isinstance(value, float):
+                short = f"{value:g}"
+                value = short if float(short) == value else repr(value)
+            name += f",{key}={value}"
+    return name + ")"
+
+
 @dataclass(frozen=True)
 class QuadraticProblem:
     """Quadratic objective f(x) = x^T A x / 2 - b^T x given as an SPD operator."""
@@ -147,7 +164,7 @@ def quad_diag_system(n: int) -> QuadraticProblem:
         b=b,
         known_xstar=xstar,
         known_fstar=-0.5 * float(b @ xstar),
-        name=f"quad(n={n})",
+        name=_instance_name("quad", n),
     )
 
 
@@ -242,7 +259,7 @@ def make_abpdn(n: int, lam: float = 1e-3, delta: float = 1e-4) -> ObjectiveProbl
         return f, g
 
     return ObjectiveProblem(
-        name=f"abpdn(n={n},delta={delta:g},lambda={lam:g})",
+        name=_instance_name("abpdn", n, lam=lam, delta=delta),
         n=n,
         evaluate=evaluate,
         default_L=1.0 + lam / math.sqrt(delta),
@@ -345,7 +362,7 @@ def make_logistic(
         return f, g
 
     return ObjectiveProblem(
-        name=f"logistic(m={m},n={n},lambda={lam:g},sigma={sigma:g},seed={seed})",
+        name=_instance_name("logistic", n, m=m, lam=lam, sigma=sigma, seed=seed),
         n=n,
         evaluate=evaluate,
         default_L=sig_max**2 / 4.0 + lam,
@@ -354,8 +371,9 @@ def make_logistic(
 
 
 def _check_huber(n: int, tau: float) -> None:
-    """Check huber's parameters: n >= 1 and a finite tau > 0."""
-    if not (n >= 1 and 0.0 < tau < math.inf):
+    """Check huber's parameters: n >= 1 and a tau > 0 whose square is finite,
+    as the tails of zeta hold tau^2 (and 2 tau)."""
+    if not (n >= 1 and 0.0 < tau and tau * tau < math.inf):
         raise InvalidSpec(f"bad huber n={n}, tau={tau}")
 
 
@@ -407,7 +425,7 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
         return f, t[:n] - t[1:]
 
     return ObjectiveProblem(
-        name=f"huber(n={n},tau={tau:g})",
+        name=_instance_name("huber", n, tau=tau),
         n=n,
         evaluate=evaluate,
         default_L=8.0,
@@ -431,14 +449,8 @@ _FAMILIES = {
 }
 FAMILIES = tuple(_FAMILIES)
 
-# Per family, the instance ProblemSpec.build made last for it and its build key.
-_built: dict[str, tuple[tuple, ObjectiveProblem]] = {}
-
-
-def _label_text(value: int | float) -> str:
-    """A float in %g form if that reads back as ``value``, else its repr; an int as is."""
-    text = f"{value:g}" if isinstance(value, float) else str(value)
-    return text if float(text) == value else repr(value)
+# Per family, the label of the instance ProblemSpec.build made last for it, and that instance.
+_built: dict[str, tuple[str, ObjectiveProblem]] = {}
 
 
 @dataclass(frozen=True)
@@ -448,7 +460,9 @@ class ProblemSpec:
     Unset parameters fall back to the family's defaults in ``_FAMILIES``.  A
     set parameter that the family's constructor does not take is rejected,
     and the constructor check runs here on the resolved parameters, so an
-    out-of-range one fails before any build.
+    out-of-range one fails before any build.  The instance's one identity,
+    its ``_instance_name``, is made here once: it is ``label()``, the key of
+    ``build``'s cache and the built instance's ``name``.
     """
 
     family: str
@@ -459,10 +473,7 @@ class ProblemSpec:
     sigma: float | None = None
     tau: float | None = None
     seed: int | None = None
-    # build's cache key within the family, the resolved arguments' values in their
-    # fixed order: not the label, 2-5x as dear to make.  -0.0 == 0.0, so where an
-    # argument is zero, every sign joins it.
-    _build_key: tuple = dataclass_field(init=False, repr=False, compare=False)
+    _label: str = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -477,10 +488,7 @@ class ProblemSpec:
         check = _FAMILIES[self.family].check
         if check is not None:
             check(**args)
-        key = tuple(args.values())
-        if 0 in key:
-            key += tuple(math.copysign(1.0, v) for v in key)
-        object.__setattr__(self, "_build_key", key)  # frozen
+        object.__setattr__(self, "_label", _instance_name(self.family, **args))  # frozen
 
     def _args(self) -> dict:
         """The constructor's arguments: n and each optional parameter, defaults filled in."""
@@ -491,12 +499,11 @@ class ProblemSpec:
         return args
 
     def build(self) -> ObjectiveProblem:
-        """The instance, built once for successive calls of its family that
-        resolve to the same arguments, a zero's sign included: runs of several
-        solvers on one instance share it, even when runs on other families
-        come between them.
+        """The instance named ``label()``, built once for successive calls of its
+        family with that label: runs of several solvers on one instance share
+        it, even when runs on other families come between them.
 
-        One instance is held per family.  A call with other arguments for that
+        One instance is held per family.  A call with another label for that
         family drops its instance before building the next, so two instances
         of one family are never alive here at once.  Sharing is safe because
         every family's ``evaluate`` is a pure closure over read-only arrays
@@ -506,26 +513,15 @@ class ProblemSpec:
             held = _built[self.family]
         except KeyError:
             held = None
-        if held is None or held[0] != self._build_key:
+        if held is None or held[0] != self._label:
             held = None  # free the held instance before the build, not after
             _built.pop(self.family, None)
-            held = _built[self.family] = (self._build_key,
-                                          _FAMILIES[self.family].make(**self._args()))
+            held = _built[self.family] = (self._label, _FAMILIES[self.family].make(**self._args()))
         return held[1]
 
     def label(self) -> str:
-        """Name in the suite table and JSON summary, every argument resolved and a
-        float in %g form when that reads back as the same float, else as its repr:
-        ``huber(n=60,tau=6)`` whether or not tau was set, ``tau=2.0000001``.  The
-        label names one instance, as ``build`` does: ``lambda=-0`` and ``lambda=0`` are two."""
-        args = self._args()
-        values = [("n", self.n)] + [(key, args[field]) for key, field, _ in _PARAMS if field in args]
-        return f"{self.family}({','.join(f'{key}={_label_text(value)}' for key, value in values)})"
-
-    @classmethod
-    def from_kv(cls, pairs: dict[str, str]) -> "ProblemSpec":
-        """Build from parsed key=value pairs; unknown keys are the caller's concern."""
-        if "family" not in pairs or "n" not in pairs:
-            raise InvalidSpec("problem spec needs at least family=... and n=...")
-        params = {field: parse(pairs[key]) for key, field, parse in _PARAMS if key in pairs}
-        return cls(family=pairs["family"], n=int(pairs["n"]), **params)
+        """The instance's name, in the suite table and JSON summary, with every
+        argument resolved: ``huber(n=60,tau=6)`` whether or not tau was set.
+        ``build`` keys its cache by it, so a label names one instance, and the
+        instance that ``build`` returns has it as its ``name``."""
+        return self._label

@@ -52,6 +52,25 @@ def test_run_prints_one_summary_line(args, exit_code, line):
     assert (result.exit_code, result.output) == (exit_code, line + "\n")
 
 
+def test_run_from_a_non_finite_start_exits_1_with_a_one_line_error():
+    # abpdn's f(0) = |b|^2/2 + lambda n sqrt(delta) overflows
+    result = CliRunner().invoke(main, ["run", "family=abpdn", "n=4", "lambda=1e200",
+                                       "delta=1e300", "solver=cag"])
+    assert result.exit_code == 1
+    assert result.output == ("Error: non-finite evaluation in problem "
+                             "'abpdn(n=4,lambda=1e+200,delta=1e+300)'\n")
+
+
+def test_suite_with_a_non_finite_start_prints_every_row(tmp_path):
+    config = tmp_path / "suite.txt"
+    config.write_text("family=abpdn n=4 lambda=1e200 delta=1e300 solver=cag\n"
+                      "family=quad n=10 solver=cag\n")
+    result = CliRunner().invoke(main, ["suite", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert [line.split()[2] for line in result.output.splitlines()[1:]] == [
+        "diverged", "converged"]
+
+
 def test_suite_prints_table_and_writes_csv(tmp_path):
     config = tmp_path / "suite.txt"
     config.write_text(

@@ -309,6 +309,21 @@ class TestSuite:
         assert not rows[1].best
         assert "invalid" in format_suite_table(rows)
 
+    def test_a_non_finite_start_diverges_and_does_not_abort_the_suite(self, tmp_path):
+        # f(0) = |b|^2/2 + lambda n sqrt(delta) overflows; the solver raises
+        # NumericalFailure before it has a result, so the row writes nothing
+        overflow = ProblemSpec("abpdn", 4, lam=1e200, delta=1e300)
+        good = RunConfig(ProblemSpec("quad", 10), "cag")
+        rows = run_suite([good, RunConfig(overflow, "cag", trace_path=str(tmp_path / "t.csv"),
+                                          json_path=str(tmp_path / "s.json")),
+                          RunConfig(overflow, "ncg"), good])
+        assert [r.status for r in rows] == [Status.CONVERGED, Status.DIVERGED, Status.DIVERGED,
+                                            Status.CONVERGED]
+        assert [r.problem for r in rows[1:3]] == ["abpdn(n=4,lambda=1e+200,delta=1e+300)"] * 2
+        assert (rows[1].iterations, rows[1].evaluations) == (0, 0)
+        assert list(tmp_path.iterdir()) == []
+        assert "diverged" in format_suite_table(rows)
+
     @pytest.mark.parametrize("key", ["trace_path", "json_path"])
     def test_unwritable_output_path_does_not_abort_the_suite(self, tmp_path, monkeypatch, key):
         # the path is rejected before the row builds or solves anything
@@ -562,6 +577,16 @@ class TestSuiteConfigFile:
         message = "suite.txt:5: ./t.csv would overwrite the trace= file t.csv of line 3"
         with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
             parse_suite_config("suite.txt")
+
+    @pytest.mark.parametrize("tokens,missing", [
+        ("n=10", "family=... solver=..."),
+        ("family=quad", "n=... solver=..."),
+        ("solver=cag gtol=1e-6", "family=... n=..."),
+        ("", "family=... n=... solver=..."),
+    ])
+    def test_one_message_names_every_missing_key(self, tokens, missing):
+        with pytest.raises(InvalidSpec, match=f"^missing {re.escape(missing)}$"):
+            run_config_from_tokens(tokens.split())
 
     @pytest.mark.parametrize(
         "value,expected",

@@ -27,6 +27,7 @@ from cagopt.problems import (
     first_primes,
     quad_diag_system,
 )
+from cagopt.harness import run_config_from_tokens
 
 from conftest import count_builds, finite_diff_gradient
 
@@ -320,8 +321,8 @@ class TestLogistic:
     def test_name_tells_instances_that_differ_only_in_sigma_apart(self):
         # the name is what a NumericalFailure message quotes
         names = [make_logistic(20, 10, sigma=sigma).name for sigma in (0.4, 0.8)]
-        assert names == ["logistic(m=20,n=10,lambda=0.0001,sigma=0.4,seed=0)",
-                         "logistic(m=20,n=10,lambda=0.0001,sigma=0.8,seed=0)"]
+        assert names == ["logistic(n=10,m=20,lambda=0.0001,sigma=0.4,seed=0)",
+                         "logistic(n=10,m=20,lambda=0.0001,sigma=0.8,seed=0)"]
 
     def test_instance_equals_the_one_built_on_the_reference_draw(self, monkeypatch):
         x = np.linspace(-1.0, 1.0, 20)
@@ -448,6 +449,22 @@ class TestHuber:
         assert g[~nan].tobytes() == g_ref[~nan].tobytes()
         assert bad is not None or not nan.any()
 
+    @pytest.mark.parametrize("tau", [1e155, 1e160, 1e308, math.inf])
+    def test_a_tau_whose_square_overflows_is_rejected(self, tau):
+        # 2 tau or tau^2 = inf made evaluations at far points warn of invalid values
+        with pytest.raises(InvalidSpec):
+            make_huber(4, tau)
+        with pytest.raises(InvalidSpec):
+            ProblemSpec("huber", 4, tau=tau)
+
+    def test_the_largest_tau_evaluates_far_points_without_a_warning(self):
+        tau = 1e154  # tau^2 = 1e308 is finite
+        x = np.array([1e300, -1e300, 1e300, 0.0])
+        with np.errstate(over="ignore"):
+            f, g = make_huber(4, tau).evaluate(x)
+        assert f == math.inf
+        assert np.isfinite(g).all()
+
     def test_metadata(self):
         prob = make_huber(100, tau=10.0)
         assert prob.default_L == 8.0
@@ -555,11 +572,17 @@ def test_construction_determinism(family, kwargs, rng):
         assert np.array_equal(g1, g2)
 
 
+@pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
+def test_a_built_instance_is_named_by_its_label(family, kwargs):
+    spec = ProblemSpec(family=family, **kwargs)
+    assert spec.build().name == spec.label()
+
+
 class TestProblemSpec:
     def test_kv_round_trip(self):
         spec = ProblemSpec(family="logistic", n=300, m=600, lam=1e-4, sigma=0.4, seed=7)
-        kv = "family=logistic n=300 m=600 lambda=0.0001 sigma=0.4 seed=7"
-        assert ProblemSpec.from_kv(dict(tok.split("=") for tok in kv.split())) == spec
+        kv = "family=logistic n=300 m=600 lambda=0.0001 sigma=0.4 seed=7 solver=cag"
+        assert run_config_from_tokens(kv.split()).problem == spec
         assert spec.label() == "logistic(n=300,m=600,lambda=0.0001,sigma=0.4,seed=7)"
 
     def test_label_resolves_defaults(self):
@@ -574,6 +597,10 @@ class TestProblemSpec:
         assert ProblemSpec("huber", 1000000).label() == "huber(n=1000000,tau=100000)"
         assert ProblemSpec("huber", 50, tau=2.0000001).label() == "huber(n=50,tau=2.0000001)"
         assert ProblemSpec("huber", 50, tau=2.5).label() == "huber(n=50,tau=2.5)"
+
+    def test_names_tell_floats_that_g_would_round_alike_apart(self):
+        assert make_huber(50, 2.0000001).name != make_huber(50, 2.0).name
+        assert make_huber(50, 2.0000001).name == "huber(n=50,tau=2.0000001)"
 
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):
@@ -643,6 +670,14 @@ def resolved(spec):
 def test_two_specs_share_a_label_exactly_when_they_resolve_alike(family, data):
     a, b = data.draw(spec_pairs(family))
     assert (a.label() == b.label()) == (resolved(a) == resolved(b))
+
+
+@pytest.mark.parametrize("family", sorted(_POOLS))
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_a_drawn_spec_builds_an_instance_named_by_its_label(family, data):
+    spec = data.draw(specs(family))
+    assert spec.build().name == spec.label()
 
 
 class TestBuildCache:

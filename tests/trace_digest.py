@@ -22,7 +22,9 @@ exit, an lcg run and an ncg run on huber.  Suite lines that set
 every problem and run key, and malformed ones, print the parsed
 ``RunConfig`` or the error message.  Outputs that would overwrite another
 file print the message of ``cagopt suite`` and ``cagopt run``, or the
-statuses of ``run_suite``.  A suite whose rows alternate quad and huber
+statuses of ``run_suite``.  A suite of abpdn rows whose start f overflows,
+then a quad row, prints its statuses, and ``cagopt run`` on that abpdn
+instance its exit code and output.  A suite whose rows alternate quad and huber
 prints how often each family's constructor ran.
 
 To show that a change leaves behaviour bit-identical, run the script
@@ -57,7 +59,9 @@ from cagopt import (
     InvalidSpec, ProblemSpec, RunConfig, Status, lcg_minimize, quad_diag_system, run, run_suite,
 )
 from cagopt.cli import main as cli_main
-from cagopt.harness import SuiteRow, format_suite_table, parse_suite_config, write_suite_csv
+from cagopt.harness import (
+    SuiteRow, format_suite_table, parse_suite_config, run_config_from_tokens, write_suite_csv,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, cells_for  # noqa: E402
@@ -94,6 +98,7 @@ REJECTED = (
     {"family": "logistic", "n": 10, "tau": 1.0},
     {"family": "huber", "n": 10, "tau": 0.0},
     {"family": "huber", "n": 10, "tau": math.inf},
+    {"family": "huber", "n": 10, "tau": 1e308},
     {"family": "huber", "n": 0},
 )
 
@@ -233,12 +238,11 @@ def spec_grid() -> None:
             print(f"rejected {kwargs}: accepted")
         except InvalidSpec as e:
             print(f"rejected {kwargs}: {e}")
-    for pairs in ({"family": "quad"}, {"family": "logistic", "n": "10", "seed": "1.5"}):
+    for line in ("family=quad", "family=logistic n=10 seed=1.5 solver=cag"):
         try:
-            ProblemSpec.from_kv(pairs)
-            print(f"from_kv {pairs}: accepted")
+            print(f"tokens {line!r}: {run_config_from_tokens(line.split())!r}")
         except ValueError as e:
-            print(f"from_kv {pairs}: {type(e).__name__}: {e}")
+            print(f"tokens {line!r}: {type(e).__name__}: {e}")
 
 
 # ``cagopt run`` invocations whose exit code and summary line are printed.
@@ -308,6 +312,22 @@ def output_checks() -> None:
         print(f"overwrite run_suite trace=t.csv twice: {[r.status.value for r in rows]}")
 
 
+def start_overflow() -> None:
+    # abpdn's f(0) = |b|^2/2 + lambda n sqrt(delta) overflows at the start point
+    line = "family=abpdn n=4 lambda=1e200 delta=1e300"
+    configs = [run_config_from_tokens(f"{line} solver={solver}".split())
+               for solver in ("cag", "ncg", "ag")]
+    try:
+        rows = run_suite(configs + [RunConfig(ProblemSpec("quad", 10), "cag")])
+        print(f"overflow run_suite {line} cag, ncg, ag, quad cag: "
+              f"{[r.status.value for r in rows]}")
+    except Exception as e:
+        print(f"overflow run_suite {line}: {type(e).__name__}: {e}")
+    result = CliRunner().invoke(cli_main, ["run", *line.split(), "solver=cag"])
+    print(f"overflow cli run {line} solver=cag: exit {result.exit_code} "
+          f"{result.output.rstrip() or repr(result.exception)}")
+
+
 def suite_builds() -> None:
     # on instances that no other sweep builds, so none is held beforehand
     families, calls = cagopt.problems._FAMILIES, []
@@ -362,6 +382,7 @@ def main() -> int:
     suite_outputs()
     suite_parse()
     output_checks()
+    start_overflow()
     suite_builds()
     bench_cells()
     direct_runs()

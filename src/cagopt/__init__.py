@@ -17,7 +17,7 @@ steps, the estimate sequence and other internals live in their submodules.
 
 from .baselines import ag_minimize, lcg_minimize, ncg_minimize
 from .cag import SolverConfig, cag_minimize
-from .errors import InvalidSpec, NotPositiveDefinite, NumericalFailure, SolverError
+from .errors import InvalidSpec, NotPositiveDefinite, NumericalFailure
 from .harness import (
     RunConfig,
     SuiteRow,
@@ -52,7 +52,6 @@ __all__ = [
     "QuadraticProblem",
     "RunConfig",
     "SolverConfig",
-    "SolverError",
     "SolverResult",
     "Status",
     "StepKind",

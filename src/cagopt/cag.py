@@ -81,12 +81,12 @@ AG_EXIT_FACTOR = 4.0  # gradient-norm reduction that ends an AG block
 
 def check_settings(L: float | None, ell: float | None, gtol: float, max_evals: int) -> None:
     """Raise ``InvalidSpec`` unless L and ell pass ``check_moduli``, gtol > 0
-    and max_evals >= 1."""
+    and max_evals is an integer >= 1."""
     check_moduli(L, ell)
     if not gtol > 0:
         raise InvalidSpec(f"gtol must be positive, got {gtol}")
-    if not max_evals >= 1:
-        raise InvalidSpec(f"max_evals must be at least 1, got {max_evals}")
+    if not (isinstance(max_evals, (int, np.integer)) and max_evals >= 1):
+        raise InvalidSpec(f"max_evals must be an integer of at least 1, got {max_evals}")
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,15 @@
 """Exception types shared across the solvers and problem constructors."""
 
 
-class SolverError(Exception):
-    """Base class for solver-side failures."""
-
-
-class NumericalFailure(SolverError):
+class NumericalFailure(Exception):
     """An evaluation produced a non-finite value (overflow or NaN)."""
 
 
-class InvalidState(SolverError):
+class InvalidState(Exception):
     """An internal algebraic invariant was violated; indicates a bug or bad input."""
 
 
-class NotPositiveDefinite(SolverError):
+class NotPositiveDefinite(Exception):
     """The operator handed to the linear CG solver is not positive definite."""
 
 

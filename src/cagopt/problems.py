@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from sys import float_info
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -220,9 +221,9 @@ def _check_abpdn(n: int, lam: float, delta: float) -> int:
 
     n must be a perfect square >= 4: n = 1 would need DCT row 2 of a 1 x 1
     matrix, and from n = 4 on the first m primes stay within the rows
-    ``dct_row_operator`` supports.  lam and delta must be positive and finite.
+    ``dct_row_operator`` supports.  lam and delta lie in (0, largest float].
     """
-    if not (0.0 < lam < math.inf and 0.0 < delta < math.inf):
+    if not (0.0 < lam <= float_info.max and 0.0 < delta <= float_info.max):
         raise InvalidSpec(f"need finite lam, delta > 0, got lam={lam}, delta={delta}")
     m = math.isqrt(n)
     if n < 4 or m * m != n:
@@ -230,7 +231,7 @@ def _check_abpdn(n: int, lam: float, delta: float) -> int:
     return m
 
 
-def make_abpdn(n: int, lam: float = 1e-3, delta: float = 1e-4) -> ObjectiveProblem:
+def make_abpdn(n: int, *, lam: float = 1e-3, delta: float = 1e-4) -> ObjectiveProblem:
     """Smoothed basis-pursuit denoising.
 
     f(x) = (1/2) ||A x - b||^2 + lam * sum_i sqrt(x_i^2 + delta)
@@ -321,14 +322,14 @@ def _standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
 
 
 def _check_logistic(m: int, n: int, lam: float, sigma: float, seed: int) -> None:
-    """Check logistic's parameters: m, n >= 1, finite lam >= 0 and sigma > 0, seed >= 0."""
-    if not (m >= 1 and n >= 1 and seed >= 0 and 0.0 <= lam < math.inf
-            and 0.0 < sigma < math.inf):
+    """Check logistic's m, n >= 1 and seed >= 0, and lam >= 0, sigma > 0 in the float range."""
+    if not (m >= 1 and n >= 1 and seed >= 0 and 0.0 <= lam <= float_info.max
+            and 0.0 < sigma <= float_info.max):
         raise InvalidSpec(f"bad logistic m={m}, n={n}, lam={lam}, sigma={sigma}, seed={seed}")
 
 
 def make_logistic(
-    m: int, n: int, lam: float = 1e-4, sigma: float = 0.4, seed: int = 0
+    m: int, n: int, *, lam: float = 1e-4, sigma: float = 0.4, seed: int = 0
 ) -> ObjectiveProblem:
     """Regularised logistic loss on a noisy mean-shifted design.
 
@@ -371,9 +372,9 @@ def make_logistic(
 
 
 def _check_huber(n: int, tau: float) -> None:
-    """Check huber's parameters: n >= 1 and a tau > 0 whose square is finite,
-    as the tails of zeta hold tau^2 (and 2 tau)."""
-    if not (n >= 1 and 0.0 < tau and tau * tau < math.inf):
+    """Check huber's parameters: n >= 1 and a tau > 0 whose square, held by zeta's
+    tails, is at most the largest float (an int's compares exactly, so < inf can pass it)."""
+    if not (n >= 1 and 0.0 < tau and tau * tau <= float_info.max):
         raise InvalidSpec(f"bad huber n={n}, tau={tau}")
 
 
@@ -436,14 +437,16 @@ def make_huber(n: int, tau: float) -> ObjectiveProblem:
 class _Family(NamedTuple):
     make: Callable[..., ObjectiveProblem]
     check: Callable[..., object] | None  # what make checks first; ProblemSpec runs it too
-    defaults: Callable[[int], dict]  # optional parameters' defaults by field, given n
+    # optional parameters' defaults by field, given n: the constructor's keyword
+    # defaults, plus the two that scale with n (logistic m = 2n, huber tau = n/10)
+    defaults: Callable[[int], dict]
 
 
 _FAMILIES = {
     "quad": _Family(make_quad_diag, None, lambda n: {}),
-    "abpdn": _Family(make_abpdn, _check_abpdn, lambda n: {"lam": 1e-3, "delta": 1e-4}),
+    "abpdn": _Family(make_abpdn, _check_abpdn, lambda n: make_abpdn.__kwdefaults__),
     "logistic": _Family(make_logistic, _check_logistic,
-                        lambda n: {"m": 2 * n, "lam": 1e-4, "sigma": 0.4, "seed": 0}),
+                        lambda n: {"m": 2 * n, **make_logistic.__kwdefaults__}),
     # tau = n/10 <= 1 at n <= 10 makes x0 = 0 a minimiser (see make_huber)
     "huber": _Family(make_huber, _check_huber, lambda n: {"tau": n / 10.0}),
 }
@@ -485,6 +488,8 @@ class ProblemSpec:
                   and field not in args]
         if unused:
             raise InvalidSpec(f"family {self.family} takes no {', '.join(unused)}")
+        if not all(isinstance(args.get(f, 0), (int, np.integer)) for f in ("n", "m", "seed")):
+            raise InvalidSpec(f"n, m and seed must be integers, got {args}")
         check = _FAMILIES[self.family].check
         if check is not None:
             check(**args)

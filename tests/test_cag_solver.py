@@ -440,7 +440,7 @@ class TestCertificate:
     @given(m=st.integers(1, 40), n=st.integers(1, 20), seed=st.integers(0, 2**16),
            lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
     def test_logistic(self, solver, m, n, seed, lam):
-        certified_run(solver, make_logistic(m, n, lam, seed=seed))
+        certified_run(solver, make_logistic(m, n, lam=lam, seed=seed))
 
     @settings(derandomize=True, deadline=None, max_examples=6)
     @given(n=st.integers(2, 40), tau=st.floats(0.05, 10.0))

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 import tracemalloc
 
@@ -12,6 +11,9 @@ import cagopt.problems
 from cagopt import (
     InvalidSpec,
     ProblemSpec,
+    RunConfig,
+    SolverConfig,
+    lcg_minimize,
     make_abpdn,
     make_huber,
     make_logistic,
@@ -606,23 +608,43 @@ class TestProblemSpec:
         with pytest.raises(InvalidSpec):
             ProblemSpec(family="cubic", n=10)
 
-    def test_family_defaults_equal_the_constructors_defaults(self):
-        # _FAMILIES repeats the constructors' keyword defaults; a spec left
-        # unset must build the instance that the constructor builds by default
-        pinned = set()
-        for family, entry in cagopt.problems._FAMILIES.items():
-            signature = inspect.signature(entry.make).parameters
-            for field, default in entry.defaults(16).items():
-                declared = signature[field].default
-                if declared is not inspect.Parameter.empty:
-                    assert default == declared, (family, field)
-                    pinned.add((family, field))
-        assert pinned == {("abpdn", "lam"), ("abpdn", "delta"), ("logistic", "lam"),
-                          ("logistic", "sigma"), ("logistic", "seed")}
+    def test_numpy_integers_are_integers(self):
+        assert ProblemSpec("quad", np.int64(10)).label() == "quad(n=10)"
+        spec = ProblemSpec("logistic", np.int64(4), m=np.int32(8), seed=np.uint8(1))
+        assert spec.label() == "logistic(n=4,m=8,lambda=0.0001,sigma=0.4,seed=1)"
 
     def test_defaults_applied_at_build(self):
         prob = ProblemSpec(family="huber", n=40).build()
         assert "tau=4" in prob.name
+
+
+# Each builds an object from arguments it must refuse: a size, seed or budget
+# that is not an integer (a float one built a wrongly sized instance or raised
+# TypeError in a suite), or an int parameter too large for a float (which
+# passed a < inf check and raised OverflowError at build or evaluation).
+@pytest.mark.parametrize("make", [
+    lambda: ProblemSpec("quad", 3.5),
+    lambda: ProblemSpec("huber", 3.5),
+    lambda: ProblemSpec("logistic", 4, seed=1.5),
+    lambda: ProblemSpec("logistic", 4, m=8.0),
+    lambda: ProblemSpec("abpdn", 16.0),
+    lambda: make_huber(4, 10**200),
+    lambda: ProblemSpec("huber", 4, tau=10**200),
+    lambda: make_abpdn(4, lam=10**400),
+    lambda: make_abpdn(4, delta=10**400),
+    lambda: make_logistic(4, 2, lam=10**400),
+    lambda: make_logistic(4, 2, sigma=10**400),
+    lambda: RunConfig(ProblemSpec("quad", 10), "lcg", max_evals=10.5),
+    lambda: RunConfig(ProblemSpec("quad", 10), "cag", max_evals=10.5),
+    lambda: SolverConfig(L=1.0, max_evals=2.5),
+    lambda: lcg_minimize(quad_diag_system(4), np.zeros(4), 1e-8, 2.5),
+], ids=["quad-n", "huber-n", "logistic-seed", "logistic-m", "abpdn-n", "make_huber-tau",
+        "spec-huber-tau", "make_abpdn-lam", "make_abpdn-delta", "make_logistic-lam",
+        "make_logistic-sigma", "lcg-max_evals", "cag-max_evals", "SolverConfig-max_evals",
+        "lcg_minimize-max_iters"])
+def test_refused_where_made(make):
+    with pytest.raises(InvalidSpec):
+        make()
 
 
 # Sizes and optional-parameter values of drawn specs, by family: small pools

@@ -100,6 +100,14 @@ REJECTED = (
     {"family": "huber", "n": 10, "tau": math.inf},
     {"family": "huber", "n": 10, "tau": 1e308},
     {"family": "huber", "n": 0},
+    {"family": "quad", "n": 3.5},
+    {"family": "huber", "n": 3.5},
+    {"family": "abpdn", "n": 16.0},
+    {"family": "logistic", "n": 4, "seed": 1.5},
+    {"family": "logistic", "n": 4, "m": 8.0},
+    {"family": "huber", "n": 4, "tau": 10**200},
+    {"family": "abpdn", "n": 4, "lam": 10**400},
+    {"family": "logistic", "n": 4, "sigma": 10**400},
 )
 
 # Suite lines that set every problem key and every run key, and malformed
@@ -238,6 +246,8 @@ def spec_grid() -> None:
             print(f"rejected {kwargs}: accepted")
         except InvalidSpec as e:
             print(f"rejected {kwargs}: {e}")
+        except Exception as e:
+            print(f"rejected {kwargs}: {type(e).__name__}: {e}")
     for line in ("family=quad", "family=logistic n=10 seed=1.5 solver=cag"):
         try:
             print(f"tokens {line!r}: {run_config_from_tokens(line.split())!r}")

@@ -17,7 +17,7 @@ steps, the estimate sequence and other internals live in their submodules.
 
 from .baselines import ag_minimize, lcg_minimize, ncg_minimize
 from .cag import SolverConfig, cag_minimize
-from .errors import InvalidSpec, NotPositiveDefinite, NumericalFailure
+from .errors import InvalidSpec, NumericalFailure
 from .harness import (
     RunConfig,
     SuiteRow,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EvalCounter",
     "InvalidSpec",
-    "NotPositiveDefinite",
     "NumericalFailure",
     "ObjectiveProblem",
     "ProblemSpec",

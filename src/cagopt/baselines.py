@@ -24,7 +24,7 @@ from .cag import (
     run_steps,
     secant_alpha,
 )
-from .errors import InvalidSpec, NotPositiveDefinite, NumericalFailure
+from .errors import InvalidSpec
 from .oracle import Evaluation, ObjectiveProblem, Vector
 from .problems import QuadraticProblem
 # Unused here, but perfbench/tracing.py wraps these names in this module.
@@ -44,16 +44,15 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     the last iterate, not the lowest-f row that ``cag``'s run contract
     reports for the other solvers: the tracked f stalls at round-off while
     the residual still falls, so the first lowest-f row has a larger
-    residual.  Raises ``InvalidSpec`` unless max_iters >= 1 and gtol > 0
-    (``check_settings``), and ``NumericalFailure`` when x0, f(x0) or the
-    initial residual norm is not finite.  A curvature product p^T A p, f or
-    residual norm that turns non-finite later ends the run ``diverged`` with
-    the last row's iterate, recording no row for the iteration that ends it
-    (whose A-application it counts).
+    residual.  Raises ``InvalidSpec`` unless gtol > 0, max_iters is an
+    integer >= 1 (``check_settings``) and x0 is finite, and when p^T A p <= 0
+    shows that A is not positive definite.  The ``init`` row comes first: a
+    non-finite f(x0) or initial residual norm ends the run ``diverged`` there.
+    A curvature product, f or residual norm that turns non-finite later ends
+    it ``diverged`` with the last row's iterate, recording no row for the
+    iteration that ends it (whose A-application it counts).
     """
-    if not max_iters >= 1:
-        raise InvalidSpec(f"max_iters must be at least 1, got {max_iters}")
-    check_settings(None, None, gtol, max_iters)
+    check_settings(None, None, gtol, max_iters, "max_iters")
     x = _start_point(x0, qp.n)
     evals = 0
     if np.any(x != 0.0):
@@ -66,10 +65,10 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         f = 0.0
     rr = float(r @ r)
     rnorm = math.sqrt(rr)
-    if not (math.isfinite(f) and math.isfinite(rnorm)):
-        raise NumericalFailure(f"non-finite start in problem {qp.name!r}")
     trace = Trace()
     trace.append(evals, f, rnorm, math.nan, StepKind.INIT)
+    if not (math.isfinite(f) and math.isfinite(rnorm)):
+        return SolverResult(Status.DIVERGED, x, f, rnorm, evals, trace)
     if rnorm <= gtol:
         return SolverResult(Status.CONVERGED, x, f, rnorm, evals, trace)
 
@@ -82,7 +81,7 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         evals += 1
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            raise NotPositiveDefinite(f"p^T A p = {pAp!r} <= 0")
+            raise InvalidSpec(f"the operator is not positive definite: p^T A p = {pAp!r} <= 0")
         if not math.isfinite(pAp):
             break  # an overflowing pAp would give alpha = 0 and stall x
         alpha = rr / pAp

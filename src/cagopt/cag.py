@@ -35,26 +35,28 @@ Run contract
 the ``SolverConfig``, the counter, ||g(x0)|| and the iteration state, which
 the step updates in place; it applies the gtol test (``_Run.evaluate``),
 owns the state's two shared transitions (``restart_chain`` and the
-accepted-step ``commit``), records the trace and builds the result.  It
-evaluates a copy of x0, which must have shape (n,); a non-finite start
-raises ``NumericalFailure``.  The budget is checked between iterations, so
-the count may exceed ``max_evals`` by one iteration's cost less one.  A CG
-chain restarts from steepest descent after ``RESTART_FACTOR`` * n + 1
-steps.  The trace opens with an ``init`` row for x0 and adds one row per
-iteration; ``iterations`` counts the rows after it.  A run is ``converged``
-once any evaluated point has ||grad f|| <= gtol (a secant probe, a
-candidate, a bar or AG combination point, or the iterate or model centre
-that ``return_to_cg`` evaluates), and reports that point in its last trace
-row; else it ends ``diverged`` (non-finite value, gradient norm or phi*),
-``line_search_failure`` (ncg's backtracking) or ``budget_exhausted``, and
-reports the lowest-f point among its trace rows, not among all evaluated
-points.  On a converged or budget exit the evaluation deltas between
-consecutive rows partition the final count exactly; a diverged or
-line-search-failure exit records no row for the iteration that ends the
-run, whose evaluations the last row therefore leaves out.  ncg's phi*
-column is NaN.  Of the state, ``ncg_step`` writes only ``x``, ``point``,
-``p`` and ``i_cg``, ``ag_step`` ``x``, the model (``gamma``, ``v``,
-``phi_star``) and ``bar``, and ``cag_step`` every field.
+accepted-step ``commit``), records the trace and builds the result.  A run
+ends with a status, or raises ``InvalidSpec`` on malformed settings or an
+x0 that lacks shape (n,) or finite entries.  A start whose f or gradient
+norm is not finite ends it ``diverged`` at x0 after that one evaluation,
+with an ``init`` row of NaN f, ||g|| and phi*.  The budget is checked
+between iterations, so the count may exceed ``max_evals`` by one
+iteration's cost less one.  A CG chain restarts from steepest descent after
+``RESTART_FACTOR`` * n + 1 steps.  The trace opens with an ``init`` row for
+x0 and adds one row per iteration; ``iterations`` counts the rows after it.
+A run is ``converged`` once any evaluated point has ||grad f|| <= gtol (a
+secant probe, a candidate, a bar or AG combination point, or the iterate or
+model centre that ``return_to_cg`` evaluates), and reports that point in
+its last trace row; else it ends ``diverged`` (non-finite value, gradient
+norm or phi*), ``line_search_failure`` (ncg's backtracking) or
+``budget_exhausted``, and reports the lowest-f point among its trace rows,
+not among all evaluated points.  On a converged or budget exit the
+evaluation deltas between consecutive rows partition the final count
+exactly; a diverged or line-search-failure exit records no row for the
+iteration that ends the run, whose evaluations the last row therefore
+leaves out.  ncg's phi* column is NaN.  Of the state, ``ncg_step`` writes
+only ``x``, ``point``, ``p`` and ``i_cg``, ``ag_step`` ``x``, the model
+(``gamma``, ``v``, ``phi_star``) and ``bar``, and ``cag_step`` every field.
 """
 
 from __future__ import annotations
@@ -79,14 +81,15 @@ RESTART_FACTOR = 10  # a CG chain restarts after RESTART_FACTOR * n + 1 steps
 AG_EXIT_FACTOR = 4.0  # gradient-norm reduction that ends an AG block
 
 
-def check_settings(L: float | None, ell: float | None, gtol: float, max_evals: int) -> None:
+def check_settings(L: float | None, ell: float | None, gtol: float, max_evals: int,
+                   budget: str = "max_evals") -> None:
     """Raise ``InvalidSpec`` unless L and ell pass ``check_moduli``, gtol > 0
-    and max_evals is an integer >= 1."""
+    and max_evals is an integer >= 1, not a bool; ``budget`` names it in the message."""
     check_moduli(L, ell)
     if not gtol > 0:
         raise InvalidSpec(f"gtol must be positive, got {gtol}")
-    if not (isinstance(max_evals, (int, np.integer)) and max_evals >= 1):
-        raise InvalidSpec(f"max_evals must be an integer of at least 1, got {max_evals}")
+    if not (np.issubdtype(type(max_evals), np.integer) and max_evals >= 1):
+        raise InvalidSpec(f"{budget} must be an integer of at least 1, got {max_evals}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +111,12 @@ class SolverConfig:
 
 
 def _start_point(x0: Vector, n: int) -> Vector:
-    """A float copy of ``x0``, which must have shape (n,), else ``InvalidSpec``,
-    and finite entries, else ``NumericalFailure``."""
+    """A float copy of ``x0``; ``InvalidSpec`` unless it has shape (n,) and finite entries."""
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise InvalidSpec(f"x0 must have shape ({n},), got {x.shape}")
     if not np.isfinite(x).all():
-        raise NumericalFailure("x0 has a non-finite entry")
+        raise InvalidSpec("x0 has a non-finite entry")
     return x
 
 
@@ -443,8 +445,13 @@ def run_steps(step: Callable[[_Run], tuple[Evaluation, StepKind]], problem: Obje
     is one iteration: it updates the run's iteration state in place and
     returns the (point, kind) of its trace row.  ``phi_star0`` replaces
     phi*_0 = f(x0)."""
-    counter = EvalCounter()
-    start = evaluate_counted(problem, _start_point(x0, problem.n), counter)
+    counter, x = EvalCounter(), _start_point(x0, problem.n)
+    try:
+        start = evaluate_counted(problem, x, counter)
+    except NumericalFailure:
+        trace = Trace()
+        trace.append(counter.count, math.nan, math.nan, math.nan, StepKind.INIT)
+        return SolverResult(Status.DIVERGED, x, math.nan, math.nan, counter.count, trace)
     run = _Run(problem, config, counter, start, phi_star0)
     run.record(start, StepKind.INIT)
     if start.gnorm <= config.gtol:

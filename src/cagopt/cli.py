@@ -7,7 +7,7 @@ import sys
 
 import click
 
-from .errors import InvalidSpec, NumericalFailure
+from .errors import InvalidSpec
 from .harness import (
     format_run_line,
     format_suite_table,
@@ -43,8 +43,6 @@ def run_cmd(tokens):
         result = run_one(config)
     except ValueError as e:  # InvalidSpec, or a value that is not a number
         raise click.UsageError(str(e)) from e
-    except NumericalFailure as e:  # a start point with a non-finite f or gradient
-        raise click.ClickException(str(e)) from e
     click.echo(format_run_line(config, result))
     if result.status is not Status.CONVERGED:
         sys.exit(1)

@@ -6,11 +6,7 @@ class NumericalFailure(Exception):
 
 
 class InvalidState(Exception):
-    """An internal algebraic invariant was violated; indicates a bug or bad input."""
-
-
-class NotPositiveDefinite(Exception):
-    """The operator handed to the linear CG solver is not positive definite."""
+    """An internal algebraic invariant was violated; indicates a bug."""
 
 
 class InvalidSpec(ValueError):

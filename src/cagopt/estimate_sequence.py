@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidState, NumericalFailure
+from .errors import InvalidSpec, InvalidState, NumericalFailure
 from .oracle import Evaluation, Vector
 
 # Tolerance for the theta/gamma identity self-check.  It is exact algebra,
@@ -116,13 +116,13 @@ def nesterov_bound(L: float, ell: float, k: int, dist0_sq: float) -> float:
     Returns L * min((1 - sqrt(ell/L))^k, 4/(k+2)^2) * dist0_sq, where
     dist0_sq is the squared distance from the start to a minimiser.  Valid
     whenever f(x_k) <= phi*_k held at every iteration up to k, for moduli
-    0 <= ell <= L with L > 0.
+    0 <= ell <= L with L > 0; other arguments raise ``InvalidSpec``.
     """
     if not (L > 0 and 0.0 <= ell <= L):
-        raise InvalidState(f"need 0 <= ell <= L and L > 0, got ell={ell}, L={L}")
+        raise InvalidSpec(f"need 0 <= ell <= L and L > 0, got ell={ell}, L={L}")
     if k < 0:
-        raise InvalidState(f"iteration index must be nonnegative, got {k}")
+        raise InvalidSpec(f"iteration index must be nonnegative, got {k}")
     if dist0_sq < 0:
-        raise InvalidState(f"squared distance must be nonnegative, got {dist0_sq}")
+        raise InvalidSpec(f"squared distance must be nonnegative, got {dist0_sq}")
     geometric = (1.0 - math.sqrt(ell / L)) ** k
     return L * min(geometric, 4.0 / (k + 2) ** 2) * dist0_sq

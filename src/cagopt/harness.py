@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import ag_minimize, lcg_minimize, ncg_minimize
 from .cag import DEFAULT_GTOL, DEFAULT_MAX_EVALS, SolverConfig, cag_minimize, check_settings
-from .errors import InvalidSpec, NumericalFailure
+from .errors import InvalidSpec
 from .problems import _PARAMS, PROBLEM_KEYS, ProblemSpec, quad_diag_system
 from .results import SolverResult, Status, Trace
 
@@ -199,9 +199,7 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     an output path that cannot be written or that an earlier row names too,
     and an ``ell`` override above the family's default L (``quad n=10
     ell=200``, L = 100): that row gets status ``invalid``, builds and writes
-    nothing, and the suite goes on.  So does a row whose start f or gradient
-    is not finite (abpdn ``lambda=1e200 delta=1e300``): its solver raises
-    before it has a result, so it ends ``diverged``, with no counts or outputs.
+    nothing, and the suite goes on.
     The ``best`` flag marks, among the rows of one label (one instance, see
     ``ProblemSpec.label``), the converged run with the fewest evaluations.
 
@@ -217,9 +215,8 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
         try:
             _claim_outputs(taken, _row_outputs(config))
             row = _summary(config, run(config))
-        except (InvalidSpec, NumericalFailure) as e:
-            status = Status.INVALID if isinstance(e, InvalidSpec) else Status.DIVERGED
-            row = SuiteRow(config.problem.label(), config.solver_name, status, 0, 0,
+        except InvalidSpec:
+            row = SuiteRow(config.problem.label(), config.solver_name, Status.INVALID, 0, 0,
                            math.nan, math.nan, math.nan)
         row.wall_time = time.perf_counter() - start
         return row

@@ -488,7 +488,7 @@ class ProblemSpec:
                   and field not in args]
         if unused:
             raise InvalidSpec(f"family {self.family} takes no {', '.join(unused)}")
-        if not all(isinstance(args.get(f, 0), (int, np.integer)) for f in ("n", "m", "seed")):
+        if not all(np.issubdtype(type(args.get(f, 0)), np.integer) for f in ("n", "m", "seed")):
             raise InvalidSpec(f"n, m and seed must be integers, got {args}")
         check = _FAMILIES[self.family].check
         if check is not None:

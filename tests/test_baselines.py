@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import pytest
 import cagopt.baselines
 from cagopt import (
     InvalidSpec,
-    NotPositiveDefinite,
-    NumericalFailure,
     ObjectiveProblem,
     ProblemSpec,
     QuadraticProblem,
@@ -106,7 +105,7 @@ class TestLcg:
     def test_indefinite_operator_raises(self):
         qp = QuadraticProblem(apply_A=lambda x: np.array([1.0, -1.0]) * x,
                               b=np.array([1.0, 1.0]))
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(InvalidSpec, match="not positive definite"):
             lcg_minimize(qp, np.zeros(2), gtol=1e-20, max_iters=10)
 
     def test_budget_status(self):
@@ -177,12 +176,16 @@ class TestLcg:
         (-1.0, 10, "gtol must be positive"),
         (0.0, 10, "gtol must be positive"),
         (float("nan"), 10, "gtol must be positive"),
-        (1e-8, 0, "max_iters must be at least 1"),
-        (1e-8, -5, "max_iters must be at least 1"),
+        (1e-8, 0, "^max_iters must be an integer of at least 1, got 0$"),
+        (1e-8, -5, "^max_iters must be an integer of at least 1, got -5$"),
+        (1e-8, 2.5, "^max_iters must be an integer of at least 1, got 2.5$"),
+        (1e-8, True, "^max_iters must be an integer of at least 1, got True$"),
     ])
     def test_rejects_a_bad_tolerance_or_budget(self, gtol, max_iters, message):
-        # the settings check of cag, ncg and ag; before it, a budget of 0 or
-        # -5 returned budget_exhausted and a gtol of -1 or nan never converged
+        # the settings check of cag, ncg and ag, under lcg's name for the
+        # budget; before it, a budget of 0 or -5 returned budget_exhausted and
+        # a gtol of -1 or nan never converged, and a budget of 2.5 was refused
+        # as a max_evals
         with pytest.raises(InvalidSpec, match=message):
             lcg_minimize(quad_diag_system(5), np.zeros(5), gtol=gtol, max_iters=max_iters)
 
@@ -316,34 +319,57 @@ def test_all_solvers_agree_on_strongly_convex_minimiser():
             assert np.linalg.norm(a - b) <= 10.0 * gtol / ell
 
 
-@pytest.mark.parametrize("solver", ["cag", "ncg", "ag"])
-def test_nonfinite_start_raises_numerical_failure(solver):
-    prob = ObjectiveProblem(name="nan", n=2, evaluate=lambda x: (np.nan, x.copy()),
-                            default_L=1.0)
-    with pytest.raises(NumericalFailure):
-        minimize(solver, prob, np.ones(2))
+def solve_from(solver, prob, x0):
+    """cag, cag+z, ncg or ag on ``prob`` from ``x0`` with L = 1; lcg on
+    ``quad_diag_system(prob.n)``."""
+    if solver == "lcg":
+        return lcg_minimize(quad_diag_system(prob.n), x0, 1e-8, 50)
+    config = SolverConfig(L=1.0, conjugate_z=solver == "cag+z")
+    return {"ncg": ncg_minimize, "ag": ag_minimize}.get(solver, cag_minimize)(prob, x0, config)
+
+
+def diverged_at_start(result, x0):
+    """True if ``result`` ended diverged after one evaluation, at ``x0``,
+    with one init row."""
+    return (result.status is Status.DIVERGED and np.array_equal(result.x_final, x0)
+            and (result.iterations, result.evaluations, len(result.trace)) == (0, 1, 1)
+            and list(result.trace.kinds()) == [StepKind.INIT] and result.trace.evals[0] == 1)
+
+
+@pytest.mark.parametrize("solver", ["cag", "cag+z", "ncg", "ag"])
+@pytest.mark.parametrize("evaluate", [lambda x: (np.nan, x.copy()),
+                                      lambda x: (0.0, np.full(2, 1e200))],
+                         ids=["nan-f", "gradient-norm-overflows"])
+def test_nonfinite_start_ends_the_run_diverged(solver, evaluate):
+    # the start evaluation is counted, and its row reads NaN: the run has no
+    # finite f or gradient norm to report
+    prob = ObjectiveProblem(name="bad-start", n=2, evaluate=evaluate, default_L=1.0)
+    result = solve_from(solver, prob, np.ones(2))
+    assert diverged_at_start(result, np.ones(2))
+    assert all(math.isnan(v) for v in (result.f_final, result.gnorm_final, result.trace.f[0],
+                                       result.trace.gnorm[0], result.trace.phi_star[0]))
+
+
+@pytest.mark.parametrize("solver", ["cag", "cag+z", "ncg", "ag", "lcg"])
+def test_overflowing_start_ends_the_run_diverged(solver):
+    # f(1e200 ones) overflows on the quadratic; lcg records its start row as
+    # computed, with f and the residual norm infinite
+    x0 = np.full(5, 1e200)
+    result = solve_from(solver, make_quad_diag(5), x0)
+    assert diverged_at_start(result, x0)
+    assert not np.isfinite(result.trace.f[0]) and result.x_final is not x0
 
 
 @pytest.mark.parametrize("solver", ["cag", "ncg", "ag", "lcg"])
-@pytest.mark.parametrize("x0", [[np.nan, 0, 0, 0, 0], [np.inf] * 5, [1e200] * 5],
-                         ids=["nan", "inf", "1e200"])
-def test_nonfinite_start_point_raises_numerical_failure(solver, x0):
+@pytest.mark.parametrize("x0", [[np.nan, 0, 0, 0, 0], [np.inf] * 5], ids=["nan", "inf"])
+def test_nonfinite_start_point_raises_invalid_spec(solver, x0):
     # without a warning: an inf entry made every solver warn of an invalid
-    # value, and lcg ran a NaN or overflowing start to budget_exhausted
-    with pytest.raises(NumericalFailure):
+    # value, and lcg ran a NaN start to budget_exhausted
+    with pytest.raises(InvalidSpec, match="x0 has a non-finite entry"):
         if solver == "lcg":
             lcg_minimize(quad_diag_system(5), np.array(x0), 1e-8, 50)
         else:
             minimize(solver, make_quad_diag(5), np.array(x0))
-
-
-@pytest.mark.parametrize("solver", ["cag", "ncg", "ag"])
-def test_overflowing_gradient_norm_at_start_raises_numerical_failure(solver):
-    # finite entries whose sum of squares overflows
-    prob = ObjectiveProblem(name="huge", n=2, evaluate=lambda x: (0.0, np.full(2, 1e200)),
-                            default_L=1.0)
-    with pytest.raises(NumericalFailure):
-        minimize(solver, prob, np.ones(2))
 
 
 @pytest.mark.parametrize("solver", ["cag", "ncg", "ag"])

@@ -52,13 +52,13 @@ def test_run_prints_one_summary_line(args, exit_code, line):
     assert (result.exit_code, result.output) == (exit_code, line + "\n")
 
 
-def test_run_from_a_non_finite_start_exits_1_with_a_one_line_error():
-    # abpdn's f(0) = |b|^2/2 + lambda n sqrt(delta) overflows
+def test_run_from_a_non_finite_start_exits_1_with_a_diverged_line():
+    # abpdn's f(0) = |b|^2/2 + lambda n sqrt(delta) overflows: the run ends
+    # after its start evaluation, as any diverged run does
     result = CliRunner().invoke(main, ["run", "family=abpdn", "n=4", "lambda=1e200",
                                        "delta=1e300", "solver=cag"])
-    assert result.exit_code == 1
-    assert result.output == ("Error: non-finite evaluation in problem "
-                             "'abpdn(n=4,lambda=1e+200,delta=1e+300)'\n")
+    assert (result.exit_code, result.output) == (
+        1, "cag: diverged  iterations=0  evaluations=1  f=nan  gnorm=nan\n")
 
 
 def test_suite_with_a_non_finite_start_prints_every_row(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cagopt.errors import InvalidState, NumericalFailure
+from cagopt.errors import InvalidSpec, NumericalFailure
 from cagopt.estimate_sequence import advance_estimate, compute_theta_gamma, nesterov_bound
 from cagopt.oracle import Evaluation
 
@@ -223,10 +223,10 @@ class TestNesterovBound:
     @pytest.mark.parametrize("L, ell", [(1.0, 2.0), (0.0, 0.0), (-1.0, 0.0), (1.0, -0.5)])
     def test_rejects_moduli_outside_0_ell_L(self, L, ell):
         # ell = 2 > L = 1 used to return -0.071 at k = 3, a negative gap
-        with pytest.raises(InvalidState, match="0 <= ell <= L"):
+        with pytest.raises(InvalidSpec, match="0 <= ell <= L"):
             nesterov_bound(L, ell, 3, 1.0)
 
     @pytest.mark.parametrize("k, dist0_sq", [(-1, 1.0), (3, -1.0)])
     def test_rejects_a_negative_index_or_squared_distance(self, k, dist0_sq):
-        with pytest.raises(InvalidState, match="must be nonnegative"):
+        with pytest.raises(InvalidSpec, match="must be nonnegative"):
             nesterov_bound(1.0, 0.5, k, dist0_sq)

@@ -310,18 +310,20 @@ class TestSuite:
         assert "invalid" in format_suite_table(rows)
 
     def test_a_non_finite_start_diverges_and_does_not_abort_the_suite(self, tmp_path):
-        # f(0) = |b|^2/2 + lambda n sqrt(delta) overflows; the solver raises
-        # NumericalFailure before it has a result, so the row writes nothing
+        # f(0) = |b|^2/2 + lambda n sqrt(delta) overflows; the run ends after
+        # its counted start evaluation and writes its outputs like any run
         overflow = ProblemSpec("abpdn", 4, lam=1e200, delta=1e300)
         good = RunConfig(ProblemSpec("quad", 10), "cag")
-        rows = run_suite([good, RunConfig(overflow, "cag", trace_path=str(tmp_path / "t.csv"),
+        trace = tmp_path / "t.csv"
+        rows = run_suite([good, RunConfig(overflow, "cag", trace_path=str(trace),
                                           json_path=str(tmp_path / "s.json")),
                           RunConfig(overflow, "ncg"), good])
         assert [r.status for r in rows] == [Status.CONVERGED, Status.DIVERGED, Status.DIVERGED,
                                             Status.CONVERGED]
         assert [r.problem for r in rows[1:3]] == ["abpdn(n=4,lambda=1e+200,delta=1e+300)"] * 2
-        assert (rows[1].iterations, rows[1].evaluations) == (0, 0)
-        assert list(tmp_path.iterdir()) == []
+        assert [(r.iterations, r.evaluations) for r in rows[1:3]] == [(0, 1)] * 2
+        assert trace.read_text() == "iter,evals,f,gnorm,phistar,step\n0,1,nan,nan,nan,init\n"
+        assert json.loads((tmp_path / "s.json").read_text())["evaluations"] == 1
         assert "diverged" in format_suite_table(rows)
 
     @pytest.mark.parametrize("key", ["trace_path", "json_path"])

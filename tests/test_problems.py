@@ -620,10 +620,15 @@ class TestProblemSpec:
 
 # Each builds an object from arguments it must refuse: a size, seed or budget
 # that is not an integer (a float one built a wrongly sized instance or raised
-# TypeError in a suite), or an int parameter too large for a float (which
-# passed a < inf check and raised OverflowError at build or evaluation).
+# TypeError in a suite; a bool one, True, passed as 1), or an int parameter too
+# large for a float (which passed a < inf check and raised OverflowError at
+# build or evaluation).
 @pytest.mark.parametrize("make", [
     lambda: ProblemSpec("quad", 3.5),
+    lambda: ProblemSpec("quad", True),
+    lambda: ProblemSpec("logistic", 4, m=True),
+    lambda: ProblemSpec("logistic", 4, seed=True),
+    lambda: ProblemSpec("logistic", 4, seed=False),
     lambda: ProblemSpec("huber", 3.5),
     lambda: ProblemSpec("logistic", 4, seed=1.5),
     lambda: ProblemSpec("logistic", 4, m=8.0),
@@ -638,10 +643,13 @@ class TestProblemSpec:
     lambda: RunConfig(ProblemSpec("quad", 10), "cag", max_evals=10.5),
     lambda: SolverConfig(L=1.0, max_evals=2.5),
     lambda: lcg_minimize(quad_diag_system(4), np.zeros(4), 1e-8, 2.5),
-], ids=["quad-n", "huber-n", "logistic-seed", "logistic-m", "abpdn-n", "make_huber-tau",
+    lambda: RunConfig(ProblemSpec("quad", 10), "cag", max_evals=True),
+    lambda: SolverConfig(L=1.0, max_evals=True),
+], ids=["quad-n", "quad-bool-n", "logistic-bool-m", "logistic-bool-seed", "logistic-false-seed",
+        "huber-n", "logistic-seed", "logistic-m", "abpdn-n", "make_huber-tau",
         "spec-huber-tau", "make_abpdn-lam", "make_abpdn-delta", "make_logistic-lam",
         "make_logistic-sigma", "lcg-max_evals", "cag-max_evals", "SolverConfig-max_evals",
-        "lcg_minimize-max_iters"])
+        "lcg_minimize-max_iters", "cag-bool-max_evals", "SolverConfig-bool-max_evals"])
 def test_refused_where_made(make):
     with pytest.raises(InvalidSpec):
         make()

@@ -23,8 +23,9 @@ every problem and run key, and malformed ones, print the parsed
 ``RunConfig`` or the error message.  Outputs that would overwrite another
 file print the message of ``cagopt suite`` and ``cagopt run``, or the
 statuses of ``run_suite``.  A suite of abpdn rows whose start f overflows,
-then a quad row, prints its statuses, and ``cagopt run`` on that abpdn
-instance its exit code and output.  A suite whose rows alternate quad and huber
+then a quad row, prints its statuses and evaluation counts, ``cagopt run``
+on that abpdn instance its exit code and output, and lcg from x0 =
+1e200 * ones, where f(x0) overflows, its run line.  A suite whose rows alternate quad and huber
 prints how often each family's constructor ran.
 
 To show that a change leaves behaviour bit-identical, run the script
@@ -108,6 +109,7 @@ REJECTED = (
     {"family": "huber", "n": 4, "tau": 10**200},
     {"family": "abpdn", "n": 4, "lam": 10**400},
     {"family": "logistic", "n": 4, "sigma": 10**400},
+    {"family": "quad", "n": True},
 )
 
 # Suite lines that set every problem key and every run key, and malformed
@@ -330,12 +332,18 @@ def start_overflow() -> None:
     try:
         rows = run_suite(configs + [RunConfig(ProblemSpec("quad", 10), "cag")])
         print(f"overflow run_suite {line} cag, ncg, ag, quad cag: "
-              f"{[r.status.value for r in rows]}")
+              f"{[(r.status.value, r.evaluations) for r in rows]}")
     except Exception as e:
         print(f"overflow run_suite {line}: {type(e).__name__}: {e}")
     result = CliRunner().invoke(cli_main, ["run", *line.split(), "solver=cag"])
     print(f"overflow cli run {line} solver=cag: exit {result.exit_code} "
           f"{result.output.rstrip() or repr(result.exception)}")
+    # lcg's f(x0) and initial residual norm overflow
+    name = "overflow lcg quad_diag_system(5) x0=1e200*ones"
+    try:
+        print_result(name, lcg_minimize(quad_diag_system(5), np.full(5, 1e200), 1e-8, 50))
+    except Exception as e:
+        print(f"{name}: {type(e).__name__}: {e}")
 
 
 def suite_builds() -> None:

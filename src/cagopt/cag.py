@@ -70,7 +70,7 @@ import numpy as np
 from .errors import InvalidSpec, NumericalFailure
 from .estimate_sequence import advance_estimate, compute_theta_gamma
 from .oracle import EvalCounter, Evaluation, ObjectiveProblem, Vector, evaluate_counted
-from .oracle import check_moduli
+from .oracle import _has_bool, check_moduli
 from .results import SolverResult, Status, StepKind, Trace
 
 DEFAULT_GTOL = 1e-8
@@ -84,9 +84,10 @@ AG_EXIT_FACTOR = 4.0  # gradient-norm reduction that ends an AG block
 def check_settings(L: float | None, ell: float | None, gtol: float, max_evals: int,
                    budget: str = "max_evals") -> None:
     """Raise ``InvalidSpec`` unless L and ell pass ``check_moduli``, gtol > 0
-    and max_evals is an integer >= 1, not a bool; ``budget`` names it in the message."""
+    and max_evals is an integer >= 1, and neither gtol nor max_evals is a bool;
+    ``budget`` names max_evals in the message."""
     check_moduli(L, ell)
-    if not gtol > 0:
+    if _has_bool(gtol) or not gtol > 0:
         raise InvalidSpec(f"gtol must be positive, got {gtol}")
     if not (np.issubdtype(type(max_evals), np.integer) and max_evals >= 1):
         raise InvalidSpec(f"{budget} must be an integer of at least 1, got {max_evals}")

@@ -103,9 +103,12 @@ def run(config: RunConfig) -> SolverResult:
     """Build the problem, resolve L/ell (override beats family default) into
     a ``SolverConfig``, dispatch the solver and write any requested outputs.
 
-    An lcg row builds only the quadratic's operator, since lcg reads neither
-    L nor ell, and an ncg row checks no family ell against L, as ncg reads no
-    ell; their JSON summaries write what they do not read as null.  Raises
+    An lcg row takes only the quadratic's operator, from ``quad_diag_system``,
+    which holds it for the quad family's instance and every lcg row on that
+    n, since lcg reads neither L nor ell; an ncg row checks no family ell
+    against L, as ncg reads no ell.  Their JSON summaries write what they do
+    not read as null; every summary writes a non-finite float as null too, so
+    that the json= file is strict JSON (RFC 8259).  Raises
     ``InvalidSpec`` before anything is built when a trace or json path cannot
     be written or the json path names the trace file, and when the resolved
     moduli violate 0 <= ell <= L.
@@ -137,10 +140,15 @@ def run(config: RunConfig) -> SolverResult:
     if config.json_path:
         row = _summary(config, result, L=L, ell=ell)
         with open(config.json_path, "w") as fh:
-            json.dump({f.name: getattr(row, f.name) for f in fields(row) if f.metadata["json"]},
-                      fh, indent=2, sort_keys=True)
+            json.dump({f.name: _json_value(getattr(row, f.name)) for f in fields(row)
+                       if f.metadata["json"]}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result
+
+
+def _json_value(value: Any) -> Any:
+    """A summary value as the json= file writes it: a non-finite float as null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _field(header: str | None, cell: Callable = str, csv: Callable | None = None,
@@ -160,7 +168,9 @@ class SuiteRow:
 
     ``wall_time`` is the whole ``run`` call in a suite, NaN elsewhere.  It
     includes building the problem unless ``ProblemSpec.build`` still holds
-    the instance, as it keeps the last one built for each family.  ``L`` and
+    the instance, as it keeps the last one built for each family; an lcg
+    row's includes building the operator unless ``quad_diag_system`` still
+    holds it, as it keeps the last one a quad build or lcg row made.  ``L`` and
     ``ell`` are set, as ``run`` resolved them, only for the json= file.
     """
 
@@ -206,7 +216,9 @@ def run_suite(configs: list[RunConfig]) -> list[SuiteRow]:
     A row pays for its build in its ``wall_time`` unless an earlier row of
     its family built the same instance and none built another since
     (``ProblemSpec.build`` keeps one instance per family): rows of other
-    families between them do not matter.
+    families between them do not matter.  An lcg row shares the operator
+    of an earlier quad or lcg row on its n unless a quad build or an lcg row
+    on another n came between them (``quad_diag_system`` keeps one).
     """
     taken: dict[Path, str] = {}  # every row's outputs, so no row overwrites another's
 

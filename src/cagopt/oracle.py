@@ -20,13 +20,19 @@ Vector = np.ndarray
 EvaluateFn = Callable[[Vector], "tuple[float, Vector]"]
 
 
+def _has_bool(*values: object) -> bool:
+    """Whether any value is a bool, which a numeric check would pass as 0 or 1."""
+    return any(isinstance(value, (bool, np.bool_)) for value in values)
+
+
 def check_moduli(L: float | None, ell: float | None) -> None:
     """Raise ``InvalidSpec`` unless 0 <= ell <= L and 1e-100 <= L <= 1e100, the
     range where ``compute_theta_gamma``'s b^2 + 4 L gamma (b, gamma <= L) does not
-    overflow or underflow; an L or ell of None (a family default not known yet) is skipped."""
-    if L is not None and not 1e-100 <= L <= 1e100:
+    overflow or underflow, and neither is a bool; an L or ell of None (a family
+    default not known yet) is skipped."""
+    if L is not None and (_has_bool(L) or not 1e-100 <= L <= 1e100):
         raise InvalidSpec(f"L must be positive and finite, in [1e-100, 1e100], got {L}")
-    if ell is not None and not 0.0 <= ell <= (math.inf if L is None else L):
+    if ell is not None and (_has_bool(ell) or not 0.0 <= ell <= (math.inf if L is None else L)):
         raise InvalidSpec(f"need 0 <= ell <= L, got ell={ell}, L={L}")
 
 

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidSpec
-from .oracle import ObjectiveProblem, Vector
+from .oracle import ObjectiveProblem, Vector, _has_bool
 
 # key=value name, ProblemSpec field and parser of each optional parameter.
 _PARAMS = (
@@ -150,25 +150,6 @@ def make_quad_diag(n: int) -> ObjectiveProblem:
     return quad_diag_system(n).objective(L=float(n) ** 2, ell=1.0)
 
 
-def quad_diag_system(n: int) -> QuadraticProblem:
-    """The diagonal quadratic of ``make_quad_diag`` as an SPD operator."""
-    if n < 1:
-        raise InvalidSpec(f"need n >= 1, got {n}")
-    idx = np.arange(1, n + 1, dtype=float)
-    d = idx**2
-    b = np.sin(idx)
-    xstar = b / d
-    for array in (d, b, xstar):
-        array.flags.writeable = False
-    return QuadraticProblem(
-        apply_A=lambda x: d * x,
-        b=b,
-        known_xstar=xstar,
-        known_fstar=-0.5 * float(b @ xstar),
-        name=_instance_name("quad", n),
-    )
-
-
 def dct_row_operator(
     row_indices: list[int], n: int
 ) -> tuple[Callable[[Vector], Vector], Callable[[Vector], Vector]]:
@@ -221,9 +202,11 @@ def _check_abpdn(n: int, lam: float, delta: float) -> int:
 
     n must be a perfect square >= 4: n = 1 would need DCT row 2 of a 1 x 1
     matrix, and from n = 4 on the first m primes stay within the rows
-    ``dct_row_operator`` supports.  lam and delta lie in (0, largest float].
+    ``dct_row_operator`` supports.  lam and delta lie in (0, largest float]
+    and are not bools.
     """
-    if not (0.0 < lam <= float_info.max and 0.0 < delta <= float_info.max):
+    if _has_bool(lam, delta) or not (0.0 < lam <= float_info.max
+                                     and 0.0 < delta <= float_info.max):
         raise InvalidSpec(f"need finite lam, delta > 0, got lam={lam}, delta={delta}")
     m = math.isqrt(n)
     if n < 4 or m * m != n:
@@ -322,9 +305,11 @@ def _standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
 
 
 def _check_logistic(m: int, n: int, lam: float, sigma: float, seed: int) -> None:
-    """Check logistic's m, n >= 1 and seed >= 0, and lam >= 0, sigma > 0 in the float range."""
-    if not (m >= 1 and n >= 1 and seed >= 0 and 0.0 <= lam <= float_info.max
-            and 0.0 < sigma <= float_info.max):
+    """Check logistic's m, n >= 1 and seed >= 0, and lam >= 0, sigma > 0 in the float
+    range and not bools."""
+    if _has_bool(lam, sigma) or not (m >= 1 and n >= 1 and seed >= 0
+                                     and 0.0 <= lam <= float_info.max
+                                     and 0.0 < sigma <= float_info.max):
         raise InvalidSpec(f"bad logistic m={m}, n={n}, lam={lam}, sigma={sigma}, seed={seed}")
 
 
@@ -372,9 +357,10 @@ def make_logistic(
 
 
 def _check_huber(n: int, tau: float) -> None:
-    """Check huber's parameters: n >= 1 and a tau > 0 whose square, held by zeta's
-    tails, is at most the largest float (an int's compares exactly, so < inf can pass it)."""
-    if not (n >= 1 and 0.0 < tau and tau * tau <= float_info.max):
+    """Check huber's parameters: n >= 1 and a tau > 0, not a bool, whose square, held by
+    zeta's tails, is at most the largest float (an int's compares exactly, so < inf can
+    pass it)."""
+    if _has_bool(tau) or not (n >= 1 and 0.0 < tau and tau * tau <= float_info.max):
         raise InvalidSpec(f"bad huber n={n}, tau={tau}")
 
 
@@ -452,8 +438,10 @@ _FAMILIES = {
 }
 FAMILIES = tuple(_FAMILIES)
 
-# Per family, the label of the instance ProblemSpec.build made last for it, and that instance.
-_built: dict[str, tuple[str, ObjectiveProblem]] = {}
+# Per family, the label of the instance ProblemSpec.build made last for it, and that
+# instance; under _SYSTEM, the name of the system quad_diag_system made last, and that system.
+_SYSTEM = "quad_diag_system"
+_built: dict[str, tuple[str, ObjectiveProblem | QuadraticProblem]] = {}
 
 
 @dataclass(frozen=True)
@@ -512,7 +500,8 @@ class ProblemSpec:
         family drops its instance before building the next, so two instances
         of one family are never alive here at once.  Sharing is safe because
         every family's ``evaluate`` is a pure closure over read-only arrays
-        that returns fresh ones.
+        that returns fresh ones.  A quad instance wraps the system that
+        ``quad_diag_system`` holds, so lcg runs on its n share that too.
         """
         try:  # a subscript, not .get: a hit runs after a solve, with the method lookup cold
             held = _built[self.family]
@@ -530,3 +519,44 @@ class ProblemSpec:
         ``build`` keys its cache by it, so a label names one instance, and the
         instance that ``build`` returns has it as its ``name``."""
         return self._label
+
+
+def quad_diag_system(n: int) -> QuadraticProblem:
+    """The diagonal quadratic of ``make_quad_diag`` as an SPD operator, built
+    once for successive calls with one n: the quad family's instance, which
+    ``make_quad_diag`` builds from it, and every lcg run on that n share it.
+
+    One system is held, in ``_built`` under ``_SYSTEM`` with its name, by
+    ``ProblemSpec.build``'s rule: a call with another n drops the held system
+    before building the next.  Sharing is safe because its arrays are
+    read-only and ``apply_A`` returns a fresh array.
+    """
+    name = _instance_name("quad", n)
+    try:
+        held = _built[_SYSTEM]
+    except KeyError:
+        held = None
+    if held is None or held[0] != name:
+        held = None  # free the held system before the build, not after
+        _built.pop(_SYSTEM, None)
+        held = _built[_SYSTEM] = (name, _build_quad_diag_system(n, name))
+    return held[1]
+
+
+def _build_quad_diag_system(n: int, name: str) -> QuadraticProblem:
+    """A new system for ``quad_diag_system``, named ``name``."""
+    if n < 1:
+        raise InvalidSpec(f"need n >= 1, got {n}")
+    idx = np.arange(1, n + 1, dtype=float)
+    d = idx**2
+    b = np.sin(idx)
+    xstar = b / d
+    for array in (d, b, xstar):
+        array.flags.writeable = False
+    return QuadraticProblem(
+        apply_A=lambda x: d * x,
+        b=b,
+        known_xstar=xstar,
+        known_fstar=-0.5 * float(b @ xstar),
+        name=name,
+    )

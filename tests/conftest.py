@@ -160,8 +160,8 @@ def start_run(prob, x0, config):
 
 @pytest.fixture(autouse=True)
 def no_built_instance():
-    """Drop every instance ``ProblemSpec.build`` holds, so that no test sees
-    one an earlier test built."""
+    """Drop every instance ``ProblemSpec.build`` holds, and the system
+    ``quad_diag_system`` holds, so that no test sees one an earlier test built."""
     cagopt.problems._built.clear()
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -248,9 +249,12 @@ class TestSuite:
             assert [r for r in group if r.best][0].evaluations == min(r.evaluations for r in group)
 
     def test_rows_on_one_instance_build_it_once(self, monkeypatch):
-        # one family's rows in a row, then rows that alternate two families
+        # one family's rows in a row, then rows that alternate two families,
+        # then an lcg row between quad rows, which shares the quad instance's system
+        build_system = cagopt.problems._build_quad_diag_system
         for cases in ((("huber", "cag"), ("huber", "ncg"), ("huber", "ag")),
-                      (("quad", "cag"), ("huber", "cag"), ("quad", "ncg"), ("huber", "ncg"))):
+                      (("quad", "cag"), ("huber", "cag"), ("quad", "ncg"), ("huber", "ncg")),
+                      (("quad", "cag"), ("quad", "lcg"), ("quad", "ncg"))):
             configs = [RunConfig(problem=ProblemSpec(family, 60), solver=s, gtol=1e-6)
                        for family, s in cases]
             fresh = []
@@ -260,12 +264,25 @@ class TestSuite:
             cagopt.problems._built.clear()
             families = {family for family, _ in cases}
             calls = {family: count_builds(monkeypatch, family) for family in families}
+            systems = []
+            monkeypatch.setattr(cagopt.problems, "_build_quad_diag_system",
+                                lambda n, name: systems.append(n) or build_system(n, name))
             rows = run_suite(configs)
             assert {family: len(args) for family, args in calls.items()} == dict.fromkeys(
                 families, 1)
+            assert systems == ([60] if "quad" in families else [])
             assert ([(r.status, r.iterations, r.evaluations, r.f_final) for r in rows]
                     == [(r.status, r.iterations, r.evaluations, r.f_final) for r in fresh])
             monkeypatch.undo()
+
+        # an lcg row on another n frees the held system before it builds the next
+        held = weakref.ref(quad_diag_system(60))
+        alive_at_build = []
+        monkeypatch.setattr(cagopt.problems, "_build_quad_diag_system",
+                            lambda n, name: alive_at_build.append(held() is not None)
+                            or build_system(n, name))
+        assert run(RunConfig(ProblemSpec("quad", 61), "lcg", gtol=1e-6)).status is Status.CONVERGED
+        assert alive_at_build == [False]
 
     def test_conjugate_z_rows_are_named_cag_plus_z(self, tmp_path):
         spec = ProblemSpec("huber", 60)
@@ -325,6 +342,18 @@ class TestSuite:
         assert trace.read_text() == "iter,evals,f,gnorm,phistar,step\n0,1,nan,nan,nan,init\n"
         assert json.loads((tmp_path / "s.json").read_text())["evaluations"] == 1
         assert "diverged" in format_suite_table(rows)
+
+    def test_a_non_finite_summary_is_strict_json(self, tmp_path):
+        # RFC 8259 has no NaN: the diverged start's f_final and gnorm_final read null
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        path = tmp_path / "s.json"
+        run(RunConfig(ProblemSpec("abpdn", 4, lam=1e200, delta=1e300), "cag", json_path=str(path)))
+        summary = json.loads(path.read_text(), parse_constant=refuse)
+        assert summary["status"] == "diverged" and summary["evaluations"] == 1
+        assert summary["f_final"] is None and summary["gnorm_final"] is None
+        assert summary["L"] == 1.0 + 1e200 / math.sqrt(1e300) and summary["gtol"] == 1e-8
 
     @pytest.mark.parametrize("key", ["trace_path", "json_path"])
     def test_unwritable_output_path_does_not_abort_the_suite(self, tmp_path, monkeypatch, key):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import cagopt.problems
 from cagopt import (
     InvalidSpec,
+    ObjectiveProblem,
     ProblemSpec,
     RunConfig,
     SolverConfig,
@@ -620,9 +621,10 @@ class TestProblemSpec:
 
 # Each builds an object from arguments it must refuse: a size, seed or budget
 # that is not an integer (a float one built a wrongly sized instance or raised
-# TypeError in a suite; a bool one, True, passed as 1), or an int parameter too
+# TypeError in a suite; a bool one, True, passed as 1), an int parameter too
 # large for a float (which passed a < inf check and raised OverflowError at
-# build or evaluation).
+# build or evaluation), or a bool L, ell, gtol or family parameter (which ran
+# as 0 or 1, and named the instance ``huber(n=10,tau=True)``).
 @pytest.mark.parametrize("make", [
     lambda: ProblemSpec("quad", 3.5),
     lambda: ProblemSpec("quad", True),
@@ -645,11 +647,28 @@ class TestProblemSpec:
     lambda: lcg_minimize(quad_diag_system(4), np.zeros(4), 1e-8, 2.5),
     lambda: RunConfig(ProblemSpec("quad", 10), "cag", max_evals=True),
     lambda: SolverConfig(L=1.0, max_evals=True),
+    lambda: SolverConfig(L=True),
+    lambda: SolverConfig(L=1.0, ell=True),
+    lambda: SolverConfig(L=1.0, gtol=True),
+    lambda: SolverConfig(L=np.True_),
+    lambda: RunConfig(ProblemSpec("quad", 10), "cag", L=True),
+    lambda: RunConfig(ProblemSpec("quad", 10), "lcg", gtol=True),
+    lambda: ObjectiveProblem("f", 1, lambda x: (0.0, x), default_L=True),
+    lambda: ProblemSpec("huber", 10, tau=True),
+    lambda: make_huber(10, True),
+    lambda: ProblemSpec("abpdn", 4, lam=True),
+    lambda: make_abpdn(4, delta=True),
+    lambda: ProblemSpec("logistic", 4, lam=False),
+    lambda: make_logistic(4, 2, sigma=True),
 ], ids=["quad-n", "quad-bool-n", "logistic-bool-m", "logistic-bool-seed", "logistic-false-seed",
         "huber-n", "logistic-seed", "logistic-m", "abpdn-n", "make_huber-tau",
         "spec-huber-tau", "make_abpdn-lam", "make_abpdn-delta", "make_logistic-lam",
         "make_logistic-sigma", "lcg-max_evals", "cag-max_evals", "SolverConfig-max_evals",
-        "lcg_minimize-max_iters", "cag-bool-max_evals", "SolverConfig-bool-max_evals"])
+        "lcg_minimize-max_iters", "cag-bool-max_evals", "SolverConfig-bool-max_evals",
+        "SolverConfig-bool-L", "SolverConfig-bool-ell", "SolverConfig-bool-gtol",
+        "SolverConfig-numpy-bool-L", "cag-bool-L", "lcg-bool-gtol", "ObjectiveProblem-bool-L",
+        "spec-huber-bool-tau", "make_huber-bool-tau", "spec-abpdn-bool-lam",
+        "make_abpdn-bool-delta", "spec-logistic-bool-lam", "make_logistic-bool-sigma"])
 def test_refused_where_made(make):
     with pytest.raises(InvalidSpec):
         make()

@@ -24,9 +24,12 @@ every problem and run key, and malformed ones, print the parsed
 file print the message of ``cagopt suite`` and ``cagopt run``, or the
 statuses of ``run_suite``.  A suite of abpdn rows whose start f overflows,
 then a quad row, prints its statuses and evaluation counts, ``cagopt run``
-on that abpdn instance its exit code and output, and lcg from x0 =
-1e200 * ones, where f(x0) overflows, its run line.  A suite whose rows alternate quad and huber
-prints how often each family's constructor ran.
+on that abpdn instance its exit code and output, one cag run on it the
+SHA-256 of its ``json=`` summary and whether that parses as strict JSON,
+and lcg from x0 = 1e200 * ones, where f(x0) overflows, its run line.  A
+suite whose rows alternate quad and huber, then a quad lcg row, prints how
+often each family's constructor ran and how many systems
+``quad_diag_system`` built.
 
 To show that a change leaves behaviour bit-identical, run the script
 against both source trees and diff the output: ``--against OTHER_SRC``
@@ -44,6 +47,7 @@ import argparse
 import difflib
 import hashlib
 import itertools
+import json
 import math
 import os
 import struct
@@ -55,6 +59,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
+import cagopt.harness
 import cagopt.problems
 from cagopt import (
     InvalidSpec, ProblemSpec, RunConfig, Status, lcg_minimize, quad_diag_system, run, run_suite,
@@ -338,6 +343,21 @@ def start_overflow() -> None:
     result = CliRunner().invoke(cli_main, ["run", *line.split(), "solver=cag"])
     print(f"overflow cli run {line} solver=cag: exit {result.exit_code} "
           f"{result.output.rstrip() or repr(result.exception)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        summary = Path(tmp) / "s.json"
+        run(run_config_from_tokens(f"{line} solver=cag json={summary}".split()))
+        text = summary.read_text()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    try:
+        json.loads(text, parse_constant=refuse)
+        strict = "strict JSON"
+    except ValueError as e:
+        strict = f"not strict JSON: {e}"
+    print(f"overflow json= {line} solver=cag: {strict} "
+          f"{hashlib.sha256(text.encode()).hexdigest()}")
     # lcg's f(x0) and initial residual norm overflow
     name = "overflow lcg quad_diag_system(5) x0=1e200*ones"
     try:
@@ -350,6 +370,9 @@ def suite_builds() -> None:
     # on instances that no other sweep builds, so none is held beforehand
     families, calls = cagopt.problems._FAMILIES, []
     saved = dict(families)
+    # every system quad_diag_system returns, by id: make_quad_diag calls it
+    # through problems, an lcg row through harness; kept alive, so ids stay apart
+    systems, system_of = {}, cagopt.problems.quad_diag_system
 
     def counted(family, make):
         def wrapped(**args):
@@ -357,15 +380,24 @@ def suite_builds() -> None:
             return make(**args)
         return wrapped
 
+    def seen(n):
+        system = system_of(n)
+        systems[id(system)] = system
+        return system
+
     for family in ("quad", "huber"):
         families[family] = saved[family]._replace(make=counted(family, saved[family].make))
+    cagopt.problems.quad_diag_system = cagopt.harness.quad_diag_system = seen
     try:
         run_suite([RunConfig(ProblemSpec(family, 20), solver)
-                   for solver in ("cag", "ncg") for family in ("quad", "huber")])
+                   for solver in ("cag", "ncg") for family in ("quad", "huber")]
+                  + [RunConfig(ProblemSpec("quad", 20), "lcg")])
     finally:
         families.update(saved)
-    print(f"builds run_suite quad cag, huber cag, quad ncg, huber ncg: "
-          f"quad {calls.count('quad')} huber {calls.count('huber')}")
+        cagopt.problems.quad_diag_system = cagopt.harness.quad_diag_system = system_of
+    print(f"builds run_suite quad cag, huber cag, quad ncg, huber ncg, quad lcg: "
+          f"quad {calls.count('quad')} huber {calls.count('huber')} "
+          f"quad_diag_system {len(systems)}")
 
 
 def compare_trees(other_src: str) -> int:

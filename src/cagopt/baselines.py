@@ -59,11 +59,11 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         Ax0 = qp.apply_A(x)
         evals += 1
         r = qp.b - Ax0
-        f = 0.5 * float(x @ Ax0) - float(qp.b @ x)
+        f = 0.5 * float(x.dot(Ax0)) - float(qp.b.dot(x))
     else:
         r = qp.b.astype(float)  # a float copy: r and p are updated in place
         f = 0.0
-    rr = float(r @ r)
+    rr = float(r.dot(r))
     rnorm = math.sqrt(rr)
     trace = Trace()
     trace.append(evals, f, rnorm, math.nan, StepKind.INIT)
@@ -79,7 +79,7 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
     for k in range(1, max_iters + 1):
         Ap = qp.apply_A(p)
         evals += 1
-        pAp = float(p @ Ap)
+        pAp = float(p.dot(Ap))
         if pAp <= 0.0:
             raise InvalidSpec(f"the operator is not positive definite: p^T A p = {pAp!r} <= 0")
         if not math.isfinite(pAp):
@@ -87,7 +87,7 @@ def lcg_minimize(qp: QuadraticProblem, x0: Vector, gtol: float, max_iters: int) 
         alpha = rr / pAp
         np.subtract(r, np.multiply(alpha, Ap, out=step), out=step)
         f = f - 0.5 * alpha * rr
-        rr_new = float(step @ step)
+        rr_new = float(step.dot(step))
         rnorm = math.sqrt(rr_new)
         if not (math.isfinite(f) and math.isfinite(rnorm)):
             break
@@ -110,13 +110,13 @@ def ncg_step(run: _Run) -> tuple[Evaluation, StepKind]:
     ``point``, ``p`` and ``i_cg``."""
     point = run.point
     g = point.g
-    if float(g @ run.p) >= 0.0:
+    if float(g.dot(run.p)) >= 0.0:
         run.restart_chain()
     p = run.p
     secant = secant_alpha(run, point, p, StepKind.CG)
     # With no secant step (flat or concave along p), take the step that the
     # smoothness bound alone guarantees to decrease f.
-    alpha = secant[0] if secant is not None else -float(g @ p) / (run.config.L * float(p @ p))
+    alpha = secant[0] if secant is not None else -float(g.dot(p)) / (run.config.L * float(p.dot(p)))
 
     # Near the minimum the true decrease falls below what doubles can
     # represent, so demand decrease only up to a rounding-level slack.

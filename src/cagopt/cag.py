@@ -249,10 +249,10 @@ def secant_alpha(run: _Run, point: Evaluation, p: Vector,
     probe = run.evaluate(x_probe, kind)
     Ap = np.subtract(probe.g, point.g)
     Ap *= L
-    pAp = float(p @ Ap)
+    pAp = float(p.dot(Ap))
     if pAp <= 0.0:
         return None
-    alpha = -float(point.g @ p) / pAp
+    alpha = -float(point.g.dot(p)) / pAp
     return alpha, Ap, pAp
 
 
@@ -266,12 +266,12 @@ def hz_beta(g: Vector, new: Evaluation, p: Vector, g0_norm: float) -> float | No
     """
     g_next = new.g
     y = g_next - g
-    yp = float(y @ p)
+    yp = float(y.dot(p))
     if yp == 0.0:
         return None
-    w = p * (2.0 * float(y @ y) / yp)
-    beta1 = float(np.subtract(y, w, out=w) @ g_next) / yp
-    beta2 = -1.0 / (math.sqrt(float(p @ p)) * min(0.01 * g0_norm, new.gnorm))
+    w = p * (2.0 * float(y.dot(y)) / yp)
+    beta1 = float(np.subtract(y, w, out=w).dot(g_next)) / yp
+    beta2 = -1.0 / (math.sqrt(float(p.dot(p))) * min(0.01 * g0_norm, new.gnorm))
     return max(beta1, beta2)
 
 
@@ -283,7 +283,7 @@ def z_conjugate_update(z_tilde: Vector, zAz: float, p: Vector, Ap: Vector,
     product; the quadratic form follows by expansion:
     zAz' = zAz - 2 delta <z, Ap> + delta^2 pAp.  The caller ensures pAp > 0.
     """
-    zAp = float(z_tilde @ Ap)
+    zAp = float(z_tilde.dot(Ap))
     delta = zAp / pAp
     z_next = np.multiply(delta, p)
     np.subtract(z_tilde, z_next, out=z_next)
@@ -299,7 +299,7 @@ def bar_augment(run: _Run, new: Evaluation, z_tilde: Vector, zAz: float) -> Eval
     and ends the run there (as a ``bar`` row) when the gradient passes
     gtol.  The caller ensures zAz > 0.
     """
-    alpha_t = -float(new.g @ z_tilde) / zAz
+    alpha_t = -float(new.g.dot(z_tilde)) / zAz
     bar_x = np.multiply(alpha_t, z_tilde)
     bar_x += new.x
     return run.evaluate(bar_x, StepKind.BAR)
@@ -416,8 +416,8 @@ def return_to_cg(run: _Run) -> None:
     if run.config.conjugate_z:
         z = run.v - run.x
         g_v = run.evaluate(run.v.copy(), StepKind.AG).g  # v changes in place
-        zAz = float(z @ (g_v - point.g))
-        if zAz > 0.0 and float(z @ z) > 0.0:
+        zAz = float(z.dot(g_v - point.g))
+        if zAz > 0.0 and float(z.dot(z)) > 0.0:
             run.z_tilde, run.zAz = z, zAz
 
 

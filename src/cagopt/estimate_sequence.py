@@ -88,17 +88,17 @@ def advance_estimate(gamma: float, v: Vector, phi_star: float, theta: float, gam
 
     Allocates nothing: dv = v - bar_x, then the terms of v_next, go into the
     n-vector ``work``.  Nine vector passes, six at ell = 0, which skips the
-    ell terms and dv @ dv; else the formula's operations in its order, so
+    ell terms and ||dv||^2; else the formula's operations in its order, so
     both results equal it with fresh arrays byte for byte.  Raises
     ``NumericalFailure`` when phi*_next is not finite (a non-finite v_next
     makes phi* non-finite at the next update).
     """
     bar_x, bar_f, bar_g, _, bar_gg = anchor
     dv = np.subtract(v, bar_x, out=work)
-    cross = float(bar_g @ dv)
+    cross = float(bar_g.dot(dv))
     np.multiply((1.0 - theta) * gamma, v, out=out)
     if ell:
-        cross += 0.5 * ell * float(dv @ dv)
+        cross += 0.5 * ell * float(dv.dot(dv))
         out += np.multiply(theta * ell, bar_x, out=work)
     out -= np.multiply(theta, bar_g, out=work)
     out /= gamma_next

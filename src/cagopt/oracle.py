@@ -98,7 +98,7 @@ def evaluate_counted(
     f, g = problem.evaluate(x)
     counter.count += 1
     f = float(f)
-    gg = float(g @ g)
+    gg = float(g.dot(g))
     gnorm = math.sqrt(gg)
     if not (math.isfinite(f) and math.isfinite(gnorm)):
         raise NumericalFailure(f"non-finite evaluation in problem {problem.name!r}")

@@ -80,7 +80,7 @@ class QuadraticProblem:
 
         def evaluate(x):
             Ax = apply_A(x)
-            return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
+            return 0.5 * float(x.dot(Ax)) - float(b.dot(x)), Ax - b
 
         return ObjectiveProblem(
             name=self.name,
@@ -238,7 +238,7 @@ def make_abpdn(n: int, *, lam: float = 1e-3, delta: float = 1e-4) -> ObjectivePr
     def evaluate(x):
         r = apply(x) - b
         root = np.sqrt(x * x + delta)
-        f = 0.5 * float(r @ r) + lam * float(np.sum(root))
+        f = 0.5 * float(r.dot(r)) + lam * float(np.add.reduce(root))
         g = apply_t(r) + lam * (x / root)
         return f, g
 
@@ -343,7 +343,7 @@ def make_logistic(
 
     def evaluate(x):
         v = A @ x
-        f = float(np.sum(_logistic_loss(v))) + 0.5 * lam * float(x @ x)
+        f = float(np.add.reduce(_logistic_loss(v))) + 0.5 * lam * float(x.dot(x))
         g = A.T @ _logistic_loss_prime(v) + lam * x
         return f, g
 
@@ -557,6 +557,6 @@ def _build_quad_diag_system(n: int, name: str) -> QuadraticProblem:
         apply_A=lambda x: d * x,
         b=b,
         known_xstar=xstar,
-        known_fstar=-0.5 * float(b @ xstar),
+        known_fstar=-0.5 * float(b.dot(xstar)),
         name=name,
     )

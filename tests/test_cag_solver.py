@@ -465,12 +465,24 @@ def assert_within_nesterov_bound(prob, certified, xstar, fstar):
         assert gap <= bound + slack, (k, gap, bound)
 
 
+def ridge_huber(n, tau, lam):
+    """``make_huber(n, tau)`` plus (lam/2) ||x||^2, with L = 8 + lam and ell = lam."""
+    huber = make_huber(n, tau).evaluate
+
+    def evaluate(x):
+        f, g = huber(x)
+        return f + 0.5 * lam * float(x @ x), g + lam * x
+
+    return ObjectiveProblem(f"ridge-huber(n={n},tau={tau},lambda={lam})", n, evaluate,
+                            8.0 + lam, lam)
+
+
 @pytest.mark.parametrize("solver", ["cag", "cag+z", "ag"])
 class TestCertificate:
     """The paper's certificate f(x_k) <= phi*_k (cag+z: min(f(x_k), f(bar_k))
     <= phi*_k) on drawn small instances, and the rate ``nesterov_bound`` that
     it implies, with x* known in closed form (quad), from a Newton solve
-    (logistic with a ridge, abpdn) or at ag's final point (huber)."""
+    (logistic with a ridge, abpdn, ridge-huber) or at ag's final point (huber)."""
 
     @settings(derandomize=True, deadline=None, max_examples=6)
     @given(m=st.integers(1, 40), n=st.integers(1, 20), seed=st.integers(0, 2**16),
@@ -498,6 +510,15 @@ class TestCertificate:
     def test_abpdn(self, solver, n):
         prob = make_abpdn(n)
         _, certified = certified_run(solver, prob)
+        assert_within_nesterov_bound(prob, certified, *newton_minimizer(prob))
+
+    # Small ridge-huber draws on which cag and cag+z fall back to AG steps
+    # within the budget, so the AG branch runs with ell > 0 on a non-quadratic.
+    @pytest.mark.parametrize("n, tau, lam", [(8, 3.0, 1e-4), (8, 4.0, 3e-4), (12, 6.0, 1e-4)])
+    def test_ridge_huber_ag_steps(self, solver, n, tau, lam):
+        prob = ridge_huber(n, tau, lam)
+        res, certified = certified_run(solver, prob)
+        assert StepKind.AG in set(res.trace.kinds())
         assert_within_nesterov_bound(prob, certified, *newton_minimizer(prob))
 
     @settings(derandomize=True, deadline=None, max_examples=6)
